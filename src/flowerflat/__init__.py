@@ -15,8 +15,8 @@ from .flatten import (Coboundary, EscapeFunction, build_coboundary,
                       normal_form_check, tail_bound)
 from .flower import (BoundaryAtBranchBreak, CoverageGap, DegeneratePetal,
                      Discontinuity, Flower, FlowerError, ImagesOverlap,
-                     OverlappingPetals, PreImageSelector, one_flower,
-                     random_flower, selector, validate_flower)
+                     OverlappingPetals, PreImageSelector, SamplingFailed,
+                     one_flower, random_flower, selector, validate_flower)
 from .functions import (PiecewiseLinear, TrigPolynomial, compose_with_map,
                         demo_function, demo_potential)
 from .solve import (NoSignChange, OneFlowerFamily, SturmianEstimate,

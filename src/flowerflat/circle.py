@@ -28,6 +28,17 @@ def reduce(x: float) -> float:
     return r
 
 
+def reduce_many(xs) -> np.ndarray:
+    """``reduce`` on an array: same values, same ValueError on non-finite
+    entries."""
+    xs = np.asarray(xs, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("cannot reduce non-finite values")
+    # x - floor(x) rounds like x % 1.0, and to 1.0 where that does too
+    r = xs - np.floor(xs)
+    return np.where(r >= 1.0, 0.0, r)
+
+
 def distance(x: float, y: float) -> float:
     """Shortest distance on the circle, in [0, 1/2]."""
     d = abs(reduce(x) - reduce(y))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from typing import List, Optional
@@ -38,6 +39,20 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _finite(spec: dict, key: str, field: str, default=None):
+    """spec[key], or the default when one is given, as a float or a list
+    of floats; a ConfigError names the field unless all are finite."""
+    value = spec[key] if default is None else spec.get(key, default)
+    many = isinstance(value, (list, tuple))
+    try:
+        values = [float(v) for v in value] if many else [float(value)]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{field} must be numbers: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{field} must be finite, got {value!r}")
+    return values if many else values[0]
+
+
 def build_map(spec) -> ExpandingMap:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("map spec needs a 'type' field")
@@ -45,8 +60,10 @@ def build_map(spec) -> ExpandingMap:
         if spec["type"] == "linear":
             return make_linear_map(int(spec["k"]))
         if spec["type"] == "piecewise_affine":
-            return ExpandingMap(tuple(float(b) for b in spec["breaks"]),
-                                tuple(float(s) for s in spec["slopes"]))
+            return ExpandingMap(tuple(_finite(spec, "breaks", "map.breaks")),
+                                tuple(_finite(spec, "slopes", "map.slopes")))
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid map spec: {exc}") from exc
     raise ConfigError(f"unknown map type {spec['type']!r}")
@@ -57,18 +74,27 @@ def build_function(spec):
         raise ConfigError("function spec needs a 'type' field")
     try:
         if spec["type"] == "pwl":
-            return PiecewiseLinear(spec["breakpoints"], spec["slopes"],
-                                   spec.get("anchor", 0.0))
-        if spec["type"] == "trig":
-            return TrigPolynomial(spec.get("cos", ()), spec.get("sin", ()),
-                                  spec.get("const", 0.0))
-        if spec["type"] == "demo":
-            return demo_function(float(spec["gamma"]))
+            f = PiecewiseLinear(
+                _finite(spec, "breakpoints", "function.breakpoints"),
+                _finite(spec, "slopes", "function.slopes"),
+                _finite(spec, "anchor", "function.anchor", 0.0))
+        elif spec["type"] == "trig":
+            f = TrigPolynomial(_finite(spec, "cos", "function.cos", ()),
+                               _finite(spec, "sin", "function.sin", ()),
+                               _finite(spec, "const", "function.const", 0.0))
+        elif spec["type"] == "demo":
+            f = demo_function(float(spec["gamma"]))
+        else:
+            raise ConfigError(f"unknown function type {spec['type']!r}")
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid function spec: {exc}") from exc
-    raise ConfigError(f"unknown function type {spec['type']!r}")
+    # finite but huge coefficients would overflow every bound to inf/NaN
+    if not math.isfinite(f.lipschitz_constant()):
+        raise ConfigError("function coefficients are too large: the "
+                          "Lipschitz constant overflows")
+    return f
 
 
 def build_flower(spec, T: ExpandingMap) -> Flower:
@@ -150,8 +176,7 @@ def cmd_scan(args) -> int:
     f = build_function(cfg["function"])
     grid = int(_knob(cfg, args, "grid", 512))
     depth = _pick_depth(cfg, args, f, T)
-    threads = int(_knob(cfg, args, "threads", 1))
-    rows = scan(OneFlowerFamily(T), f, grid, depth, threads=threads)
+    rows = scan(OneFlowerFamily(T), f, grid, depth)
     lines = ["gamma,phi,error_bound"]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     _emit("\n".join(lines) + "\n", args.out)
@@ -204,14 +229,13 @@ def cmd_solve(args) -> int:
     grid = int(_knob(cfg, args, "grid", 512))
     depth = _pick_depth(cfg, args, f, T)
     tol = float(_knob(cfg, args, "tol", 1e-10))
-    threads = int(_knob(cfg, args, "threads", 1))
     burn_in = int(cfg.get("burn_in", 1000))
     length = int(cfg.get("length", 100000))
     max_period = int(cfg.get("max_period", 10))
     family = OneFlowerFamily(T)
     try:
         intervals = solve_pre_sturmian(family, f, depth, resolution=tol,
-                                       grid_size=grid, threads=threads)
+                                       grid_size=grid)
     except NoSignChange as exc:
         _emit_json({"zero_intervals": [],
                     "phi_min": exc.phi_min, "phi_max": exc.phi_max,
@@ -350,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", default=None)
         return p
 

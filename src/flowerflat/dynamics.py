@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
 
-from .circle import EPS, reduce
+import numpy as np
+
+from .circle import EPS, reduce, reduce_many
 
 _CLOSURE_TOL = 1e-9
 
@@ -82,6 +84,14 @@ class ExpandingMap:
         i = self.branch_index(x)
         u = a0 + reduce(x - a0)
         return reduce(a0 + self.slopes[i] * (u - self._lifted[i]))
+
+    def apply_many(self, xs) -> np.ndarray:
+        """``apply`` on an array of points."""
+        lifted = np.asarray(self._lifted)
+        u = lifted[0] + reduce_many(np.asarray(xs, dtype=float) - lifted[0])
+        i = np.maximum(np.searchsorted(lifted, u, side="right") - 1, 0)
+        slopes = np.asarray(self.slopes)
+        return reduce_many(lifted[0] + slopes[i] * (u - lifted[i]))
 
     def orbit(self, x: float, n: int) -> List[float]:
         """Forward orbit x, T(x), ..., T^{n-1}(x)."""

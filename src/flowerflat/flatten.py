@@ -3,9 +3,22 @@
 A Lipschitz f can be flattened on a flower F exactly when, for every
 discontinuity x of the selector, the integral of f' against the
 escape-time density e_x = sum_n chi(tau^n I_x) vanishes.  All integrals
-here are exact finite sums of f-increments over the iterated-selector
-images; the only approximation is the truncation of the geometric tail,
-which carries a rigorous uniform bound reported with every value.
+here are exact finite sums of f-values over the iterated-selector images;
+the only approximation is the truncation of the geometric tail, which
+carries a rigorous uniform bound reported with every value.
+
+The functionals push the arc I_x through the selector piece by piece.
+The transfer function phi is evaluated in closed form instead: with a the
+anchor and tau right-continuous,
+
+    phi(x) = sum_{n=1..N} [f(tau^n x) - f(tau^n a)] - sum_{c in (a, x]} J_c,
+
+where c runs over the selector's jump ledger (the points T^m d of the
+discontinuities d whose chains stay in the flower) and J_c is the jump of
+sum_n f o tau^n at c.  All points move through the selector's tau table
+together, one level at a time.  phi is exact up to rounding for the
+truncated sum, whose distance from the full series is at most
+``Coboundary.error_bound`` = Lip(f) K^-(N+1) / (1 - 1/K) everywhere.
 """
 from __future__ import annotations
 
@@ -15,7 +28,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .circle import Arc, EPS, StepFunction, lift, reduce, step_sum
+from .circle import Arc, EPS, StepFunction, reduce, reduce_many, step_sum
 from .flower import Discontinuity, Flower, PreImageSelector
 
 
@@ -127,7 +140,8 @@ class Coboundary:
 
     phi is anchored to 0 at ``anchor`` and carries a uniform truncation
     certificate ``error_bound``; the flattening coboundary is
-    g = phi - phi o T.
+    g = phi - phi o T.  phi is evaluated in the closed form given in the
+    module docstring.
     """
 
     def __init__(self, sel: PreImageSelector, f, depth: int,
@@ -141,44 +155,78 @@ class Coboundary:
                        else reduce(anchor))
         K = sel.flower.map.expansion_constant
         self.error_bound = f.lipschitz_constant() * tail_bound(K, depth)
+        self._ledger_arrays = None
 
-    def _segment_integral(self, u: float, v: float) -> float:
-        """integral over [u, v] of sum_{n=1..N} (f o tau^n)', computed by
-        pushing the arc through the selector and summing f-increments."""
-        total = 0.0
-        arcs = [(u, v)]
-        f = self.f
-        push = self.selector.push_once
-        for _ in range(self.depth):
-            arcs = push(arcs)
-            total += sum(f.eval(r) - f.eval(l) for l, r in arcs)
-        return total
+    def _ledger(self) -> Tuple[np.ndarray, ...]:
+        """Arrays (m, d, c, tail_right, tail_left) over the selector's jump
+        ledger: the chain point c, its level m and the discontinuity
+        d = tau^m(c), with the sums of f over levels m+1..N of the orbit
+        of a point just past c and just before it,
+
+            tail_right = sum_{i<N-m} f(tau_R^i y),
+            tail_left = sum_{i<N-m} f(tau_L^i y'),
+
+        where y = tau_R(d) and y' = tau_L(d) are the petal endpoints at d.
+        sum_n f o tau^n jumps by tail_right - tail_left at c."""
+        if self._ledger_arrays is None:
+            sel, f, N = self.selector, self.f, self.depth
+            disc = np.asarray(sel.discontinuity_points)
+            right, left = [disc], [disc]
+            for _ in range(N):
+                right.append(sel.tau_many(right[-1], "right"))
+                left.append(sel.tau_many(left[-1], "left"))
+            zero = np.zeros((1, len(disc)))
+            sums_right = np.cumsum(np.vstack([zero, f.eval_many(right[1:])]),
+                                   axis=0)
+            sums_left = np.cumsum(np.vstack([zero, f.eval_many(left[1:])]),
+                                  axis=0)
+            j, m, c = (np.array(col) for col in zip(*sel.jump_ledger(N)))
+            self._ledger_arrays = (m, disc[j], c, sums_right[N - m, j],
+                                   sums_left[N - m, j])
+        return self._ledger_arrays
 
     def eval_many(self, xs: Sequence[float]) -> np.ndarray:
-        """phi at many points; cost is shared along the sorted traversal
-        from the anchor, so batches are cheap."""
-        base = self.anchor
-        lifted = [(lift(base, x), i) for i, x in enumerate(xs)]
-        lifted.sort()
-        out = np.empty(len(lifted))
-        pos = base
-        acc = 0.0
-        for u, i in lifted:
-            if u - pos > EPS:
-                acc += self._segment_integral(reduce(pos), reduce(u))
-                pos = u
-            out[i] = acc
-        return out
+        """phi at many points by the closed form, all points pushed
+        through the selector together one level at a time.  Raises
+        ValueError on non-finite points."""
+        xs = reduce_many(xs)
+        a = self.anchor
+        orbit = np.append(xs, a)
+        m, d, c, tail_right, tail_left = self._ledger()
+        # past[k, i]: is point i at or past chain point k?
+        past = c[:, None] <= orbit
+        total = np.zeros(len(orbit))
+        live = np.ones(len(orbit), dtype=bool)
+        for n in range(self.depth):
+            for k in np.nonzero(m == n)[0]:
+                # A point whose orbit lies within EPS of d is decided by the
+                # side of d it lies on, which a comparison with the
+                # forward-iterated c can contradict by rounding errors that
+                # grow like K^n.  Its later orbit is the exact one-sided
+                # orbit of d: iterating on could round onto d again where
+                # that orbit returns to it, and pick the other side.
+                e = orbit - d[k]
+                e = np.where(e > 0.5, e - 1.0, np.where(e < -0.5, e + 1.0, e))
+                near = live & (np.abs(e) <= EPS)
+                side = e[near] >= 0.0
+                past[k, near] = side
+                total[near] += np.where(side, tail_right[k], tail_left[k])
+                live[near] = False
+            orbit = self.selector.tau_many(orbit)
+            total += np.where(live, self.f.eval_many(orbit), 0.0)
+        after_anchor = ~past[:, -1:]
+        past = past[:, :-1]
+        inside = np.where(xs >= a, after_anchor & past, after_anchor | past)
+        return total[:-1] - total[-1] - (tail_right - tail_left) @ inside
 
     def eval(self, x: float) -> float:
         return float(self.eval_many([x])[0])
 
     def coboundary_many(self, xs: Sequence[float]) -> np.ndarray:
         """g = phi - phi o T at many points (error bound: 2*error_bound)."""
-        T = self.selector.flower.map
-        xs = list(xs)
-        images = [T.apply(x) for x in xs]
-        vals = self.eval_many(xs + images)
+        xs = reduce_many(xs)
+        images = self.selector.flower.map.apply_many(xs)
+        vals = self.eval_many(np.concatenate([xs, images]))
         n = len(xs)
         return vals[:n] - vals[n:]
 
@@ -191,8 +239,7 @@ def build_coboundary(sel: PreImageSelector, f, N: int,
 def flattened_values(f, cob: Coboundary, points: Sequence[float]
                      ) -> np.ndarray:
     """(f + phi - phi o T) at the given points."""
-    g = cob.coboundary_many(points)
-    return np.asarray([f.eval(x) for x in points]) + g
+    return f.eval_many(points) + cob.coboundary_many(points)
 
 
 def petal_samples(F: Flower, samples_per_petal: int) -> List[float]:

@@ -11,6 +11,8 @@ import bisect
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .circle import (EPS, Arc, CyclicOrder, StepFunction, distance, lift,
                      reduce, step_sum)
 from .dynamics import ExpandingMap
@@ -40,6 +42,10 @@ class ImagesOverlap(FlowerError):
 
 class BoundaryAtBranchBreak(FlowerError):
     """Petal endpoint coincides with a branch breakpoint of the map."""
+
+
+class SamplingFailed(FlowerError):
+    """``random_flower`` found no valid flower within its attempts."""
 
 
 def _petal_pieces(T: ExpandingMap, petal: Arc):
@@ -200,6 +206,7 @@ class PreImageSelector:
             raise ValueError("boundary_choice needs 'right'/'left' per "
                              "discontinuity")
         self.boundary_choice = boundary_choice
+        self._table = None
 
     @property
     def discontinuity_points(self) -> List[float]:
@@ -350,18 +357,65 @@ class PreImageSelector:
         return levels
 
     def discontinuity_set(self, n: int) -> List[float]:
-        """All discontinuity points of tau^n: the first n forward images
-        of the discontinuity set of tau."""
+        """All discontinuity points of tau^n (the jump ledger's points)."""
         if n < 1:
             raise ValueError("n must be >= 1")
+        return sorted({c for _, _, c in self.jump_ledger(n)})
+
+    # -- vectorized selector orbits ----------------------------------------
+
+    def _tau_table(self) -> Tuple[np.ndarray, ...]:
+        """The affine pieces of tau sorted by their image-side start:
+        arrays (start, preimage of the start, slope, preimage length).
+        Built on first use, so selectors that never call ``tau_many``
+        skip it."""
+        if self._table is None:
+            rows = sorted((reduce(d + off), left, slope, length)
+                          for j, d in enumerate(self._disc)
+                          for off, left, length, slope
+                          in self._pieces[self._owner[j]])
+            self._table = tuple(np.array(col) for col in zip(*rows))
+        return self._table
+
+    def tau_many(self, xs: np.ndarray, side: str = "right") -> np.ndarray:
+        """tau on an array of reduced points: one ``searchsorted`` in the
+        tau table plus one affine map.
+
+        At a discontinuity point tau takes its right limit (the petal left
+        endpoint) with ``side='right'`` and its left limit (the petal right
+        endpoint) with ``side='left'``; no endpoint tolerance is applied.
+        """
+        starts, bases, slopes, lengths = self._tau_table()
+        j = np.searchsorted(starts, xs, side=side) - 1
+        off = xs - starts[j]
+        # j = -1 picks the last piece, whose image wraps through 0; its
+        # left limit at its own start is the end of a full turn
+        off += (off <= 0.0) if side == "left" else (off < 0.0)
+        y = bases[j] + np.minimum(off / slopes[j], lengths[j])
+        return y - (y >= 1.0)
+
+    def jump_ledger(self, n: int) -> List[Tuple[int, int, float]]:
+        """The jumps of tau, ..., tau^n as (j, m, c): tau^(m+1) and every
+        later iterate jump at c = T^m(d_j), d_j the j-th discontinuity
+        point, because tau^m is continuous at c and maps it to d_j.
+
+        That holds while d_j, ..., T^(m-1) d_j lie in the flower, so a
+        chain stops after its first point outside.  It also stops before
+        a point that is itself a discontinuity point: the chain from there
+        is that point's own, and each point is listed once.
+        """
         T = self.flower.map
-        pts = set()
-        for d in self._disc:
-            x = d
-            for _ in range(n):
-                pts.add(x)
-                x = T.apply(x)
-        return sorted(pts)
+        ledger = []
+        for j, d in enumerate(self._disc):
+            c = d
+            for m in range(n):
+                ledger.append((j, m, c))
+                if not self.flower.contains(c):
+                    break
+                c = T.apply(c)
+                if any(distance(c, e) <= EPS for e in self._disc):
+                    break
+        return ledger
 
 
 def selector(F: Flower,
@@ -429,4 +483,4 @@ def random_flower(T: ExpandingMap, p: int, rng) -> Flower:
             return validate_flower(petals, T)
         except FlowerError:
             continue
-    raise RuntimeError("failed to sample a valid flower")
+    raise SamplingFailed(f"no valid {p}-flower found in 1000 attempts")

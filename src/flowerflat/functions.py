@@ -12,7 +12,9 @@ import bisect
 import math
 from typing import List, Sequence
 
-from .circle import Arc, EPS, reduce
+import numpy as np
+
+from .circle import Arc, EPS, reduce, reduce_many
 from .dynamics import ExpandingMap
 
 _CLOSURE_TOL = 1e-9
@@ -55,6 +57,7 @@ class PiecewiseLinear:
         self.anchor_value = float(anchor_value)
         self._lifted = tuple(lifted)
         self._values = tuple(values)
+        self._table = (np.array(lifted[:m]), np.array(values), np.array(sl))
 
     @classmethod
     def from_points(cls, points: Sequence[float],
@@ -78,6 +81,14 @@ class PiecewiseLinear:
         i = bisect.bisect_right(self._lifted, u) - 1
         i = min(max(i, 0), len(self.slopes) - 1)
         return self._values[i] + self.slopes[i] * (u - self._lifted[i])
+
+    def eval_many(self, xs) -> np.ndarray:
+        """``eval`` on an array of points, elementwise and of the same
+        shape."""
+        lifted, values, slopes = self._table
+        u = lifted[0] + reduce_many(np.asarray(xs, dtype=float) - lifted[0])
+        i = np.searchsorted(lifted, u, side="right") - 1
+        return values[i] + slopes[i] * (u - lifted[i])
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
@@ -133,6 +144,17 @@ class TrigPolynomial:
                                    start=1):
             t = 2.0 * math.pi * j * x
             total += a * math.cos(t) + b * math.sin(t)
+        return total
+
+    def eval_many(self, xs) -> np.ndarray:
+        """``eval`` on an array of points, elementwise and of the same
+        shape."""
+        xs = np.asarray(xs, dtype=float)
+        total = np.full(xs.shape, self.constant)
+        for j, (a, b) in enumerate(zip(self.cos_coeffs, self.sin_coeffs),
+                                   start=1):
+            t = 2.0 * math.pi * j * xs
+            total += a * np.cos(t) + b * np.sin(t)
         return total
 
     def __call__(self, x: float) -> float:

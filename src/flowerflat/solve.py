@@ -11,7 +11,6 @@ cross-check on maximizing measures.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -90,18 +89,13 @@ def phi_of_gamma(family: OneFlowerFamily, f, gamma: float,
     return functional(sel, disc, f, N)
 
 
-def scan(family: OneFlowerFamily, f, grid_size: int, N: int,
-         threads: int = 1) -> List[Tuple[float, float, float]]:
+def scan(family: OneFlowerFamily, f, grid_size: int,
+         N: int) -> List[Tuple[float, float, float]]:
     """Phi on a uniform gamma grid, as (gamma, phi, error_bound) rows."""
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     gammas = [i / grid_size for i in range(grid_size)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(
-                lambda g: phi_of_gamma(family, f, g, N), gammas))
-    else:
-        results = [phi_of_gamma(family, f, g, N) for g in gammas]
+    results = [phi_of_gamma(family, f, g, N) for g in gammas]
     return [(g, v, e) for g, (v, e) in zip(gammas, results)]
 
 
@@ -147,15 +141,15 @@ def _bisect_root(family: OneFlowerFamily, f, N: int, lo: float, flo: float,
 
 def solve_pre_sturmian(family: OneFlowerFamily, f, N: int,
                        resolution: float = 1e-10, grid_size: int = 512,
-                       plateau_tol: Optional[float] = None,
-                       threads: int = 1) -> List[ZeroInterval]:
+                       plateau_tol: Optional[float] = None
+                       ) -> List[ZeroInterval]:
     """All zero intervals of Phi: bisected sign changes plus plateaus.
 
     Raises NoSignChange when the scan shows neither.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    rows = scan(family, f, grid_size, N, threads=threads)
+    rows = scan(family, f, grid_size, N)
     err = rows[0][2]
     if plateau_tol is None:
         plateau_tol = max(1e-9, 2.0 * err)

@@ -3,8 +3,11 @@ import math
 
 import pytest
 
+import numpy as np
+
 from flowerflat.circle import (Arc, CyclicOrder, EPS, StepFunction, distance,
-                               lift, reduce, step_add, step_equal, step_sum)
+                               lift, reduce, reduce_many, step_add,
+                               step_equal, step_sum)
 
 
 class TestReduce:
@@ -24,6 +27,16 @@ class TestReduce:
             reduce(float("nan"))
         with pytest.raises(ValueError):
             reduce(float("inf"))
+
+    def test_many_matches_scalar(self):
+        xs = [1.25, -0.1, 0.0, 1.0, -3.75, -1e-18, 1.0 - 1e-17, -2.25,
+              0.3, -0.7]
+        assert reduce_many(xs).tolist() == [reduce(x) for x in xs]
+
+    def test_many_rejects_non_finite(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                reduce_many(np.array([0.5, bad]))
 
 
 class TestDistanceAndLift:

@@ -54,6 +54,46 @@ class TestValidate:
                      str(tmp_path / "absent.json")]) == EXIT_INVALID
 
 
+class TestNonFiniteInput:
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize("command", ["scan", "solve"])
+    @pytest.mark.parametrize("section, spec, field", [
+        ("function", {"type": "trig", "cos": [NAN]}, "function.cos"),
+        ("function", {"type": "trig", "cos": [1.0], "sin": [0.0, INF]},
+         "function.sin"),
+        ("function", {"type": "trig", "cos": [1.0], "const": -INF},
+         "function.const"),
+        ("function", {"type": "pwl", "breakpoints": [0.2, 0.7],
+                      "slopes": [NAN, 1.0]}, "function.slopes"),
+        ("function", {"type": "pwl", "breakpoints": [0.2, INF],
+                      "slopes": [1.0, -1.0]}, "function.breakpoints"),
+        ("function", {"type": "pwl", "breakpoints": [0.2, 0.7],
+                      "slopes": [1.0, -1.0], "anchor": NAN},
+         "function.anchor"),
+        ("map", {"type": "piecewise_affine", "breaks": [0.0, 0.5],
+                 "slopes": [2.0, NAN]}, "map.slopes"),
+        ("map", {"type": "piecewise_affine", "breaks": [0.0, INF],
+                 "slopes": [2.0, 2.0]}, "map.breaks"),
+    ])
+    def test_rejected_with_field_name(self, tmp_path, capsys, command,
+                                      section, spec, field):
+        cfg = _write_config(tmp_path, dict(COS_CONFIG, **{section: spec}))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == \
+            EXIT_INVALID
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_coefficients_rejected(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {
+            "map": {"type": "linear", "k": 2},
+            "function": {"type": "trig", "cos": [1e308, 1e308]},
+        })
+        assert main(["scan", "--config", cfg]) == EXIT_INVALID
+        assert "Lipschitz" in capsys.readouterr().err
+
+
 class TestScan:
     def test_csv_output(self, tmp_path):
         cfg = _write_config(tmp_path, dict(COS_CONFIG, grid=64, depth=40))
@@ -138,6 +178,16 @@ class TestRank:
                                  ["rank", "--config", cfg, "--seed", "7"])
         assert code == EXIT_OK
         assert report["matches"] is True
+
+
+    def test_random_flower_not_found(self, tmp_path, capsys):
+        # 61 discontinuity points cannot keep the sampler's 0.02 spacing
+        cfg = _write_config(tmp_path, {
+            "map": {"type": "linear", "k": 3},
+            "p": 61,
+        })
+        assert main(["rank", "--config", cfg]) == EXIT_INVALID
+        assert "61-flower" in capsys.readouterr().err
 
 
 class TestOrbits:

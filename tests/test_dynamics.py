@@ -1,6 +1,8 @@
 """Piecewise-affine expanding circle maps and their exact periodic orbits."""
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from flowerflat.dynamics import (ExpandingMap, make_linear_map,
@@ -26,6 +28,13 @@ class TestLinearMaps:
         assert T.lipschitz_constant == 2.0
         assert T.fixed_point == 0.0
         assert T.is_linear()
+
+    def test_apply_many_matches_apply(self):
+        rng = random.Random(2)
+        for T in (make_linear_map(3), map_from_slopes([2.0, 4.0, 4.0], 0.3)):
+            xs = [rng.random() for _ in range(200)] + list(T.breaks)
+            xs += [np.nextafter(b, -1.0) % 1.0 for b in T.breaks]
+            assert T.apply_many(xs).tolist() == [T.apply(x) for x in xs]
 
     def test_branch_index(self):
         T = make_linear_map(2)

@@ -4,19 +4,52 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowerflat.circle import Arc, StepFunction
+from flowerflat.circle import EPS, Arc, StepFunction, lift, reduce
 from flowerflat.dynamics import make_linear_map, map_from_slopes
 from flowerflat.flatten import (build_coboundary, default_depth,
                                 escape_function, escape_time_direct,
                                 flattened_values, functional,
                                 functional_dual, is_flat, normal_form_check,
                                 petal_samples, tail_bound)
-from flowerflat.flower import one_flower, selector, validate_flower
+from flowerflat.flower import (one_flower, random_flower, selector,
+                               validate_flower)
 from flowerflat.functions import (PiecewiseLinear, TrigPolynomial,
                                   compose_with_map, demo_function)
 
 T2 = make_linear_map(2)
+T3 = make_linear_map(3)
+S244 = map_from_slopes([2.0, 4.0, 4.0])
+
+
+def reference_phi(cob, xs):
+    """phi by the arc walk: from the anchor along the sorted points, each
+    segment is pushed through the selector level by level and the
+    f-increments of the pieces are summed.  Independent of the closed
+    form in ``Coboundary.eval_many``."""
+    f, push = cob.f, cob.selector.push_once
+
+    def segment_integral(u, v):
+        total = 0.0
+        arcs = [(u, v)]
+        for _ in range(cob.depth):
+            arcs = push(arcs)
+            total += sum(f.eval(r) - f.eval(l) for l, r in arcs)
+        return total
+
+    base = cob.anchor
+    lifted = sorted((lift(base, x), i) for i, x in enumerate(xs))
+    out = np.empty(len(lifted))
+    pos = base
+    acc = 0.0
+    for u, i in lifted:
+        if u - pos > EPS:
+            acc += segment_integral(reduce(pos), reduce(u))
+            pos = u
+        out[i] = acc
+    return out
 
 
 def _semicircle():
@@ -154,6 +187,88 @@ class TestCoboundary:
         flat, constant, max_dev = is_flat(f, cob, F)
         assert flat
         assert constant == pytest.approx(0.0, abs=1e-8)
+
+
+def _ulps(x, k):
+    """x moved by k units in the last place, reduced to [0, 1)."""
+    step = np.inf if k > 0 else -np.inf
+    for _ in range(abs(k)):
+        x = np.nextafter(x, step)
+    return reduce(float(x))
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A flower of T2, T3 or slopes (2,4,4) with p <= 3, a Lipschitz f, a
+    depth, and points at discontinuities and their chain points (+-k ulp),
+    at petal endpoints and their images, and at random."""
+    T = draw(st.sampled_from([T2, T3, S244]))
+    p = draw(st.sampled_from([1, 3] if T is T2 else [1, 2, 3]))
+    F = random_flower(T, p, random.Random(draw(st.integers(0, 2**32))))
+    unit = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        f = TrigPolynomial(draw(st.lists(unit, min_size=1, max_size=2)),
+                           draw(st.lists(unit, max_size=2)))
+    else:
+        pts = draw(st.lists(st.floats(0.0, 0.999), min_size=2, max_size=5,
+                            unique_by=lambda x: round(x, 2)))
+        f = PiecewiseLinear.from_points(pts, draw(st.lists(
+            unit, min_size=len(pts), max_size=len(pts))))
+    sel = selector(F)
+    depth = draw(st.integers(1, 30))
+    ks = st.integers(-3, 3)
+    xs = []
+    for c in sel.discontinuity_set(min(depth, 4)):
+        xs += [_ulps(c, draw(ks)) for _ in range(2)]
+    for petal in F.petals:
+        for y in (petal.left, petal.right):
+            xs += [y, T.apply(y), _ulps(T.apply(y), draw(ks))]
+    xs += draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8))
+    return build_coboundary(sel, f, depth), xs
+
+
+class TestCoboundaryKernel:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_kernel_cases())
+    def test_matches_reference_walk(self, case):
+        cob, xs = case
+        got = cob.eval_many(xs)
+        # one point at a time: in a batch the walk starts each segment at
+        # the previous point, and after a point 1 ulp below a
+        # discontinuity its EPS tolerances shifted every later value by up
+        # to 2e-9
+        want = [reference_phi(cob, [x])[0] for x in xs]
+        assert got == pytest.approx(want, abs=1e-11)
+        assert cob.eval(cob.anchor) == 0.0
+
+    @pytest.mark.parametrize("T, petal", [
+        # the petal starts at the fixed point, which is also the
+        # discontinuity and the anchor
+        (T3, (0.0, 1 / 3)),
+        # the discontinuity 1/3 has period 2 and its chain ends on the
+        # petal's right endpoint
+        (T2, (1 / 6, 2 / 3)),
+    ])
+    def test_flattens_exact_coboundary_on_degenerate_flowers(self, T, petal):
+        psi = PiecewiseLinear.from_points([0.15, 0.45, 0.85],
+                                          [0.4, -0.1, 0.25])
+        f = compose_with_map(psi, T).add(psi, sign=-1.0)
+        F = validate_flower([Arc(*petal)], T, allow_break_endpoints=True)
+        depth = default_depth(f.lipschitz_constant(), T.expansion_constant,
+                              1e-11)
+        cob = build_coboundary(selector(F), f, depth)
+        flat, constant, max_dev = is_flat(f, cob, F)
+        assert flat
+        assert max_dev <= 1e-11
+
+    def test_rejects_non_finite_points(self):
+        F, sel, disc = _semicircle()
+        cob = build_coboundary(sel, TrigPolynomial(cos_coeffs=[1.0]), 20)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                cob.eval_many([0.3, bad])
+            with pytest.raises(ValueError):
+                cob.coboundary_many([bad])
 
 
 class TestIsFlat:

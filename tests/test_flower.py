@@ -1,13 +1,15 @@
 """Flowers, their validation, and pre-image selectors."""
 import random
 
+import numpy as np
 import pytest
 
 from flowerflat.circle import Arc
 from flowerflat.dynamics import make_linear_map, map_from_slopes
 from flowerflat.flower import (BoundaryAtBranchBreak, DegeneratePetal,
-                               FlowerError, OverlappingPetals, one_flower,
-                               random_flower, selector, validate_flower)
+                               FlowerError, OverlappingPetals, SamplingFailed,
+                               one_flower, random_flower, selector,
+                               validate_flower)
 
 T2 = make_linear_map(2)
 
@@ -84,6 +86,10 @@ class TestRandomFlower:
         with pytest.raises(ValueError):
             random_flower(T2, 2, rng)
 
+    def test_gives_up_with_a_flower_error(self):
+        with pytest.raises(SamplingFailed):
+            random_flower(make_linear_map(3), 61, random.Random(5))
+
 
 class TestSelector:
     def setup_method(self):
@@ -126,6 +132,36 @@ class TestSelector:
     def test_discontinuity_set(self):
         assert self.sel.discontinuity_set(2) == \
             pytest.approx([0.0, 0.5], abs=1e-12)
+
+    def test_jump_ledger_chains(self):
+        # 0.5 lies in the petal, so the chain goes on to T(0.5) = 0, which
+        # lies outside and ends it
+        assert self.sel.jump_ledger(5) == [(0, 0, 0.5), (0, 1, 0.0)]
+        assert self.sel.jump_ledger(1) == [(0, 0, 0.5)]
+        # the chain 1/3, 2/3 returns to the discontinuity 1/3 and stops
+        # before it
+        sel = selector(validate_flower([Arc(1 / 6, 2 / 3)], T2))
+        assert sel.jump_ledger(5) == [(0, 0, 1 / 3), (0, 1, 2 / 3)]
+
+    def test_tau_many_matches_tau_with_one_sided_limits(self):
+        rng = random.Random(9)
+        for k, p in ((2, 3), (3, 2), (4, 1)):
+            sel = selector(random_flower(make_linear_map(k), p, rng))
+            xs = np.array([rng.random() for _ in range(300)])
+            for side, scalar in (("right", sel.tau_right),
+                                 ("left", sel.tau_left)):
+                assert sel.tau_many(xs, side) == pytest.approx(
+                    [scalar(x) for x in xs], abs=1e-13)
+                ds = np.array(sel.discontinuity_points)
+                assert sel.tau_many(ds, side) == pytest.approx(
+                    [scalar(d) for d in ds], abs=1e-13)
+
+    def test_tau_many_left_limit_of_a_single_piece(self):
+        # one petal inside one branch: its image wraps the whole circle
+        sel = selector(one_flower(make_linear_map(3), 0.0))
+        assert sel.tau_many(np.array([0.0]), "right").tolist() == [0.0]
+        assert sel.tau_many(np.array([0.0]), "left") == \
+            pytest.approx([1 / 3], abs=1e-15)
 
     def test_characteristic_identity(self):
         lhs, rhs, equal = self.sel.characteristic_identity()

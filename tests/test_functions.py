@@ -1,6 +1,8 @@
 """Piecewise-linear and trigonometric test functions on the circle."""
 import math
+import random
 
+import numpy as np
 import pytest
 
 from flowerflat.circle import Arc
@@ -43,6 +45,15 @@ class TestPiecewiseLinear:
         h = f.shift(2.5)
         assert h.eval(0.25) == pytest.approx(f.eval(0.25) + 2.5, abs=1e-12)
 
+    def test_eval_many_matches_eval(self):
+        f = PiecewiseLinear.from_points([0.1, 0.4, 0.7], [0.3, -0.2, 0.5])
+        rng = random.Random(4)
+        xs = [rng.uniform(-2.0, 2.0) for _ in range(200)]
+        xs += list(f.breakpoints) + [1.0, -1e-18, 0.0]
+        got = f.eval_many(np.reshape(xs, (2, -1)))
+        assert got.shape == (2, len(xs) // 2)
+        assert got.ravel().tolist() == [f.eval(x) for x in xs]
+
 
 class TestTrigPolynomial:
     def test_cosine_values(self):
@@ -60,6 +71,14 @@ class TestTrigPolynomial:
         assert f.lipschitz_constant() == pytest.approx(2 * math.pi)
         g = TrigPolynomial(cos_coeffs=[0.0, 1.0])
         assert g.lipschitz_constant() == pytest.approx(4 * math.pi)
+
+    def test_eval_many_matches_eval(self):
+        f = TrigPolynomial([0.4, -0.3], [0.2, 0.0, 0.1], constant=-0.5)
+        rng = random.Random(6)
+        xs = np.array([rng.uniform(-1.0, 2.0) for _ in range(200)])
+        assert f.eval_many(xs) == pytest.approx([f.eval(x) for x in xs],
+                                                abs=1e-14)
+        assert TrigPolynomial().eval_many(xs).tolist() == [0.0] * 200
 
 
 class TestComposeWithMap:

@@ -64,12 +64,6 @@ class TestPhiOfGamma:
         assert max(bounds) == pytest.approx(min(bounds), rel=1e-12)
         assert rows[0][2] > 0
 
-    def test_scan_threads_match_serial(self):
-        serial = scan(FAM, COS, 32, 30)
-        threaded = scan(FAM, COS, 32, 30, threads=4)
-        for a, b in zip(serial, threaded):
-            assert a[1] == pytest.approx(b[1], abs=1e-14)
-
 
 class TestSolvePreSturmian:
     def test_cosine_roots(self):
