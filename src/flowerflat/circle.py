@@ -45,6 +45,13 @@ def distance(x: float, y: float) -> float:
     return min(d, 1.0 - d)
 
 
+def distance_many(xs, ys) -> np.ndarray:
+    """``distance`` on arrays (broadcast): same values, same ValueError on
+    non-finite entries."""
+    d = np.abs(reduce_many(xs) - reduce_many(ys))
+    return np.minimum(d, 1.0 - d)
+
+
 def lift(base: float, x: float) -> float:
     """Representative of x in the half-open interval [base, base+1)."""
     return base + reduce(x - base)

@@ -31,6 +31,11 @@ EXIT_NOT_FLAT = 3
 EXIT_NO_SOLUTION = 4
 
 
+#: largest degree k of a linear map spec; building T_k takes O(k) time and
+#: memory, so larger k is rejected before anything is allocated
+MAX_LINEAR_DEGREE = 1000
+
+
 class ConfigError(ValueError):
     pass
 
@@ -58,7 +63,11 @@ def build_map(spec) -> ExpandingMap:
         raise ConfigError("map spec needs a 'type' field")
     try:
         if spec["type"] == "linear":
-            return make_linear_map(int(spec["k"]))
+            k = _finite(spec, "k", "map.k")
+            if k != int(k) or not 2 <= k <= MAX_LINEAR_DEGREE:
+                raise ConfigError("map.k must be an integer in [2, "
+                                  f"{MAX_LINEAR_DEGREE}], got {spec['k']!r}")
+            return make_linear_map(int(k))
         if spec["type"] == "piecewise_affine":
             return ExpandingMap(tuple(_finite(spec, "breaks", "map.breaks")),
                                 tuple(_finite(spec, "slopes", "map.slopes")))

@@ -165,12 +165,21 @@ def map_from_slopes(slopes: Sequence[float],
     return ExpandingMap(tuple(breaks), tuple(float(s) for s in slopes))
 
 
+#: cap on sum_{n <= max_period} k^n, the numerators ``periodic_orbits``
+#: walks; 10^6 walks take about a second
+MAX_ORBIT_WORK = 10 ** 6
+
+
 def periodic_orbits(T: ExpandingMap, max_period: int) -> List[List[Fraction]]:
     """All periodic orbits of period <= max_period, as exact rationals.
 
     Only available for the linear maps T_k, whose period-n points are the
-    fractions j/(k^n - 1); orbits are deduplicated across rotations and
-    across divisor periods, and each is verified by integer arithmetic.
+    fractions j/(k^n - 1).  Each numerator j is walked through
+    j -> k j mod (k^n - 1); it starts an orbit of period n when the walk
+    returns to j after exactly n steps without dropping below j, so every
+    orbit is listed once, from its smallest point, by period and then by
+    that point.  Raises ValueError when sum_{n <= max_period} k^n exceeds
+    MAX_ORBIT_WORK.
     """
     if not T.is_linear():
         raise ValueError("exact periodic orbits need an integer-slope "
@@ -178,20 +187,20 @@ def periodic_orbits(T: ExpandingMap, max_period: int) -> List[List[Fraction]]:
     if max_period > 16:
         raise ValueError("max_period capped at 16")
     k = T.degree
-    seen = set()
+    work = sum(k ** n for n in range(1, max_period + 1))
+    if work > MAX_ORBIT_WORK:
+        raise ValueError(f"periodic orbits of T_{k} up to period "
+                         f"{max_period} need {work} steps, more than the cap "
+                         f"of {MAX_ORBIT_WORK}")
     orbits: List[List[Fraction]] = []
     for n in range(1, max_period + 1):
         den = k ** n - 1
         for j in range(den):
-            x = Fraction(j, den)
-            if x in seen:
-                continue
-            orbit = [x]
-            y = (k * x) % 1
-            while y != x:
-                orbit.append(y)
-                y = (k * y) % 1
-            seen.update(orbit)
-            if len(orbit) == n:
-                orbits.append(orbit)
+            walk = [j]
+            y = k * j % den
+            while y > j:
+                walk.append(y)
+                y = k * y % den
+            if y == j and len(walk) == n:
+                orbits.append([Fraction(y, den) for y in walk])
     return orbits

@@ -135,6 +135,16 @@ def functional_dual(sel: PreImageSelector, disc: Discontinuity, f,
     return value, err
 
 
+def one_sided(points: np.ndarray, d) -> Tuple[np.ndarray, np.ndarray]:
+    """The one-sided decision at a discontinuity point d: (near, right),
+    where ``near`` marks the points within EPS of d on the circle and
+    ``right`` the points at or past d, which take the right limit of tau
+    there.  Arrays broadcast."""
+    e = points - d
+    e = np.where(e > 0.5, e - 1.0, np.where(e < -0.5, e + 1.0, e))
+    return np.abs(e) <= EPS, e >= 0.0
+
+
 class Coboundary:
     """Truncated transfer function phi with phi' = sum_{n=1..N} (f o tau^n)'.
 
@@ -205,10 +215,9 @@ class Coboundary:
                 # grow like K^n.  Its later orbit is the exact one-sided
                 # orbit of d: iterating on could round onto d again where
                 # that orbit returns to it, and pick the other side.
-                e = orbit - d[k]
-                e = np.where(e > 0.5, e - 1.0, np.where(e < -0.5, e + 1.0, e))
-                near = live & (np.abs(e) <= EPS)
-                side = e[near] >= 0.0
+                near, side = one_sided(orbit, d[k])
+                near &= live
+                side = side[near]
                 past[k, near] = side
                 total[near] += np.where(side, tail_right[k], tail_left[k])
                 live[near] = False

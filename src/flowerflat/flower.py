@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .circle import (EPS, Arc, CyclicOrder, StepFunction, distance, lift,
-                     reduce, step_sum)
+                     reduce, reduce_many, step_sum)
 from .dynamics import ExpandingMap
 
 _IMAGE_TOL = 1e-9
@@ -450,6 +450,119 @@ def one_flower(T: ExpandingMap, gamma: float) -> Flower:
     a = reduce(gamma)
     b = _walk_forward(T, a, 1.0)
     return validate_flower([Arc(a, b)], T, allow_break_endpoints=True)
+
+
+def _branch_walk_start(T: ExpandingMap, starts: np.ndarray):
+    """Lifted start points and their branch indices, as ``_walk_forward``
+    and ``_petal_pieces`` compute them, on arrays."""
+    lifted = np.asarray(T._lifted)
+    pos = lifted[0] + reduce_many(starts - lifted[0])
+    i = np.maximum(np.searchsorted(lifted, pos, side="right") - 1, 0)
+    return pos, i
+
+
+def _branch_walk_step(T: ExpandingMap, pos: np.ndarray, i: np.ndarray):
+    """The end of branch i, and the next (pos, i) of a walk that has
+    reached it, wrapping past the last branch as the scalar walks do."""
+    lifted = np.asarray(T._lifted)
+    k = T.degree
+    hi = np.where(i + 1 < k, lifted[np.minimum(i + 1, k - 1)],
+                  lifted[0] + 1.0)
+    wrap = i + 1 == k
+    return hi, wrap, np.where(wrap, 0, i + 1)
+
+
+def _walk_forward_many(T: ExpandingMap, starts: np.ndarray,
+                       image_length: float) -> np.ndarray:
+    """``_walk_forward`` on an array of start points, with the same float
+    operations, so each endpoint equals the scalar one bitwise."""
+    slopes = np.asarray(T.slopes)
+    pos, i = _branch_walk_start(T, starts)
+    remaining = np.full(pos.shape, float(image_length))
+    out = np.empty_like(pos)
+    todo = np.ones(pos.shape, dtype=bool)
+    while todo.any():
+        hi, wrap, nxt = _branch_walk_step(T, pos, i)
+        capacity = slopes[i] * (hi - pos)
+        done = todo & (remaining <= capacity)
+        out[done] = reduce_many(pos[done] + remaining[done] / slopes[i[done]])
+        todo &= ~done
+        remaining = remaining - capacity
+        pos = np.where(wrap, hi - 1.0, hi)
+        i = nxt
+    return out
+
+
+class OneFlowerSelectors:
+    """The pre-image selectors of the 1-flowers [a, b] with the given left
+    endpoints a, one row per flower, for pushing points through all of
+    them in one numpy step.
+
+    Row g is the tau table of ``selector(one_flower(T, a[g]))``, built with
+    the same float operations, so ``tau_many`` agrees bitwise with that
+    selector's ``tau_many``.  Rows have one piece per branch the petal
+    crosses; unused slots carry the start +inf and are never selected.
+    """
+
+    def __init__(self, T: ExpandingMap, lefts):
+        a = reduce_many(lefts)
+        b = _walk_forward_many(T, a, 1.0)
+        self.left, self.right = a, b
+        self.length = reduce_many(b - a)
+        self.disc = T.apply_many(a)
+        # the pieces of each petal, as in _petal_pieces
+        slopes = np.asarray(T.slopes)
+        pos, i = _branch_walk_start(T, a)
+        remaining = self.length.copy()
+        offset = np.zeros_like(a)
+        live = remaining > EPS
+        columns = []
+        while live.any():
+            hi, wrap, nxt = _branch_walk_step(T, pos, i)
+            step = np.minimum(remaining, hi - pos)
+            columns.append((np.where(live, reduce_many(self.disc + offset),
+                                     np.inf),
+                            reduce_many(pos), slopes[i], step))
+            offset = offset + slopes[i] * step
+            remaining = remaining - step
+            pos = pos + step
+            pos = np.where(wrap, pos - 1.0, pos)
+            i = nxt
+            live &= remaining > EPS
+        starts, bases, piece_slopes, lengths = (
+            np.stack(col, axis=1) for col in zip(*columns))
+        rows = np.arange(len(a))[:, None]
+        order = np.argsort(starts, axis=1)
+        self._table = tuple(col[rows, order]
+                            for col in (starts, bases, piece_slopes, lengths))
+        self._last = (starts < np.inf).sum(axis=1) - 1
+
+    def tau_many(self, xs: np.ndarray, side="right") -> np.ndarray:
+        """tau of flower g on the points xs[g] (shape (G,) or (G, P)),
+        with ``PreImageSelector.tau_many``'s one-sided limits; ``side`` is
+        'right', 'left' or an array of them that broadcasts to xs.  The
+        piece is found by counting the row's starts below each point (or
+        at it, for the right limit), an exact comparison."""
+        starts, bases, slopes, lengths = self._table
+        rows = np.arange(len(starts))[:, None]
+        x = xs.reshape(len(starts), -1)
+        left = np.broadcast_to(np.asarray(side) == "left",
+                               xs.shape).reshape(x.shape)
+        row_starts = starts[:, None, :]
+        below = np.where(left[..., None], row_starts < x[..., None],
+                         row_starts <= x[..., None])
+        j = below.sum(axis=2) - 1
+        # j = -1 picks the last piece, whose image wraps through 0
+        j = np.where(j < 0, self._last[:, None], j)
+        off = x - starts[rows, j]
+        off += np.where(left, off <= 0.0, off < 0.0)
+        y = bases[rows, j] + np.minimum(off / slopes[rows, j],
+                                        lengths[rows, j])
+        return (y - (y >= 1.0)).reshape(xs.shape)
+
+    def contains(self, xs: np.ndarray) -> np.ndarray:
+        """``Flower.contains`` for flower g at the point xs[g]."""
+        return reduce_many(reduce_many(xs) - self.left) <= self.length
 
 
 def random_flower(T: ExpandingMap, p: int, rng) -> Flower:

@@ -1,27 +1,47 @@
 """Pre-Sturmian equation solving and Sturmian measure estimation.
 
 The 1-flowers of an orientation-preserving expanding map form a circle
-family F_gamma; a Lipschitz function f can be flattened on F_gamma exactly
-when Phi(gamma) = integral of f' against the escape-time density of
-F_gamma vanishes.  Phi is continuous in gamma, so roots are located by a
-scan plus bisection; plateaus of (near-)zeros signal periodic Sturmian
-measures.  A brute-force periodic-orbit oracle provides the independent
-cross-check on maximizing measures.
+family F_gamma = [a, b] with a = gamma; a Lipschitz function f can be
+flattened on F_gamma exactly when Phi(gamma) = integral of f' against the
+escape-time density of F_gamma vanishes.  Phi is evaluated in the closed
+form of ``flatten.Coboundary`` with anchor a, at the right end b:
+
+    Phi(gamma) = f(b) - f(a) + sum_{n=1..N} [f(tau^n b) - f(tau^n a)]
+                 - sum_{c in (a, b]} J_c,
+
+for a whole array of gammas at once: every flower's tau table is one row
+of a ``OneFlowerSelectors``, and all orbits move through it together, one
+level at a time.  Each value carries the truncation certificate
+Lip(f) K^-(N+1) len(F_gamma) / (1 - 1/K) of ``flatten.functional``.
+
+Phi is continuous in gamma, so roots are located by a scan of a uniform
+grid plus a multisection of every sign change, all brackets in one batch
+per round; plateaus of (near-)zeros signal periodic Sturmian measures.
+A brute-force periodic-orbit oracle provides the independent cross-check
+on maximizing measures.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circle import Arc, EPS, distance, lift, reduce
+from .circle import (Arc, EPS, distance, distance_many, lift, reduce,
+                     reduce_many)
 from .dynamics import ExpandingMap, periodic_orbits
-from .flatten import escape_function, functional, tail_bound
-from .flower import (Flower, PreImageSelector, _walk_forward, one_flower,
-                     selector)
+# ``functional`` is re-exported for callers of ``solve.functional``, such as
+# the span recorder in perfbench/spans.py, which patches it here
+from .flatten import escape_function, functional, one_sided, tail_bound
+from .flower import (Flower, OneFlowerSelectors, PreImageSelector,
+                     _walk_forward, _walk_forward_many, one_flower, selector)
+
+#: interior points per bracket and round of the root multisection
+MULTISECTION_POINTS = 63
+#: the sides of the two orbits of a discontinuity point
+_RIGHT_LEFT = np.array(["right", "left"])
 
 
 class NoSignChange(RuntimeError):
@@ -65,28 +85,99 @@ class OneFlowerFamily:
         return reduce(target - 0.5 * (lo + hi))
 
 
-def _off_degenerate(family: OneFlowerFamily, gamma: float) -> float:
-    """Nudge gamma off the finite set of parameters where a petal endpoint
-    coincides with a branch break.  There the selector's jump
+def _off_degenerate(family: OneFlowerFamily, gammas: np.ndarray
+                    ) -> np.ndarray:
+    """Nudge each gamma off the finite set of parameters where a petal
+    endpoint coincides with a branch break.  There the selector's jump
     classification is ambiguous and the computed functional can be off by
     O(1); Phi is continuous in gamma, so a 2e-9 shift changes the true
-    value by at most Lip(f) * O(1e-9)."""
-    breaks = family.map.breaks
+    value by at most Lip(f) * O(1e-9).  At most four shifts are made."""
+    T = family.map
+    breaks = np.asarray(T.breaks)
+    gammas = gammas.copy()
     for _ in range(4):
-        ends = (gamma, family.right_endpoint(gamma))
-        if all(distance(e, b) > 1e-9 for e in ends for b in breaks):
-            return gamma
-        gamma = reduce(gamma + 2e-9)
-    return gamma
+        ends = np.stack([gammas, _walk_forward_many(T, gammas, 1.0)])
+        bad = (distance_many(ends[..., None], breaks) <= 1e-9).any(axis=(0, 2))
+        if not bad.any():
+            break
+        gammas[bad] = reduce_many(gammas[bad] + 2e-9)
+    return gammas
+
+
+def phi_of_gammas(family: OneFlowerFamily, f, gammas: Sequence[float],
+                  N: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The pre-Sturmian functional Phi at every gamma, with its truncation
+    bounds, in one numpy pass (see the module docstring).
+
+    Each flower has one discontinuity d = T(a).  Its jump ledger is the
+    chain c_m = T^m d, which stops after its first point outside the
+    flower and before a return within EPS of d; the jump at c_m is
+    J_m = sum_{i=1..N-m} [f(tau_R^i d) - f(tau_L^i d)].  A first pass
+    pushes the orbits of b and a and follows the chains; it decides for
+    every chain point whether c_m lies in (a, b], and, where the level-m
+    orbit of b or a comes within EPS of d, takes that orbit's one-sided
+    tail (``flatten.one_sided``, as in ``Coboundary.eval_many``).  This
+    gives each flower coefficients on the one-sided tails of d, which a
+    second pass sums over the orbits of d.  Every array is O(len(gammas)).
+    """
+    T = family.map
+    sel = OneFlowerSelectors(T, _off_degenerate(family, reduce_many(gammas)))
+    a, b, d = sel.left, sel.right, sel.disc
+    start = np.stack([b, a], axis=1)
+
+    def b_minus_a(x):
+        return x[:, 0] - x[:, 1]
+
+    value = b_minus_a(f.eval_many(start))
+    # first pass: orbits of b and a, and the chains of d
+    orbit = start
+    live = np.ones(start.shape, dtype=bool)
+    c = d
+    chain = np.ones(len(a), dtype=bool)
+    # per level m: the flowers g with a jump there that counts, and its
+    # weights on the right and the left tail of d
+    drops = []
+    for m in range(N):
+        g = np.nonzero(chain)[0]
+        weight = np.zeros((len(g), 2))
+        if len(g):
+            near, right = one_sided(orbit[g], d[g, None])
+            near &= live[g]
+            past = np.where(near, right, c[g, None] <= start[g])
+            after_anchor = ~past[:, 1]
+            inside = np.where(b[g] >= a[g], after_anchor & past[:, 0],
+                              after_anchor | past[:, 0])
+            weight[:, 0] = b_minus_a((near & right).astype(int)) - inside
+            weight[:, 1] = b_minus_a((near & ~right).astype(int)) + inside
+            live[g] &= ~near
+            nxt = T.apply_many(c)
+            chain &= sel.contains(c) & (distance_many(nxt, d) > EPS)
+            c = nxt
+        counts = weight.any(axis=1)
+        drops.append((g[counts], weight[counts]))
+        orbit = sel.tau_many(orbit)
+        value += b_minus_a(np.where(live, f.eval_many(orbit), 0.0))
+    # second pass: the right and the left orbit of d; the jump at level m
+    # takes their tails over levels 1..N-m
+    coef = np.zeros(start.shape)
+    for g, weight in drops:
+        coef[g] += weight
+    if any(len(g) for g, _ in drops):
+        x = np.stack([d, d], axis=1)
+        for i in range(1, N + 1):
+            x = sel.tau_many(x, _RIGHT_LEFT)
+            value += (coef * f.eval_many(x)).sum(axis=1)
+            g, weight = drops[N - i]
+            coef[g] -= weight
+    K = T.expansion_constant
+    return value, f.lipschitz_constant() * tail_bound(K, N, sel.length)
 
 
 def phi_of_gamma(family: OneFlowerFamily, f, gamma: float,
                  N: int) -> Tuple[float, float]:
     """The pre-Sturmian functional Phi(gamma) with its truncation bound."""
-    F = family.flower(_off_degenerate(family, gamma))
-    sel = selector(F)
-    disc = sel.discontinuities()[0]
-    return functional(sel, disc, f, N)
+    values, bounds = phi_of_gammas(family, f, [gamma], N)
+    return float(values[0]), float(bounds[0])
 
 
 def scan(family: OneFlowerFamily, f, grid_size: int,
@@ -95,8 +186,8 @@ def scan(family: OneFlowerFamily, f, grid_size: int,
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     gammas = [i / grid_size for i in range(grid_size)]
-    results = [phi_of_gamma(family, f, g, N) for g in gammas]
-    return [(g, v, e) for g, (v, e) in zip(gammas, results)]
+    values, bounds = phi_of_gammas(family, f, gammas, N)
+    return list(zip(gammas, values.tolist(), bounds.tolist()))
 
 
 @dataclass(frozen=True)
@@ -123,32 +214,50 @@ class ZeroInterval:
         return reduce(self.gamma_high - self.gamma_low) > 2.0 * self.resolution
 
 
-def _bisect_root(family: OneFlowerFamily, f, N: int, lo: float, flo: float,
-                 hi: float, fhi: float, resolution: float
-                 ) -> Tuple[float, float, float, float]:
-    """Shrink a sign-change bracket [lo, hi] (lifted, hi may exceed 1)."""
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        fmid, _ = phi_of_gamma(family, f, reduce(mid), N)
-        if fmid == 0.0:
-            return mid, fmid, mid, fmid
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    return lo, flo, hi, fhi
+def _multisect_roots(family: OneFlowerFamily, f, N: int, lo, flo, hi, fhi,
+                     resolution: float) -> Tuple[np.ndarray, ...]:
+    """Shrink sign-change brackets [lo, hi] (lifted, hi may exceed 1) to
+    width <= resolution, all brackets together.
+
+    Each round evaluates Phi at MULTISECTION_POINTS equally spaced interior
+    points of every open bracket in one ``phi_of_gammas`` call.  A bracket
+    keeps its leftmost sub-bracket that ends on an exact zero, which closes
+    it to that point, or that has a sign change.
+    """
+    lo, flo, hi, fhi = (np.array(v, dtype=float) for v in (lo, flo, hi, fhi))
+    steps = np.arange(MULTISECTION_POINTS + 2) / (MULTISECTION_POINTS + 1)
+    while True:
+        open_ = np.nonzero(hi - lo > resolution)[0]
+        if len(open_) == 0:
+            return lo, flo, hi, fhi
+        xs = lo[open_, None] + (hi - lo)[open_, None] * steps
+        xs[:, -1] = hi[open_]
+        values, _ = phi_of_gammas(family, f,
+                                  reduce_many(xs[:, 1:-1]).ravel(), N)
+        ys = np.hstack([flo[open_, None],
+                        values.reshape(len(open_), -1), fhi[open_, None]])
+        hit = (ys[:, 1:] == 0.0) | ((ys[:, 1:] < 0) != (ys[:, :-1] < 0))
+        j = hit.argmax(axis=1)
+        rows = np.arange(len(open_))
+        zero = ys[rows, j + 1] == 0.0
+        lo[open_] = np.where(zero, xs[rows, j + 1], xs[rows, j])
+        flo[open_] = np.where(zero, 0.0, ys[rows, j])
+        hi[open_] = xs[rows, j + 1]
+        fhi[open_] = ys[rows, j + 1]
 
 
 def solve_pre_sturmian(family: OneFlowerFamily, f, N: int,
                        resolution: float = 1e-10, grid_size: int = 512,
                        plateau_tol: Optional[float] = None
                        ) -> List[ZeroInterval]:
-    """All zero intervals of Phi: bisected sign changes plus plateaus.
+    """All zero intervals of Phi: plateaus, exact zeros on the grid and
+    multisected sign changes.
 
-    Raises NoSignChange when the scan shows neither.
+    Raises NoSignChange when the scan shows none of them, and ValueError
+    unless the resolution is finite and positive.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError("resolution must be finite and positive")
     rows = scan(family, f, grid_size, N)
     err = rows[0][2]
     if plateau_tol is None:
@@ -183,20 +292,23 @@ def solve_pre_sturmian(family: OneFlowerFamily, f, N: int,
         if i == start or (i + 1) % m == start:
             break
 
-    # transversal sign changes outside plateaus
-    for i in range(m):
-        j = (i + 1) % m
-        if in_plateau[i] or in_plateau[j]:
-            continue
-        a, b = phis[i], phis[j]
-        if a == 0.0 or b == 0.0 or (a < 0) == (b < 0):
-            continue
-        lo = rows[i][0]
-        hi = lo + 1.0 / m
-        glo, flo, ghi, fhi = _bisect_root(family, f, N, lo, a, hi, b,
-                                          resolution)
-        intervals.append(ZeroInterval(reduce(glo), reduce(ghi), flo, fhi,
-                                      resolution))
+    # outside plateaus, in grid order: exact zeros on the grid, and sign
+    # changes between neighbours, which are multisected together
+    zeros = [i for i in range(m) if phis[i] == 0.0 and not in_plateau[i]]
+    cells = [i for i in range(m)
+             if not (in_plateau[i] or in_plateau[(i + 1) % m])
+             and phis[i] != 0.0 and phis[(i + 1) % m] != 0.0
+             and (phis[i] < 0) != (phis[(i + 1) % m] < 0)]
+    lo, flo, hi, fhi = _multisect_roots(
+        family, f, N, [rows[i][0] for i in cells], [phis[i] for i in cells],
+        [rows[i][0] + 1.0 / m for i in cells],
+        [phis[(i + 1) % m] for i in cells], resolution)
+    found = [(i, 0, ZeroInterval(rows[i][0], rows[i][0], 0.0, 0.0,
+                                 resolution)) for i in zeros]
+    found += [(i, 1, ZeroInterval(reduce(float(lo[n])), reduce(float(hi[n])),
+                                  float(flo[n]), float(fhi[n]), resolution))
+              for n, i in enumerate(cells)]
+    intervals.extend(zi for _, _, zi in sorted(found, key=lambda t: t[:2]))
     if not intervals:
         raise NoSignChange(min(phis), max(phis))
     return intervals

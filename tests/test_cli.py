@@ -85,6 +85,24 @@ class TestNonFiniteInput:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", [1e9, 1001, 2.5, 1, INF])
+    def test_linear_degree_bounded(self, tmp_path, capsys, k):
+        cfg = _write_config(tmp_path, {"map": {"type": "linear", "k": k}})
+        assert main(["validate", "--config", cfg]) == EXIT_INVALID
+        assert "map.k" in capsys.readouterr().err
+
+    def test_orbit_enumeration_bounded(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"map": {"type": "linear", "k": 3},
+                                       "max_period": 16})
+        assert main(["orbits", "--config", cfg]) == EXIT_INVALID
+        assert "cap" in capsys.readouterr().err
+
+    def test_nan_tolerance_rejected(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, COS_CONFIG)
+        assert main(["solve", "--config", cfg, "--tol", "nan"]) == \
+            EXIT_INVALID
+        assert "resolution" in capsys.readouterr().err
+
     def test_overflowing_coefficients_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {
             "map": {"type": "linear", "k": 2},
@@ -155,6 +173,23 @@ class TestSolve:
         assert report["oracle"]["best_average"] == 1.0
         assert report["oracle"]["best_orbit"] == ["0"]
         assert best["gamma_low"] - 1e-6 <= 0.75 <= best["gamma_high"] + 1e-6
+
+
+    @pytest.mark.parametrize("function", [
+        {"type": "trig", "cos": [1.0]},
+        {"type": "trig", "const": 1.0},
+    ])
+    def test_report_is_strict_json(self, tmp_path, function):
+        def reject(name):
+            raise ValueError(f"non-finite number {name} in the report")
+        cfg = _write_config(tmp_path, {"map": {"type": "linear", "k": 2},
+                                       "function": function, "grid": 64,
+                                       "length": 2000})
+        out = tmp_path / "out.json"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text(), parse_constant=reject)
+        plateaus = [zi["is_plateau"] for zi in report["zero_intervals"]]
+        assert plateaus and all(type(p) is bool for p in plateaus)
 
 
 class TestRank:

@@ -101,6 +101,28 @@ class TestOrbits:
         assert orb == pytest.approx([0.1, 0.2, 0.4, 0.8], abs=1e-15)
 
 
+def _fraction_orbits(k, max_period):
+    """Periodic orbits of T_k by enumerating every Fraction j/(k^n - 1)
+    and skipping the points of orbits already listed."""
+    seen = set()
+    orbits = []
+    for n in range(1, max_period + 1):
+        den = k ** n - 1
+        for j in range(den):
+            x = Fraction(j, den)
+            if x in seen:
+                continue
+            orbit = [x]
+            y = (k * x) % 1
+            while y != x:
+                orbit.append(y)
+                y = (k * y) % 1
+            seen.update(orbit)
+            if len(orbit) == n:
+                orbits.append(orbit)
+    return orbits
+
+
 class TestPeriodicOrbits:
     def test_fixed_points(self):
         T = make_linear_map(2)
@@ -123,6 +145,16 @@ class TestPeriodicOrbits:
         for orbit in periodic_orbits(T, 4):
             for i, x in enumerate(orbit):
                 assert (3 * x) % 1 == orbit[(i + 1) % len(orbit)]
+
+    @pytest.mark.parametrize("k, max_period", [(2, 8), (3, 5), (4, 4)])
+    def test_matches_fraction_enumeration(self, k, max_period):
+        assert periodic_orbits(make_linear_map(k), max_period) == \
+            _fraction_orbits(k, max_period)
+
+    @pytest.mark.parametrize("k, max_period", [(3, 13), (1000, 2)])
+    def test_work_guard(self, k, max_period):
+        with pytest.raises(ValueError, match="cap"):
+            periodic_orbits(make_linear_map(k), max_period)
 
     def test_nonlinear_map_rejected(self):
         T = map_from_slopes([2.0, 4.0, 4.0])

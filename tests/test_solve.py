@@ -5,22 +5,71 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowerflat.solve as solve_mod
-from flowerflat.circle import Arc
+from flowerflat.circle import Arc, distance, reduce
 from flowerflat.dynamics import make_linear_map, map_from_slopes
-from flowerflat.flatten import default_depth
-from flowerflat.flower import one_flower, random_flower, validate_flower
+from flowerflat.flatten import default_depth, functional
+from flowerflat.flower import (one_flower, random_flower, selector,
+                               validate_flower)
 from flowerflat.functions import PiecewiseLinear, TrigPolynomial, demo_function
-from flowerflat.solve import (NoSignChange, OneFlowerFamily,
+from flowerflat.solve import (NoSignChange, OneFlowerFamily, ZeroInterval,
                               branch_one_frequency_scan, orbit_oracle,
-                              phi_of_gamma, rank_test, scan, sign_conditions,
-                              solve_pre_sturmian, sturmian_estimate,
-                              support_extremes)
+                              phi_of_gamma, phi_of_gammas, rank_test, scan,
+                              sign_conditions, solve_pre_sturmian,
+                              sturmian_estimate, support_extremes)
 
 T2 = make_linear_map(2)
+T3 = make_linear_map(3)
+S244 = map_from_slopes([2.0, 4.0, 4.0])
 FAM = OneFlowerFamily(T2)
 COS = TrigPolynomial(cos_coeffs=[1.0])
+
+
+def reference_phi(family, f, gamma, N):
+    """Phi(gamma) by the arc walk of ``functional`` on one flower, after
+    the scalar nudge off parameters whose petal ends sit on a branch
+    break: the per-gamma path that ``phi_of_gammas`` replaced."""
+    for _ in range(4):
+        ends = (gamma, family.right_endpoint(gamma))
+        if all(distance(e, b) > 1e-9 for e in ends for b in family.map.breaks):
+            break
+        gamma = reduce(gamma + 2e-9)
+    sel = selector(family.flower(gamma))
+    return functional(sel, sel.discontinuities()[0], f, N)
+
+
+@st.composite
+def _family_cases(draw):
+    """A map (T2, T3 or slopes (2,4,4)), a trig or pwl f, a depth, and
+    gammas at grid points, within 1e-9 of branch breaks, at periodic
+    points (1/2 is a fixed point of T3, 2/3 one of the (2,4,4) map) and
+    at random."""
+    T = draw(st.sampled_from([T2, T3, S244]))
+    unit = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        f = TrigPolynomial(draw(st.lists(unit, min_size=1, max_size=2)),
+                           draw(st.lists(unit, max_size=2)))
+    else:
+        pts = draw(st.lists(st.floats(0.0, 0.999), min_size=2, max_size=5,
+                            unique_by=lambda x: round(x, 2)))
+        f = PiecewiseLinear.from_points(pts, draw(st.lists(
+            unit, min_size=len(pts), max_size=len(pts))))
+    # Up to depth 18 no arc of the walk gets shorter than EPS.  Deeper,
+    # on flowers whose left end is periodic (T3 at 1/2), the walk's
+    # endpoint tolerance puts the whole petal back into the sum; see
+    # test_periodic_anchor_beyond_the_walk.
+    N = draw(st.integers(1, 18))
+    gamma = st.one_of(
+        st.integers(0, 511).map(lambda i: i / 512),
+        st.builds(lambda b, e: reduce(b + e), st.sampled_from(T.breaks),
+                  st.floats(-1e-9, 1e-9)),
+        st.sampled_from([1 / 3, 2 / 3, 1 / 7, 1 / 2]),
+        st.floats(0.0, 1.0, exclude_max=True))
+    return OneFlowerFamily(T), f, N, draw(st.lists(gamma, min_size=1,
+                                                   max_size=12))
 
 
 class TestOneFlowerFamily:
@@ -65,6 +114,40 @@ class TestPhiOfGamma:
         assert rows[0][2] > 0
 
 
+class TestPhiOfGammas:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_family_cases())
+    def test_matches_reference_walk(self, case):
+        family, f, N, gammas = case
+        values, bounds = phi_of_gammas(family, f, gammas, N)
+        want = [reference_phi(family, f, g, N) for g in gammas]
+        assert values == pytest.approx([v for v, _ in want], abs=1e-11)
+        assert bounds.tolist() == [e for _, e in want]
+
+    @pytest.mark.parametrize("T, gamma", [
+        (T2, 7 / 15), (T2, 11 / 31), (T3, 1 / 8), (T3, 5 / 8), (T3, 2 / 13),
+        (S244, 9 / 31)])
+    def test_orbit_of_a_petal_end_returns_to_the_discontinuity(self, T,
+                                                              gamma):
+        # there the value is set by the one-sided decision within EPS of d
+        family = OneFlowerFamily(T)
+        for f in (TrigPolynomial([0.3, -0.7], [0.5]),
+                  PiecewiseLinear.from_points([0.1, 0.45, 0.8],
+                                              [0.3, -0.5, 0.9])):
+            assert phi_of_gamma(family, f, gamma, 18) == pytest.approx(
+                reference_phi(family, f, gamma, 18), abs=1e-11)
+
+    def test_periodic_anchor_beyond_the_walk(self):
+        # T3's 1-flower [1/2, 5/6] starts at a fixed point, which is also
+        # its discontinuity: tau^n(5/6) = 1/2 + 3^-(n+1), tau^n(1/2) = 1/2
+        f = PiecewiseLinear.from_points([0.1, 0.45, 0.8], [0.3, -0.5, 0.9])
+        N = 40
+        want = sum(f.eval(0.5 + 3.0 ** -(n + 1)) - f.eval(0.5)
+                   for n in range(N + 1))
+        value, _ = phi_of_gamma(OneFlowerFamily(T3), f, 0.5, N)
+        assert value == pytest.approx(want, abs=1e-13)
+
+
 class TestSolvePreSturmian:
     def test_cosine_roots(self):
         N = default_depth(COS.lipschitz_constant(), 2.0, 1e-12)
@@ -93,12 +176,41 @@ class TestSolvePreSturmian:
         assert width >= 1.0 - 2 / 64
 
     def test_no_sign_change_raised(self, monkeypatch):
-        monkeypatch.setattr(solve_mod, "phi_of_gamma",
-                            lambda family, f, g, N: (1.0, 1e-12))
+        monkeypatch.setattr(solve_mod, "phi_of_gammas",
+                            lambda family, f, gs, N: (np.ones(len(gs)),
+                                                      np.full(len(gs), 1e-12)))
         with pytest.raises(NoSignChange) as info:
             solve_pre_sturmian(FAM, COS, 10, resolution=1e-9, grid_size=32)
         assert info.value.phi_min == 1.0
         assert info.value.phi_max == 1.0
+
+
+    def test_exact_zero_on_the_grid_reported(self, monkeypatch):
+        # grid values +, +, 0, -, ..., - with an exact zero at 1/8, and a
+        # sign change between 3/4 and 13/16 at 0.78
+        def phi(family, f, gammas, N):
+            gammas = np.asarray(gammas)
+            return (np.where(gammas < 0.5, 0.125 - gammas, gammas - 0.78),
+                    np.full(len(gammas), 1e-12))
+        monkeypatch.setattr(solve_mod, "phi_of_gammas", phi)
+        intervals = solve_pre_sturmian(FAM, COS, 10, resolution=1e-10,
+                                       grid_size=16)
+        assert len(intervals) == 2
+        assert intervals[0] == ZeroInterval(0.125, 0.125, 0.0, 0.0, 1e-10)
+        root = intervals[1]
+        assert root.gamma_low < 0.78 < root.gamma_high
+        assert root.gamma_high - root.gamma_low <= 1e-10
+        assert root.phi_low < 0.0 < root.phi_high
+        for zi in intervals:
+            assert {type(v) for v in (zi.gamma_low, zi.gamma_high,
+                                      zi.phi_low, zi.phi_high)} == {float}
+            assert type(zi.is_plateau) is bool
+
+    @pytest.mark.parametrize("resolution", [0.0, -1e-10, math.nan, math.inf])
+    def test_resolution_must_be_finite_and_positive(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            solve_pre_sturmian(FAM, COS, 10, resolution=resolution,
+                               grid_size=16)
 
 
 class TestSturmianEstimate:
