@@ -11,7 +11,7 @@ from .dynamics import (ExpandingMap, make_linear_map, map_from_slopes,
                        periodic_orbits)
 from .flatten import (Coboundary, EscapeFunction, build_coboundary,
                       default_depth, escape_function, escape_time_direct,
-                      flattened_values, functional, functional_dual, is_flat,
+                      flattened_values, functional, is_flat,
                       normal_form_check, tail_bound)
 from .flower import (BoundaryAtBranchBreak, CoverageGap, DegeneratePetal,
                      Discontinuity, Flower, FlowerError, ImagesOverlap,

@@ -106,10 +106,6 @@ class Arc:
         return Arc(self.right, self.left)
 
 
-def arc_contains(a: Arc, x: float, tol: float = 0.0) -> bool:
-    return a.contains(x, tol)
-
-
 def _same_point(u: float, v: float) -> bool:
     return distance(u, v) <= EPS
 
@@ -255,14 +251,6 @@ class StepFunction:
             return f"StepFunction(const={self.gaps[0]})"
         return (f"StepFunction(breakpoints={self.breakpoints}, "
                 f"gaps={self.gaps}, points={self.points})")
-
-
-def step_add(f: StepFunction, g: StepFunction, sign: int = 1) -> StepFunction:
-    return f.add(g, sign)
-
-
-def step_equal(f: StepFunction, g: StepFunction) -> bool:
-    return f.equal(g)
 
 
 def step_sum(indicators: Iterable[StepFunction]) -> StepFunction:

@@ -378,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         if config_required:
             p.add_argument("--config", required=True,
                            help="path to a JSON config file")
-        p.add_argument("--gamma", type=float, default=None)
         p.add_argument("--depth", type=int, default=None)
         p.add_argument("--grid", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
@@ -392,8 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("solve")).set_defaults(func=cmd_solve)
     common(sub.add_parser("rank")).set_defaults(func=cmd_rank)
     common(sub.add_parser("orbits")).set_defaults(func=cmd_orbits)
-    common(sub.add_parser("demo"), config_required=False
-           ).set_defaults(func=cmd_demo)
+    demo = common(sub.add_parser("demo"), config_required=False)
+    demo.add_argument("--gamma", type=float, default=None)
+    demo.set_defaults(func=cmd_demo)
     return parser
 
 

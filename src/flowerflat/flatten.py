@@ -7,9 +7,8 @@ here are exact finite sums of f-values over the iterated-selector images;
 the only approximation is the truncation of the geometric tail, which
 carries a rigorous uniform bound reported with every value.
 
-The functionals push the arc I_x through the selector piece by piece.
-The transfer function phi is evaluated in closed form instead: with a the
-anchor and tau right-continuous,
+Every such integral comes from one closed form, the transfer function phi.
+With a the anchor and tau right-continuous,
 
     phi(x) = sum_{n=1..N} [f(tau^n x) - f(tau^n a)] - sum_{c in (a, x]} J_c,
 
@@ -18,17 +17,20 @@ discontinuities d whose chains stay in the flower) and J_c is the jump of
 sum_n f o tau^n at c.  All points move through the selector's tau table
 together, one level at a time.  phi is exact up to rounding for the
 truncated sum, whose distance from the full series is at most
-``Coboundary.error_bound`` = Lip(f) K^-(N+1) / (1 - 1/K) everywhere.
+``Coboundary.error_bound`` = Lip(f) K^-(N+1) / (1 - 1/K) everywhere.  The
+functional of I_x = [l, r] is f(r) - f(l) + phi(r) with anchor l.
+
+The density itself is counted on forward orbits: tau^n I_x is the set of
+points t with t, ..., T^(n-1) t in F and T^n t in I_x.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .circle import Arc, EPS, StepFunction, reduce, reduce_many, step_sum
+from .circle import EPS, Arc, reduce, reduce_many
 from .flower import Discontinuity, Flower, PreImageSelector
 
 
@@ -47,38 +49,53 @@ def default_depth(lipschitz: float, K: float, target: float = 1e-10) -> int:
     return N
 
 
+def escape_counts(F: Flower, arcs: Sequence[Arc], xs, N: int
+                  ) -> np.ndarray:
+    """The truncated escape densities of the arcs at the points xs, as an
+    integer array of shape (len(arcs), len(xs)):
+
+        e(t) = #{0 <= n <= N : t, ..., T^(n-1) t in F and T^n t in arc},
+
+    all arcs counted on one forward orbit of the points, which is followed
+    only while it stays in F.  Arcs are closed, tested as ``Arc.contains``
+    tests them."""
+    def closed(arcs):
+        # Arc.contains of every arc (rows) at the points (columns)
+        left = np.array([[arc.left] for arc in arcs])
+        length = np.array([[arc.length] for arc in arcs])
+
+        def inside(x):
+            off = x - left
+            off += off < 0.0
+            return (off <= length) | (off >= 1.0)
+        return inside
+
+    in_arcs, in_flower = closed(arcs), closed(F.petals)
+    x = reduce_many(xs)
+    counts = np.zeros((len(arcs), len(x)), dtype=np.int64)
+    alive = np.arange(len(x))
+    for n in range(N + 1):
+        counts[:, alive] += in_arcs(x)
+        if n < N:
+            stay = in_flower(x).any(axis=0)
+            alive = alive[stay]
+            x = F.map.apply_many(x[stay])
+    return counts
+
+
 @dataclass
 class EscapeFunction:
-    """Truncated escape-time density e_x^(N) = sum_{n<=N} chi(tau^n I_x)."""
+    """Truncated escape-time density e_x^(N) = sum_{n<=N} chi(tau^n I_x) of
+    the arc I_x of a flower, evaluated on forward orbits."""
 
-    terms: List[List[Arc]]
+    flower: Flower
+    arc: Arc
     truncation_depth: int
     tail_bound_l1: float
 
-    def to_step(self) -> StepFunction:
-        return step_sum(StepFunction.indicator(a)
-                        for level in self.terms for a in level)
-
-    def eval_int(self, t: float, tol: float = 0.0) -> int:
-        return sum(a.contains(t, tol)
-                   for level in self.terms for a in level)
-
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation (arc endpoints resolved to the closed side)."""
-        starts, ends = [], []
-        for level in self.terms:
-            for a in level:
-                if a.left <= a.right:
-                    starts.append(a.left)
-                    ends.append(a.right)
-                else:
-                    starts.extend((a.left, 0.0))
-                    ends.extend((1.0, a.right))
-        starts = np.sort(np.asarray(starts))
-        ends = np.sort(np.asarray(ends))
-        xs = np.asarray(xs)
-        return (np.searchsorted(starts, xs, side="right")
-                - np.searchsorted(ends, xs, side="left"))
+        return escape_counts(self.flower, [self.arc], xs,
+                             self.truncation_depth)[0]
 
 
 def escape_function(sel: PreImageSelector, disc: Discontinuity,
@@ -86,8 +103,8 @@ def escape_function(sel: PreImageSelector, disc: Discontinuity,
     if N < 0:
         raise ValueError("N must be >= 0")
     K = sel.flower.map.expansion_constant
-    levels = sel.push_levels(disc.I, N)
-    return EscapeFunction(levels, N, tail_bound(K, N, disc.I.length))
+    return EscapeFunction(sel.flower, disc.I, N,
+                          tail_bound(K, N, disc.I.length))
 
 
 def escape_time_direct(F: Flower, t: float, cap: int = 1000):
@@ -105,33 +122,18 @@ def escape_time_direct(F: Flower, t: float, cap: int = 1000):
 
 def functional(sel: PreImageSelector, disc: Discontinuity, f,
                N: int) -> Tuple[float, float]:
-    """Truncated flattening functional: integral of f' against e_x.
+    """Truncated flattening functional: integral of f' against e_x, the
+    closed form f(r) - f(l) + phi(r) with phi anchored at l, [l, r] = I_x.
 
     Returns (value, error_bound); the bound is the rigorous geometric-tail
     certificate, uniform over all flowers with the same map.
     """
-    value = 0.0
-    arcs = [(disc.I.left, disc.I.right)]
-    for n in range(N + 1):
-        if n > 0:
-            arcs = sel.push_once(arcs)
-        value += sum(f.eval(r) - f.eval(l) for l, r in arcs)
+    l, r = disc.I.left, disc.I.right
+    value = f.eval(r) - f.eval(l)
+    if N > 0:
+        value += Coboundary(sel, f, N, anchor=l).eval(r)
     K = sel.flower.map.expansion_constant
     err = f.lipschitz_constant() * tail_bound(K, N, disc.I.length)
-    return value, err
-
-
-def functional_dual(sel: PreImageSelector, disc: Discontinuity, f,
-                    N: int) -> Tuple[float, float]:
-    """Same functional computed over the complementary arc J_x."""
-    value = 0.0
-    arcs = [(disc.J.left, disc.J.right)]
-    for n in range(N + 1):
-        if n > 0:
-            arcs = sel.push_once(arcs)
-        value += sum(f.eval(r) - f.eval(l) for l, r in arcs)
-    K = sel.flower.map.expansion_constant
-    err = f.lipschitz_constant() * tail_bound(K, N, disc.J.length)
     return value, err
 
 
@@ -177,21 +179,19 @@ class Coboundary:
             tail_left = sum_{i<N-m} f(tau_L^i y'),
 
         where y = tau_R(d) and y' = tau_L(d) are the petal endpoints at d.
-        sum_n f o tau^n jumps by tail_right - tail_left at c."""
+        sum_n f o tau^n jumps by tail_right - tail_left at c.  The orbits
+        of d and the ledger belong to the selector; only the sums of f are
+        built here."""
         if self._ledger_arrays is None:
             sel, f, N = self.selector, self.f, self.depth
-            disc = np.asarray(sel.discontinuity_points)
-            right, left = [disc], [disc]
-            for _ in range(N):
-                right.append(sel.tau_many(right[-1], "right"))
-                left.append(sel.tau_many(left[-1], "left"))
-            zero = np.zeros((1, len(disc)))
+            right, left = sel.disc_orbits(N)
+            zero = np.zeros((1, right.shape[1]))
             sums_right = np.cumsum(np.vstack([zero, f.eval_many(right[1:])]),
                                    axis=0)
             sums_left = np.cumsum(np.vstack([zero, f.eval_many(left[1:])]),
                                   axis=0)
             j, m, c = (np.array(col) for col in zip(*sel.jump_ledger(N)))
-            self._ledger_arrays = (m, disc[j], c, sums_right[N - m, j],
+            self._ledger_arrays = (m, right[0, j], c, sums_right[N - m, j],
                                    sums_left[N - m, j])
         return self._ledger_arrays
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .circle import (EPS, Arc, CyclicOrder, StepFunction, distance, lift,
-                     reduce, reduce_many, step_sum)
+from .circle import (EPS, Arc, CyclicOrder, StepFunction, distance, reduce,
+                     reduce_many, step_sum)
 from .dynamics import ExpandingMap
 
 _IMAGE_TOL = 1e-9
@@ -172,15 +172,10 @@ class Discontinuity:
 
 
 class PreImageSelector:
-    """A pre-image selector tau for a flower.
+    """A pre-image selector tau for a flower: right-continuous, taking at
+    each discontinuity point the petal left endpoint there."""
 
-    ``boundary_choice[i]`` ('right' or 'left') fixes the one-sided limit
-    tau takes at the i-th discontinuity (sorted by position); the default
-    is right-continuity everywhere.
-    """
-
-    def __init__(self, flower: Flower,
-                 boundary_choice: Optional[Sequence[str]] = None):
+    def __init__(self, flower: Flower):
         self.flower = flower
         T = flower.map
         petals = flower.petals
@@ -198,15 +193,10 @@ class PreImageSelector:
                     for i in range(len(petals))]
             match = min(ends, key=lambda t: distance(t[1], d))
             self._end_owner.append(match[0])
-        if boundary_choice is None:
-            boundary_choice = ("right",) * flower.p
-        boundary_choice = tuple(boundary_choice)
-        if len(boundary_choice) != flower.p or any(
-                c not in ("right", "left") for c in boundary_choice):
-            raise ValueError("boundary_choice needs 'right'/'left' per "
-                             "discontinuity")
-        self.boundary_choice = boundary_choice
         self._table = None
+        disc = np.array(self._disc)
+        self._orbits = ([disc], [disc])
+        self._ledger, self._ledger_depth = [], 0
 
     @property
     def discontinuity_points(self) -> List[float]:
@@ -240,28 +230,14 @@ class PreImageSelector:
             return self.flower.petals[self._owner[disc_idx]].left
         return self.flower.petals[self._end_owner[disc_idx]].right
 
-    def tau(self, x: float) -> float:
-        """The selected preimage of x (honouring the boundary choice)."""
+    def tau(self, x: float, side: str = "right") -> float:
+        """The selected preimage of x.  Within EPS of a discontinuity point
+        tau takes its right limit (the petal left endpoint there), or its
+        left limit (the petal right endpoint) with ``side='left'``."""
         x = reduce(x)
         for i, d in enumerate(self._disc):
             if distance(x, d) <= EPS:
-                return self._jump_value(i, self.boundary_choice[i])
-        return self._invert(self._image_index(x), x)
-
-    def tau_right(self, x: float) -> float:
-        """Right-continuous version of tau (limit from above at jumps)."""
-        x = reduce(x)
-        for i, d in enumerate(self._disc):
-            if distance(x, d) <= EPS:
-                return self._jump_value(i, "right")
-        return self._invert(self._image_index(x), x)
-
-    def tau_left(self, x: float) -> float:
-        """Left-continuous version of tau (limit from below at jumps)."""
-        x = reduce(x)
-        for i, d in enumerate(self._disc):
-            if distance(x, d) <= EPS:
-                return self._jump_value(i, "left")
+                return self._jump_value(i, side)
         return self._invert(self._image_index(x), x)
 
     def discontinuities(self) -> List[Discontinuity]:
@@ -304,57 +280,38 @@ class PreImageSelector:
 
     def push_once(self, arcs: List[Tuple[float, float]]
                   ) -> List[Tuple[float, float]]:
-        """Apply tau to a disjoint union of closed arcs (as (left, right)
-        pairs), splitting at the discontinuity points."""
-        out = []
+        """tau of a union of closed arcs, given as (left, right) pairs.
+
+        Every arc is cut at the discontinuity points strictly inside it,
+        and each piece's left end is mapped by the right limit of tau and
+        its right end by the left limit.  tau contracts, so an image longer
+        than its arc comes from float ends that crossed (true length below
+        one ulp): it becomes a point, and a point stays a point.
+        """
+        us, vs = [], []
         for l, r in arcs:
             length = reduce(r - l)
-            if length == 0.0 and l != r:
-                length = 1.0
-            cuts = [d for d in self._disc
-                    if EPS < reduce(d - l) < length - EPS]
-            cuts.sort(key=lambda d: reduce(d - l))
-            endpoints = [l] + cuts + [r]
-            for u, v in zip(endpoints, endpoints[1:]):
-                sub_len = reduce(v - u)
-                mid = reduce(u + sub_len / 2.0)
-                j = self._image_index(mid)
-                petal_idx = self._owner[j]
-                w = self._winding[petal_idx]
-                # endpoint offsets are ambiguous at the image-arc ends: the
-                # left endpoint of a sub-arc resolves to the start of the
-                # arc, the right endpoint to its end
-                off_u = reduce(u - self._disc[j])
-                if off_u >= w:
-                    off_u = 0.0 if off_u > (1.0 + w) / 2.0 else w
-                off_v = reduce(v - self._disc[j])
-                if off_v <= EPS or off_v >= w:
-                    off_v = w
-                out.append((self._invert_offset(petal_idx, off_u),
-                            self._invert_offset(petal_idx, off_v)))
-        return out
+            cuts = sorted((d for d in self._disc
+                           if 0.0 < reduce(d - l) < length),
+                          key=lambda d: reduce(d - l))
+            ends = [l, *cuts, r]
+            us += ends[:-1]
+            vs += ends[1:]
+        lefts = self.tau_many(np.array(us), "right").tolist()
+        rights = self.tau_many(np.array(vs), "left").tolist()
+        return [(y, y if u == v or reduce(z - y) > reduce(v - u) else z)
+                for u, v, y, z in zip(us, vs, lefts, rights)]
 
     def push_arc(self, J: Arc, n: int) -> List[Arc]:
-        """The set tau^n(J) as a disjoint union of closed arcs.
-
-        Arcs touching at endpoints are kept separate so the interval counts
-        match the contraction bookkeeping; total length <= K^{-n} len(J).
-        """
+        """The set tau^n(J) as a union of closed arcs, n ``push_once``
+        levels.  Arcs touching at endpoints are kept separate, so the
+        total length is at most K^-n len(J)."""
         if n < 0:
             raise ValueError("n must be >= 0")
         arcs = [(J.left, J.right)]
         for _ in range(n):
             arcs = self.push_once(arcs)
         return [Arc(l, r) for l, r in arcs]
-
-    def push_levels(self, J: Arc, N: int) -> List[List[Arc]]:
-        """[J], tau(J), ..., tau^N(J), each as a list of arcs."""
-        arcs = [(J.left, J.right)]
-        levels = [[Arc(*a) for a in arcs]]
-        for _ in range(N):
-            arcs = self.push_once(arcs)
-            levels.append([Arc(*a) for a in arcs])
-        return levels
 
     def discontinuity_set(self, n: int) -> List[float]:
         """All discontinuity points of tau^n (the jump ledger's points)."""
@@ -394,6 +351,17 @@ class PreImageSelector:
         y = bases[j] + np.minimum(off / slopes[j], lengths[j])
         return y - (y >= 1.0)
 
+    def disc_orbits(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The right and the left orbit of the discontinuity points to
+        depth n: arrays of shape (n + 1, p) with rows tau_R^i d and
+        tau_L^i d.  Built on first use and extended when a deeper n is
+        asked for."""
+        right, left = self._orbits
+        while len(right) <= n:
+            right.append(self.tau_many(right[-1], "right"))
+            left.append(self.tau_many(left[-1], "left"))
+        return np.array(right[:n + 1]), np.array(left[:n + 1])
+
     def jump_ledger(self, n: int) -> List[Tuple[int, int, float]]:
         """The jumps of tau, ..., tau^n as (j, m, c): tau^(m+1) and every
         later iterate jump at c = T^m(d_j), d_j the j-th discontinuity
@@ -402,26 +370,27 @@ class PreImageSelector:
         That holds while d_j, ..., T^(m-1) d_j lie in the flower, so a
         chain stops after its first point outside.  It also stops before
         a point that is itself a discontinuity point: the chain from there
-        is that point's own, and each point is listed once.
+        is that point's own, and each point is listed once.  The deepest
+        ledger asked for is kept, and shallower ones are cut from it.
         """
-        T = self.flower.map
-        ledger = []
-        for j, d in enumerate(self._disc):
-            c = d
-            for m in range(n):
-                ledger.append((j, m, c))
-                if not self.flower.contains(c):
-                    break
-                c = T.apply(c)
-                if any(distance(c, e) <= EPS for e in self._disc):
-                    break
-        return ledger
+        if n > self._ledger_depth:
+            T = self.flower.map
+            ledger = []
+            for j, d in enumerate(self._disc):
+                c = d
+                for m in range(n):
+                    ledger.append((j, m, c))
+                    if not self.flower.contains(c):
+                        break
+                    c = T.apply(c)
+                    if any(distance(c, e) <= EPS for e in self._disc):
+                        break
+            self._ledger, self._ledger_depth = ledger, n
+        return [entry for entry in self._ledger if entry[1] < n]
 
 
-def selector(F: Flower,
-             boundary_choice: Optional[Sequence[str]] = None
-             ) -> PreImageSelector:
-    return PreImageSelector(F, boundary_choice)
+def selector(F: Flower) -> PreImageSelector:
+    return PreImageSelector(F)
 
 
 def _walk_forward(T: ExpandingMap, start: float, image_length: float) -> float:

@@ -34,7 +34,7 @@ from .circle import (Arc, EPS, distance, distance_many, lift, reduce,
 from .dynamics import ExpandingMap, periodic_orbits
 # ``functional`` is re-exported for callers of ``solve.functional``, such as
 # the span recorder in perfbench/spans.py, which patches it here
-from .flatten import escape_function, functional, one_sided, tail_bound
+from .flatten import escape_counts, functional, one_sided, tail_bound
 from .flower import (Flower, OneFlowerSelectors, PreImageSelector,
                      _walk_forward, _walk_forward_many, one_flower, selector)
 
@@ -475,26 +475,25 @@ def orbit_oracle(T: ExpandingMap, f, max_period: int
 def rank_test(F: Flower, N: int = 15, grid: int = 512,
               threshold: float = 1e-8) -> Tuple[int, int]:
     """Numerical rank of the p escape densities together with the constant
-    function; the codimension statement predicts rank p + 1."""
+    function; the codimension statement predicts rank p + 1.
+
+    The densities are sampled at the midpoints of the cells cut at the
+    petal endpoints, at their one-sided selector orbits to depth N (where
+    the arcs tau^n I_x end) and at a uniform grid."""
     sel = selector(F)
-    discs = sel.discontinuities()
-    escapes = [escape_function(sel, d, N) for d in discs]
-    cuts = set()
-    for e in escapes:
-        for level in e.terms:
-            for arc in level:
-                cuts.add(arc.left)
-                cuts.add(arc.right)
-    for petal in F.petals:
-        cuts.add(petal.left)
-        cuts.add(petal.right)
-    cuts.update(i / grid for i in range(grid))
-    pts = np.sort(np.asarray(list(cuts)))
+    ends = np.array(F.boundary())
+    cuts = [ends, np.arange(grid) / grid]
+    right = left = ends
+    for _ in range(N):
+        right = sel.tau_many(right, "right")
+        left = sel.tau_many(left, "left")
+        cuts += [right, left]
+    pts = np.unique(np.concatenate(cuts))
     mids = ((pts + np.roll(pts, -1) + np.where(
         np.roll(pts, -1) < pts, 1.0, 0.0)) / 2.0) % 1.0
-    rows = [e.eval_many(mids).astype(float) for e in escapes]
-    rows.append(np.ones_like(mids))
-    M = np.vstack(rows)
+    arcs = [d.I for d in sel.discontinuities()]
+    M = np.vstack([escape_counts(F, arcs, mids, N).astype(float),
+                   np.ones_like(mids)])
     norms = np.linalg.norm(M, axis=1, keepdims=True)
     M = M / np.where(norms == 0, 1.0, norms)
     svals = np.linalg.svd(M, compute_uv=False)

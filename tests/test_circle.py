@@ -6,8 +6,7 @@ import pytest
 import numpy as np
 
 from flowerflat.circle import (Arc, CyclicOrder, EPS, StepFunction, distance,
-                               lift, reduce, reduce_many, step_add,
-                               step_equal, step_sum)
+                               lift, reduce, reduce_many, step_sum)
 
 
 class TestReduce:
@@ -116,23 +115,23 @@ class TestStepFunction:
         assert s.eval(0.2) == 0
 
     def test_add_overlapping_indicators(self):
-        s = step_add(StepFunction.indicator(Arc(0.0, 0.5)),
-                     StepFunction.indicator(Arc(0.25, 0.75)))
+        s = StepFunction.indicator(Arc(0.0, 0.5)).add(
+            StepFunction.indicator(Arc(0.25, 0.75)))
         assert s.breakpoints == (0.0, 0.25, 0.5, 0.75)
         assert s.gaps == (1, 2, 1, 0)
         assert s.points == (1, 2, 2, 1)
 
     def test_subtract_self_is_zero(self):
         chi = StepFunction.indicator(Arc(0.25, 0.75))
-        z = step_add(chi, chi, sign=-1)
+        z = chi.add(chi, sign=-1)
         assert z.eval(0.75) == 0
         assert z.eval(0.5) == 0
-        assert step_equal(z, StepFunction.constant(0))
+        assert z.equal(StepFunction.constant(0))
 
     def test_closed_and_open_differ(self):
         closed = StepFunction.indicator(Arc(0.25, 0.75))
         opened = StepFunction.indicator_open(Arc(0.25, 0.75))
-        assert not step_equal(closed, opened)
+        assert not closed.equal(opened)
 
     def test_integral_is_length(self):
         assert StepFunction.indicator(Arc(0.25, 0.75)).integral() == \
@@ -150,8 +149,8 @@ class TestStepFunction:
 
     def test_eval_many_matches_eval_off_breakpoints(self):
         import numpy as np
-        s = step_add(StepFunction.indicator(Arc(0.1, 0.4)),
-                     StepFunction.indicator(Arc(0.3, 0.8)))
+        s = StepFunction.indicator(Arc(0.1, 0.4)).add(
+            StepFunction.indicator(Arc(0.3, 0.8)))
         xs = np.linspace(0.05, 0.95, 37)
         got = s.eval_many(xs)
         assert all(int(v) == s.eval(float(x)) for x, v in zip(xs, got))

@@ -128,6 +128,13 @@ class TestScan:
         assert abs(by_gamma[0.25]) < 1e-12
         assert abs(by_gamma[0.75]) < 1e-12
 
+    def test_gamma_option_rejected(self, tmp_path):
+        # --gamma belongs to demo only
+        cfg = _write_config(tmp_path, COS_CONFIG)
+        with pytest.raises(SystemExit) as info:
+            main(["scan", "--config", cfg, "--gamma", "0.3"])
+        assert info.value.code == 2
+
     def test_deterministic(self, tmp_path):
         cfg = _write_config(tmp_path, dict(COS_CONFIG, grid=16, depth=30))
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -158,6 +165,20 @@ class TestFlatten:
         code, report = _run_json(tmp_path, ["flatten", "--config", cfg])
         assert code == EXIT_NOT_FLAT
         assert report["flat"] is False
+
+    def test_periodic_left_end_at_depth_30(self, tmp_path):
+        # the petal starts at the fixed point 1/2 of T3; the functional is
+        # the geometric series sum_n cos(2 pi (1/2 + 3^-(n+1))) + 1
+        cfg = _write_config(tmp_path, {
+            "map": {"type": "linear", "k": 3},
+            "function": {"type": "trig", "cos": [1.0]},
+            "flower": {"petals": [[0.5, 0.8333333333333334]]},
+            "depth": 30,
+        })
+        code, report = _run_json(tmp_path, ["flatten", "--config", cfg])
+        assert code == EXIT_NOT_FLAT
+        assert report["functionals"] == [pytest.approx(1.7642937972,
+                                                       abs=1e-9)]
 
 
 class TestSolve:
@@ -249,6 +270,24 @@ class TestDemo:
         assert abs(report["oracle_alpha"]) <= 1e-12
         assert report["normal_form_f"] is True
         assert report["normal_form_f_plus_g"] is False
+
+    def test_report_frozen(self, tmp_path):
+        code, report = _run_json(tmp_path, ["demo", "--gamma", "0.1"])
+        assert code == EXIT_OK
+        # structural fields exactly; the rest are rounding noise around
+        # their exact values
+        noise = {"max_deviation_on_F": 0.0, "oracle_alpha": 0.0,
+                 "value_at_gamma_plus_3_4": 0.125, "value_error": 0.0}
+        assert {k: v for k, v in report.items() if k not in noise} == {
+            "depth": 40,
+            "flat_on_F": True,
+            "formula_value": 0.125,
+            "gamma": 0.1,
+            "normal_form_f": True,
+            "normal_form_f_plus_g": False,
+        }
+        assert {k: report[k] for k in noise} == \
+            pytest.approx(noise, abs=1e-12)
 
     def test_second_parameter(self, tmp_path):
         code, report = _run_json(tmp_path, ["demo", "--gamma", "0.05"])

@@ -117,8 +117,8 @@ class TestSelector:
 
     def test_one_sided_limits(self):
         d = self.sel.discontinuities()[0]
-        assert self.sel.tau_left(d.x) == pytest.approx(0.75, abs=1e-9)
-        assert self.sel.tau_right(d.x) == pytest.approx(0.25, abs=1e-9)
+        assert self.sel.tau(d.x, "left") == pytest.approx(0.75, abs=1e-9)
+        assert self.sel.tau(d.x, "right") == pytest.approx(0.25, abs=1e-9)
 
     def test_push_arc_one_step(self):
         arcs = self.sel.push_arc(Arc(0.25, 0.75), 1)
@@ -128,6 +128,16 @@ class TestSelector:
     def test_pushed_lengths_contract(self):
         arcs = self.sel.push_arc(Arc(0.25, 0.75), 3)
         assert sum(a.length for a in arcs) == pytest.approx(1 / 16, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [1 / 2, 1 / 8, 5 / 8])
+    @pytest.mark.parametrize("n", [30, 40])
+    def test_push_arc_contracts_on_periodic_left_ends(self, gamma, n):
+        # the left end is periodic under T3, so tau^n of the petal has an
+        # arc at it whose true length is 3^-n
+        F = one_flower(make_linear_map(3), gamma)
+        arcs = selector(F).push_arc(F.petals[0], n)
+        assert arcs
+        assert max(a.length for a in arcs) <= 1e-14
 
     def test_discontinuity_set(self):
         assert self.sel.discontinuity_set(2) == \
@@ -148,13 +158,12 @@ class TestSelector:
         for k, p in ((2, 3), (3, 2), (4, 1)):
             sel = selector(random_flower(make_linear_map(k), p, rng))
             xs = np.array([rng.random() for _ in range(300)])
-            for side, scalar in (("right", sel.tau_right),
-                                 ("left", sel.tau_left)):
+            for side in ("right", "left"):
                 assert sel.tau_many(xs, side) == pytest.approx(
-                    [scalar(x) for x in xs], abs=1e-13)
+                    [sel.tau(x, side) for x in xs], abs=1e-13)
                 ds = np.array(sel.discontinuity_points)
                 assert sel.tau_many(ds, side) == pytest.approx(
-                    [scalar(d) for d in ds], abs=1e-13)
+                    [sel.tau(d, side) for d in ds], abs=1e-13)
 
     def test_tau_many_left_limit_of_a_single_piece(self):
         # one petal inside one branch: its image wraps the whole circle

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import flowerflat.solve as solve_mod
 from flowerflat.circle import Arc, distance, reduce
 from flowerflat.dynamics import make_linear_map, map_from_slopes
-from flowerflat.flatten import default_depth, functional
+from flowerflat.flatten import default_depth, tail_bound
 from flowerflat.flower import (one_flower, random_flower, selector,
                                validate_flower)
 from flowerflat.functions import PiecewiseLinear, TrigPolynomial, demo_function
@@ -21,6 +21,8 @@ from flowerflat.solve import (NoSignChange, OneFlowerFamily, ZeroInterval,
                               sign_conditions, solve_pre_sturmian,
                               sturmian_estimate, support_extremes)
 
+from arc_walk import walk_functional
+
 T2 = make_linear_map(2)
 T3 = make_linear_map(3)
 S244 = map_from_slopes([2.0, 4.0, 4.0])
@@ -29,16 +31,18 @@ COS = TrigPolynomial(cos_coeffs=[1.0])
 
 
 def reference_phi(family, f, gamma, N):
-    """Phi(gamma) by the arc walk of ``functional`` on one flower, after
-    the scalar nudge off parameters whose petal ends sit on a branch
-    break: the per-gamma path that ``phi_of_gammas`` replaced."""
+    """Phi(gamma) by the arc walk on one flower, with its truncation
+    bound, after the scalar nudge off parameters whose petal ends sit on a
+    branch break: the per-gamma path that ``phi_of_gammas`` replaced."""
     for _ in range(4):
         ends = (gamma, family.right_endpoint(gamma))
         if all(distance(e, b) > 1e-9 for e in ends for b in family.map.breaks):
             break
         gamma = reduce(gamma + 2e-9)
-    sel = selector(family.flower(gamma))
-    return functional(sel, sel.discontinuities()[0], f, N)
+    F = family.flower(gamma)
+    K = family.map.expansion_constant
+    return (walk_functional(selector(F), F.petals[0], f, N),
+            f.lipschitz_constant() * tail_bound(K, N, F.petals[0].length))
 
 
 @st.composite
