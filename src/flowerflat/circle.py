@@ -32,7 +32,7 @@ def reduce_many(xs) -> np.ndarray:
     """``reduce`` on an array: same values, same ValueError on non-finite
     entries."""
     xs = np.asarray(xs, dtype=float)
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         raise ValueError("cannot reduce non-finite values")
     # x - floor(x) rounds like x % 1.0, and to 1.0 where that does too
     r = xs - np.floor(xs)

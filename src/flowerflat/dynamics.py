@@ -89,7 +89,7 @@ class ExpandingMap:
         """``apply`` on an array of points."""
         lifted = np.asarray(self._lifted)
         u = lifted[0] + reduce_many(np.asarray(xs, dtype=float) - lifted[0])
-        i = np.maximum(np.searchsorted(lifted, u, side="right") - 1, 0)
+        i = np.maximum(lifted.searchsorted(u, "right") - 1, 0)
         slopes = np.asarray(self.slopes)
         return reduce_many(lifted[0] + slopes[i] * (u - lifted[i]))
 

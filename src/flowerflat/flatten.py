@@ -14,11 +14,14 @@ With a the anchor and tau right-continuous,
 
 where c runs over the selector's jump ledger (the points T^m d of the
 discontinuities d whose chains stay in the flower) and J_c is the jump of
-sum_n f o tau^n at c.  All points move through the selector's tau table
-together, one level at a time.  phi is exact up to rounding for the
-truncated sum, whose distance from the full series is at most
-``Coboundary.error_bound`` = Lip(f) K^-(N+1) / (1 - 1/K) everywhere.  The
-functional of I_x = [l, r] is f(r) - f(l) + phi(r) with anchor l.
+sum_n f o tau^n at c.  ``transfer`` is the one kernel for it: all points
+of all flowers of a ``flower.SelectorTable`` move through the table
+together, one level at a time.  ``functional`` and ``Coboundary`` call it
+on a selector's one-row table, ``solve.phi_of_gammas`` on the table of a
+family of 1-flowers.  phi is exact up to rounding for the truncated sum,
+whose distance from the full series is at most ``Coboundary.error_bound``
+= Lip(f) K^-(N+1) / (1 - 1/K) everywhere.  The functional of
+I_x = [l, r] is f(r) - f(l) + phi(r) with anchor l.
 
 The density itself is counted on forward orbits: tau^n I_x is the set of
 points t with t, ..., T^(n-1) t in F and T^n t in I_x.
@@ -31,7 +34,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .circle import EPS, Arc, reduce, reduce_many
-from .flower import Discontinuity, Flower, PreImageSelector
+from .flower import Discontinuity, Flower, PreImageSelector, SelectorTable
 
 
 def tail_bound(K: float, N: int, base_length: float = 1.0) -> float:
@@ -131,7 +134,7 @@ def functional(sel: PreImageSelector, disc: Discontinuity, f,
     l, r = disc.I.left, disc.I.right
     value = f.eval(r) - f.eval(l)
     if N > 0:
-        value += Coboundary(sel, f, N, anchor=l).eval(r)
+        value += float(transfer(sel.table, f, N, [[l]], [[r]])[0, 0])
     K = sel.flower.map.expansion_constant
     err = f.lipschitz_constant() * tail_bound(K, N, disc.I.length)
     return value, err
@@ -147,13 +150,66 @@ def one_sided(points: np.ndarray, d) -> Tuple[np.ndarray, np.ndarray]:
     return np.abs(e) <= EPS, e >= 0.0
 
 
+def transfer(table: SelectorTable, f, N: int, u, v) -> np.ndarray:
+    """phi(v) - phi(u) for every flower g of the table, the closed form of
+    the module docstring with anchor u, at reduced points v of shape
+    (G, M) against u of shape (G, 1) or (G, M).
+
+    The jump at a ledger point c = T^m d is the difference of the tails
+    sum_{i<N-m} f(tau_R^i y) and sum_{i<N-m} f(tau_L^i y') over the orbits
+    of the petal ends y = tau_R(d) and y' = tau_L(d).  A point whose
+    level-m orbit lies within EPS of d is decided by the side of d it lies
+    on (``one_sided``), which a comparison with the forward-iterated c can
+    contradict by rounding errors that grow like K^m.  Its later orbit is
+    the exact one-sided orbit of d, so it takes that tail and stops:
+    iterating on could round onto d again where that orbit returns to it.
+    """
+    v, u = np.asarray(v, dtype=float), np.asarray(u, dtype=float)
+    G, M = v.shape
+    p = table.disc.shape[1]
+    # all points in one flat array, row by row, so that a one-row table
+    # pushes a plain vector; reshape(rows) views it by flower
+    orbit = np.concatenate([v, u], axis=1).ravel()
+    rows = (G, len(orbit) // G)
+    total = np.zeros(len(orbit))
+    alive = np.ones(len(orbit), dtype=bool)
+    g, j, m, c = table.ledger(N)
+    tail_right, tail_left = (sums[N - m, g, j] for sums in table.sums(f, N))
+    past = c[:, None] <= orbit.reshape(rows)[g]
+    # one-sided decisions only at the (level, discontinuity) of some jump
+    jumps = {}
+    for step in sorted(set((m * p + j).tolist())):
+        jumps.setdefault(step // p, []).append(step % p)
+    for n in range(N):
+        for jj in jumps.get(n, ()):
+            k = np.nonzero((m == n) & (j == jj))[0]
+            at = g[k]
+            near, side = one_sided(orbit.reshape(rows)[at],
+                                   table.disc[at, jj, None])
+            near &= alive.reshape(rows)[at]
+            past[k] = np.where(near, side, past[k])
+            total.reshape(rows)[at] += np.where(
+                near, np.where(side, tail_right[k, None], tail_left[k, None]),
+                0.0)
+            alive.reshape(rows)[at] &= ~near
+        orbit = table.tau_many(orbit)
+        total += np.where(alive, f.eval_many(orbit), 0.0)
+    total = total.reshape(rows)
+    after_anchor, past = ~past[:, M:], past[:, :M]
+    inside = np.where(v[g] >= u[g], after_anchor & past,
+                      after_anchor | past)
+    drop = np.zeros(v.shape)
+    np.add.at(drop, g, (tail_right - tail_left)[:, None] * inside)
+    return total[:, :M] - total[:, M:] - drop
+
+
 class Coboundary:
     """Truncated transfer function phi with phi' = sum_{n=1..N} (f o tau^n)'.
 
     phi is anchored to 0 at ``anchor`` and carries a uniform truncation
     certificate ``error_bound``; the flattening coboundary is
-    g = phi - phi o T.  phi is evaluated in the closed form given in the
-    module docstring.
+    g = phi - phi o T.  phi is evaluated by ``transfer`` on the
+    selector's one-row table.
     """
 
     def __init__(self, sel: PreImageSelector, f, depth: int,
@@ -167,66 +223,11 @@ class Coboundary:
                        else reduce(anchor))
         K = sel.flower.map.expansion_constant
         self.error_bound = f.lipschitz_constant() * tail_bound(K, depth)
-        self._ledger_arrays = None
-
-    def _ledger(self) -> Tuple[np.ndarray, ...]:
-        """Arrays (m, d, c, tail_right, tail_left) over the selector's jump
-        ledger: the chain point c, its level m and the discontinuity
-        d = tau^m(c), with the sums of f over levels m+1..N of the orbit
-        of a point just past c and just before it,
-
-            tail_right = sum_{i<N-m} f(tau_R^i y),
-            tail_left = sum_{i<N-m} f(tau_L^i y'),
-
-        where y = tau_R(d) and y' = tau_L(d) are the petal endpoints at d.
-        sum_n f o tau^n jumps by tail_right - tail_left at c.  The orbits
-        of d and the ledger belong to the selector; only the sums of f are
-        built here."""
-        if self._ledger_arrays is None:
-            sel, f, N = self.selector, self.f, self.depth
-            right, left = sel.disc_orbits(N)
-            zero = np.zeros((1, right.shape[1]))
-            sums_right = np.cumsum(np.vstack([zero, f.eval_many(right[1:])]),
-                                   axis=0)
-            sums_left = np.cumsum(np.vstack([zero, f.eval_many(left[1:])]),
-                                  axis=0)
-            j, m, c = (np.array(col) for col in zip(*sel.jump_ledger(N)))
-            self._ledger_arrays = (m, right[0, j], c, sums_right[N - m, j],
-                                   sums_left[N - m, j])
-        return self._ledger_arrays
 
     def eval_many(self, xs: Sequence[float]) -> np.ndarray:
-        """phi at many points by the closed form, all points pushed
-        through the selector together one level at a time.  Raises
-        ValueError on non-finite points."""
-        xs = reduce_many(xs)
-        a = self.anchor
-        orbit = np.append(xs, a)
-        m, d, c, tail_right, tail_left = self._ledger()
-        # past[k, i]: is point i at or past chain point k?
-        past = c[:, None] <= orbit
-        total = np.zeros(len(orbit))
-        live = np.ones(len(orbit), dtype=bool)
-        for n in range(self.depth):
-            for k in np.nonzero(m == n)[0]:
-                # A point whose orbit lies within EPS of d is decided by the
-                # side of d it lies on, which a comparison with the
-                # forward-iterated c can contradict by rounding errors that
-                # grow like K^n.  Its later orbit is the exact one-sided
-                # orbit of d: iterating on could round onto d again where
-                # that orbit returns to it, and pick the other side.
-                near, side = one_sided(orbit, d[k])
-                near &= live
-                side = side[near]
-                past[k, near] = side
-                total[near] += np.where(side, tail_right[k], tail_left[k])
-                live[near] = False
-            orbit = self.selector.tau_many(orbit)
-            total += np.where(live, self.f.eval_many(orbit), 0.0)
-        after_anchor = ~past[:, -1:]
-        past = past[:, :-1]
-        inside = np.where(xs >= a, after_anchor & past, after_anchor | past)
-        return total[:-1] - total[-1] - (tail_right - tail_left) @ inside
+        """phi at many points.  Raises ValueError on non-finite points."""
+        return transfer(self.selector.table, self.f, self.depth,
+                        [[self.anchor]], reduce_many(xs)[None, :])[0]
 
     def eval(self, x: float) -> float:
         return float(self.eval_many([x])[0])

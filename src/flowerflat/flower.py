@@ -3,7 +3,9 @@
 A p-flower is a union of p disjoint closed petals whose images under the
 map tile the circle.  A pre-image selector picks, for every point of the
 circle, its unique preimage inside the flower; it has exactly p jump
-discontinuities, located at the images of the petal endpoints.
+discontinuities, located at the images of the petal endpoints.  A
+``SelectorTable`` holds the selectors of many flowers as rows of affine
+pieces, for pushing arrays of points through all of them at once.
 """
 from __future__ import annotations
 
@@ -194,9 +196,6 @@ class PreImageSelector:
             match = min(ends, key=lambda t: distance(t[1], d))
             self._end_owner.append(match[0])
         self._table = None
-        disc = np.array(self._disc)
-        self._orbits = ([disc], [disc])
-        self._ledger, self._ledger_depth = [], 0
 
     @property
     def discontinuity_points(self) -> List[float]:
@@ -317,76 +316,39 @@ class PreImageSelector:
         """All discontinuity points of tau^n (the jump ledger's points)."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        return sorted({c for _, _, c in self.jump_ledger(n)})
+        return sorted(set(self.table.ledger(n)[3].tolist()))
 
     # -- vectorized selector orbits ----------------------------------------
 
-    def _tau_table(self) -> Tuple[np.ndarray, ...]:
-        """The affine pieces of tau sorted by their image-side start:
-        arrays (start, preimage of the start, slope, preimage length).
-        Built on first use, so selectors that never call ``tau_many``
-        skip it."""
+    @property
+    def table(self) -> "SelectorTable":
+        """This selector as a one-row ``SelectorTable``, built on first
+        use, so selectors that never push arrays of points skip it."""
         if self._table is None:
-            rows = sorted((reduce(d + off), left, slope, length)
-                          for j, d in enumerate(self._disc)
-                          for off, left, length, slope
-                          in self._pieces[self._owner[j]])
-            self._table = tuple(np.array(col) for col in zip(*rows))
+            pieces = sorted((reduce(d + off), left, slope, length)
+                            for j, d in enumerate(self._disc)
+                            for off, left, length, slope
+                            in self._pieces[self._owner[j]])
+            petals = [(p.left, p.right, p.length) for p in self.flower.petals]
+            self._table = SelectorTable(
+                self.flower.map, [np.array([col]) for col in zip(*pieces)],
+                np.array([self._disc]),
+                [np.array([col]) for col in zip(*petals)])
         return self._table
 
     def tau_many(self, xs: np.ndarray, side: str = "right") -> np.ndarray:
-        """tau on an array of reduced points: one ``searchsorted`` in the
-        tau table plus one affine map.
-
-        At a discontinuity point tau takes its right limit (the petal left
-        endpoint) with ``side='right'`` and its left limit (the petal right
-        endpoint) with ``side='left'``; no endpoint tolerance is applied.
-        """
-        starts, bases, slopes, lengths = self._tau_table()
-        j = np.searchsorted(starts, xs, side=side) - 1
-        off = xs - starts[j]
-        # j = -1 picks the last piece, whose image wraps through 0; its
-        # left limit at its own start is the end of a full turn
-        off += (off <= 0.0) if side == "left" else (off < 0.0)
-        y = bases[j] + np.minimum(off / slopes[j], lengths[j])
-        return y - (y >= 1.0)
-
-    def disc_orbits(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The right and the left orbit of the discontinuity points to
-        depth n: arrays of shape (n + 1, p) with rows tau_R^i d and
-        tau_L^i d.  Built on first use and extended when a deeper n is
-        asked for."""
-        right, left = self._orbits
-        while len(right) <= n:
-            right.append(self.tau_many(right[-1], "right"))
-            left.append(self.tau_many(left[-1], "left"))
-        return np.array(right[:n + 1]), np.array(left[:n + 1])
+        """tau on an array of reduced points, with one-sided limits at the
+        discontinuity points (``SelectorTable.tau_many``)."""
+        return self.table.tau_many(xs, side)
 
     def jump_ledger(self, n: int) -> List[Tuple[int, int, float]]:
         """The jumps of tau, ..., tau^n as (j, m, c): tau^(m+1) and every
         later iterate jump at c = T^m(d_j), d_j the j-th discontinuity
-        point, because tau^m is continuous at c and maps it to d_j.
-
-        That holds while d_j, ..., T^(m-1) d_j lie in the flower, so a
-        chain stops after its first point outside.  It also stops before
-        a point that is itself a discontinuity point: the chain from there
-        is that point's own, and each point is listed once.  The deepest
-        ledger asked for is kept, and shallower ones are cut from it.
+        point, because tau^m is continuous at c and maps it to d_j: the
+        table's ``ledger``, by j and then m.
         """
-        if n > self._ledger_depth:
-            T = self.flower.map
-            ledger = []
-            for j, d in enumerate(self._disc):
-                c = d
-                for m in range(n):
-                    ledger.append((j, m, c))
-                    if not self.flower.contains(c):
-                        break
-                    c = T.apply(c)
-                    if any(distance(c, e) <= EPS for e in self._disc):
-                        break
-            self._ledger, self._ledger_depth = ledger, n
-        return [entry for entry in self._ledger if entry[1] < n]
+        _, j, m, c = self.table.ledger(n)
+        return list(zip(j.tolist(), m.tolist(), c.tolist()))
 
 
 def selector(F: Flower) -> PreImageSelector:
@@ -462,34 +424,53 @@ def _walk_forward_many(T: ExpandingMap, starts: np.ndarray,
     return out
 
 
-class OneFlowerSelectors:
-    """The pre-image selectors of the 1-flowers [a, b] with the given left
-    endpoints a, one row per flower, for pushing points through all of
-    them in one numpy step.
+class SelectorTable:
+    """The pre-image selectors of G p-flowers of one map, one row per
+    flower, for pushing points through all of them in one numpy step.
 
-    Row g is the tau table of ``selector(one_flower(T, a[g]))``, built with
-    the same float operations, so ``tau_many`` agrees bitwise with that
-    selector's ``tau_many``.  Rows have one piece per branch the petal
-    crosses; unused slots carry the start +inf and are never selected.
+    ``pieces`` are the affine pieces of each tau, arrays (start, preimage
+    of the start, slope, preimage length) of shape (G, P) sorted by start
+    in each row; a row with fewer pieces is padded with start +inf, never
+    selected.  ``disc`` (the p sorted discontinuity points) and the petals
+    (``left``, ``right``, ``length``) have shape (G, p).  The data of the
+    closed form in ``flatten.transfer`` (``orbits``, ``chains`` and their
+    ``ledger``, and the ``sums`` of the last f) is built on first use.
     """
 
-    def __init__(self, T: ExpandingMap, lefts):
+    def __init__(self, T: ExpandingMap, pieces, disc: np.ndarray, petals):
+        self._pieces = pieces
+        self._last = (pieces[0] < np.inf).sum(axis=1) - 1
+        # a one-row table keeps its row unpacked for ``searchsorted``
+        self._row = ((pieces[0][0], pieces[1][0], pieces[2][0], pieces[3][0])
+                     if len(disc) == 1 else None)
+        self.map = T
+        self.disc = disc
+        self.left, self.right, self.length = petals
+        self._orbits = (disc[None], disc[None])
+        self._chain = [disc]
+        self._live = [np.ones(disc.shape, dtype=bool)]
+        self._ledger, self._sums = (None, None), (None, None, None)
+
+    @classmethod
+    def one_flowers(cls, T: ExpandingMap, lefts) -> "SelectorTable":
+        """The selectors of the 1-flowers [a, b] with the given left
+        endpoints a.  Row g is ``selector(one_flower(T, a[g])).table``,
+        built with the same float operations, so the two agree bitwise."""
         a = reduce_many(lefts)
         b = _walk_forward_many(T, a, 1.0)
-        self.left, self.right = a, b
-        self.length = reduce_many(b - a)
-        self.disc = T.apply_many(a)
+        length = reduce_many(b - a)
+        disc = T.apply_many(a)
         # the pieces of each petal, as in _petal_pieces
         slopes = np.asarray(T.slopes)
         pos, i = _branch_walk_start(T, a)
-        remaining = self.length.copy()
+        remaining = length.copy()
         offset = np.zeros_like(a)
         live = remaining > EPS
         columns = []
         while live.any():
             hi, wrap, nxt = _branch_walk_step(T, pos, i)
             step = np.minimum(remaining, hi - pos)
-            columns.append((np.where(live, reduce_many(self.disc + offset),
+            columns.append((np.where(live, reduce_many(disc + offset),
                                      np.inf),
                             reduce_many(pos), slopes[i], step))
             offset = offset + slopes[i] * step
@@ -498,40 +479,111 @@ class OneFlowerSelectors:
             pos = np.where(wrap, pos - 1.0, pos)
             i = nxt
             live &= remaining > EPS
-        starts, bases, piece_slopes, lengths = (
-            np.stack(col, axis=1) for col in zip(*columns))
-        rows = np.arange(len(a))[:, None]
-        order = np.argsort(starts, axis=1)
-        self._table = tuple(col[rows, order]
-                            for col in (starts, bases, piece_slopes, lengths))
-        self._last = (starts < np.inf).sum(axis=1) - 1
+        pieces = [np.stack(col, axis=1) for col in zip(*columns)]
+        order = np.argsort(pieces[0], axis=1)
+        return cls(T, [np.take_along_axis(col, order, 1) for col in pieces],
+                   disc[:, None], (a[:, None], b[:, None], length[:, None]))
 
-    def tau_many(self, xs: np.ndarray, side="right") -> np.ndarray:
-        """tau of flower g on the points xs[g] (shape (G,) or (G, P)),
-        with ``PreImageSelector.tau_many``'s one-sided limits; ``side`` is
-        'right', 'left' or an array of them that broadcasts to xs.  The
-        piece is found by counting the row's starts below each point (or
-        at it, for the right limit), an exact comparison."""
-        starts, bases, slopes, lengths = self._table
-        rows = np.arange(len(starts))[:, None]
-        x = xs.reshape(len(starts), -1)
-        left = np.broadcast_to(np.asarray(side) == "left",
-                               xs.shape).reshape(x.shape)
-        row_starts = starts[:, None, :]
-        below = np.where(left[..., None], row_starts < x[..., None],
-                         row_starts <= x[..., None])
-        j = below.sum(axis=2) - 1
-        # j = -1 picks the last piece, whose image wraps through 0
-        j = np.where(j < 0, self._last[:, None], j)
-        off = x - starts[rows, j]
-        off += np.where(left, off <= 0.0, off < 0.0)
-        y = bases[rows, j] + np.minimum(off / slopes[rows, j],
-                                        lengths[rows, j])
-        return (y - (y >= 1.0)).reshape(xs.shape)
+    def tau_many(self, xs: np.ndarray, side: str = "right") -> np.ndarray:
+        """tau of flower g on the reduced points xs[g] (any shape for a
+        one-row table), with its right limit (the petal left endpoint) at
+        a discontinuity point, or its left limit (the petal right endpoint)
+        with ``side='left'``; no endpoint tolerance is applied.  One row
+        finds the piece with one ``searchsorted``, many rows by counting
+        the row's starts below each point (or at it, for the right limit).
+        A point below every start takes the last piece, which wraps."""
+        left = side == "left"
+        if self._row is not None:
+            starts, bases, slopes, lengths = self._row
+            j = starts.searchsorted(xs, side) - 1
+            starts, bases, slopes, lengths = (starts[j], bases[j], slopes[j],
+                                              lengths[j])
+        else:
+            x = xs.reshape(len(self._last), -1)
+            row_starts = self._pieces[0][:, None, :]
+            below = (row_starts < x[..., None] if left
+                     else row_starts <= x[..., None])
+            j = below.sum(axis=2) - 1
+            j = np.where(j < 0, self._last[:, None], j)
+            rows = np.arange(len(j))[:, None]
+            starts, bases, slopes, lengths = (col[rows, j].reshape(xs.shape)
+                                              for col in self._pieces)
+        off = xs - starts
+        # the left limit at a piece's own start is the end of the piece
+        # before it, a full turn on for the last one
+        off += (off <= 0.0) if left else (off < 0.0)
+        y = bases + np.minimum(off / slopes, lengths)
+        return y - (y >= 1.0)
 
-    def contains(self, xs: np.ndarray) -> np.ndarray:
-        """``Flower.contains`` for flower g at the point xs[g]."""
-        return reduce_many(reduce_many(xs) - self.left) <= self.length
+    def orbits(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The right and the left orbit of the discontinuity points to
+        depth n: arrays of shape (n + 1, G, p) with rows tau_R^i d and
+        tau_L^i d."""
+        known = len(self._orbits[0])
+        if known <= n:
+            more = np.empty((n + 1 - known,) + self.disc.shape)
+            self._orbits = tuple(np.concatenate([o, more])
+                                 for o in self._orbits)
+            for i in range(known, n + 1):
+                for orbit, side in zip(self._orbits, ("right", "left")):
+                    orbit[i] = self.tau_many(orbit[i - 1], side)
+        right, left = self._orbits
+        return right[:n + 1], left[:n + 1]
+
+    def chains(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The jump-ledger chains to depth n: arrays (c, live) of shape
+        (n, G, p), c[m] = T^m d while the entry is live, that is, in the
+        ledger, and the chain's last live point after that.
+
+        tau^(m+1) and every later iterate jump at c = T^m d, because tau^m
+        is continuous at c and maps it to d.  That holds while d, ...,
+        T^(m-1) d lie in the flower, so a chain is live up to its first
+        point outside.  It also stops before a point within EPS of a
+        discontinuity point: the chain from there is that point's own, and
+        each point is listed once.
+        """
+        chain, live = self._chain, self._live
+        while len(chain) < n and live[-1].any():
+            c = chain[-1]
+            # Flower.contains and circle.distance, on reduced points
+            off = c[:, :, None] - self.left[:, None, :]
+            off += off < 0.0
+            inside = (off <= self.length[:, None, :]) | (off >= 1.0)
+            nxt = self.map.apply_many(c)
+            e = np.abs(nxt[:, :, None] - self.disc[:, None, :])
+            near = np.minimum(e, 1.0 - e) <= EPS
+            on = live[-1] & inside.any(axis=2) & ~near.any(axis=2)
+            chain.append(np.where(on, nxt, c))
+            live.append(on)
+        # past the end of every chain nothing changes
+        chain += chain[-1:] * (n - len(chain))
+        live += live[-1:] * (n - len(live))
+        shape = (n,) + self.disc.shape
+        return (np.array(chain[:n]).reshape(shape),
+                np.array(live[:n]).reshape(shape))
+
+    def ledger(self, n: int) -> Tuple[np.ndarray, ...]:
+        """The live entries of ``chains(n)``: arrays (g, j, m, c) of the
+        flower, the discontinuity, the level and the chain point, by g, j
+        and m.  The last ledger asked for is kept."""
+        if self._ledger[0] != n:
+            c, live = self.chains(n)
+            g, j, m = np.nonzero(live.transpose(1, 2, 0))
+            self._ledger = (n, (g, j, m, c[m, g, j]))
+        return self._ledger[1]
+
+    def sums(self, f, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The sums of f over levels 1..i of the right and of the left
+        orbit of the discontinuity points, i = 0..n: arrays of shape
+        (n + 1, G, p).  The last f and n asked for are kept, so the
+        functionals and the coboundary of one selector share them."""
+        if self._sums[0] is not f or self._sums[1] != n:
+            sums = tuple(f.eval_many(orbit) for orbit in self.orbits(n))
+            for s in sums:
+                s[0] = 0.0
+                np.cumsum(s, axis=0, out=s)
+            self._sums = (f, n, sums)
+        return self._sums[2]
 
 
 def random_flower(T: ExpandingMap, p: int, rng) -> Flower:

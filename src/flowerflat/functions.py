@@ -87,7 +87,7 @@ class PiecewiseLinear:
         shape."""
         lifted, values, slopes = self._table
         u = lifted[0] + reduce_many(np.asarray(xs, dtype=float) - lifted[0])
-        i = np.searchsorted(lifted, u, side="right") - 1
+        i = lifted.searchsorted(u, "right") - 1
         return values[i] + slopes[i] * (u - lifted[i])
 
     def __call__(self, x: float) -> float:

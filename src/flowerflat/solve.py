@@ -3,16 +3,18 @@
 The 1-flowers of an orientation-preserving expanding map form a circle
 family F_gamma = [a, b] with a = gamma; a Lipschitz function f can be
 flattened on F_gamma exactly when Phi(gamma) = integral of f' against the
-escape-time density of F_gamma vanishes.  Phi is evaluated in the closed
-form of ``flatten.Coboundary`` with anchor a, at the right end b:
+escape-time density of F_gamma vanishes.  Phi is the flattening
+functional of the flower's one discontinuity, the closed form of
+``flatten.transfer`` with anchor a, at the right end b:
 
     Phi(gamma) = f(b) - f(a) + sum_{n=1..N} [f(tau^n b) - f(tau^n a)]
                  - sum_{c in (a, b]} J_c,
 
-for a whole array of gammas at once: every flower's tau table is one row
-of a ``OneFlowerSelectors``, and all orbits move through it together, one
-level at a time.  Each value carries the truncation certificate
-Lip(f) K^-(N+1) len(F_gamma) / (1 - 1/K) of ``flatten.functional``.
+for a whole array of gammas at once: every flower is one row of
+``flower.SelectorTable.one_flowers``, and ``transfer`` pushes all of them
+together, one level at a time.  Each value carries the truncation
+certificate Lip(f) K^-(N+1) len(F_gamma) / (1 - 1/K) of
+``flatten.functional``.
 
 Phi is continuous in gamma, so roots are located by a scan of a uniform
 grid plus a multisection of every sign change, all brackets in one batch
@@ -29,19 +31,16 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circle import (Arc, EPS, distance, distance_many, lift, reduce,
-                     reduce_many)
+from .circle import Arc, distance, distance_many, lift, reduce, reduce_many
 from .dynamics import ExpandingMap, periodic_orbits
 # ``functional`` is re-exported for callers of ``solve.functional``, such as
 # the span recorder in perfbench/spans.py, which patches it here
-from .flatten import escape_counts, functional, one_sided, tail_bound
-from .flower import (Flower, OneFlowerSelectors, PreImageSelector,
-                     _walk_forward, _walk_forward_many, one_flower, selector)
+from .flatten import escape_counts, functional, tail_bound, transfer
+from .flower import (Flower, PreImageSelector, SelectorTable, _walk_forward,
+                     _walk_forward_many, one_flower, selector)
 
 #: interior points per bracket and round of the root multisection
 MULTISECTION_POINTS = 63
-#: the sides of the two orbits of a discontinuity point
-_RIGHT_LEFT = np.array(["right", "left"])
 
 
 class NoSignChange(RuntimeError):
@@ -107,70 +106,16 @@ def _off_degenerate(family: OneFlowerFamily, gammas: np.ndarray
 def phi_of_gammas(family: OneFlowerFamily, f, gammas: Sequence[float],
                   N: int) -> Tuple[np.ndarray, np.ndarray]:
     """The pre-Sturmian functional Phi at every gamma, with its truncation
-    bounds, in one numpy pass (see the module docstring).
-
-    Each flower has one discontinuity d = T(a).  Its jump ledger is the
-    chain c_m = T^m d, which stops after its first point outside the
-    flower and before a return within EPS of d; the jump at c_m is
-    J_m = sum_{i=1..N-m} [f(tau_R^i d) - f(tau_L^i d)].  A first pass
-    pushes the orbits of b and a and follows the chains; it decides for
-    every chain point whether c_m lies in (a, b], and, where the level-m
-    orbit of b or a comes within EPS of d, takes that orbit's one-sided
-    tail (``flatten.one_sided``, as in ``Coboundary.eval_many``).  This
-    gives each flower coefficients on the one-sided tails of d, which a
-    second pass sums over the orbits of d.  Every array is O(len(gammas)).
-    """
+    bounds: f(b) - f(a) plus ``flatten.transfer`` from a to b on the
+    table of the 1-flowers [a, b] (see the module docstring)."""
     T = family.map
-    sel = OneFlowerSelectors(T, _off_degenerate(family, reduce_many(gammas)))
-    a, b, d = sel.left, sel.right, sel.disc
-    start = np.stack([b, a], axis=1)
-
-    def b_minus_a(x):
-        return x[:, 0] - x[:, 1]
-
-    value = b_minus_a(f.eval_many(start))
-    # first pass: orbits of b and a, and the chains of d
-    orbit = start
-    live = np.ones(start.shape, dtype=bool)
-    c = d
-    chain = np.ones(len(a), dtype=bool)
-    # per level m: the flowers g with a jump there that counts, and its
-    # weights on the right and the left tail of d
-    drops = []
-    for m in range(N):
-        g = np.nonzero(chain)[0]
-        weight = np.zeros((len(g), 2))
-        if len(g):
-            near, right = one_sided(orbit[g], d[g, None])
-            near &= live[g]
-            past = np.where(near, right, c[g, None] <= start[g])
-            after_anchor = ~past[:, 1]
-            inside = np.where(b[g] >= a[g], after_anchor & past[:, 0],
-                              after_anchor | past[:, 0])
-            weight[:, 0] = b_minus_a((near & right).astype(int)) - inside
-            weight[:, 1] = b_minus_a((near & ~right).astype(int)) + inside
-            live[g] &= ~near
-            nxt = T.apply_many(c)
-            chain &= sel.contains(c) & (distance_many(nxt, d) > EPS)
-            c = nxt
-        counts = weight.any(axis=1)
-        drops.append((g[counts], weight[counts]))
-        orbit = sel.tau_many(orbit)
-        value += b_minus_a(np.where(live, f.eval_many(orbit), 0.0))
-    # second pass: the right and the left orbit of d; the jump at level m
-    # takes their tails over levels 1..N-m
-    coef = np.zeros(start.shape)
-    for g, weight in drops:
-        coef[g] += weight
-    if any(len(g) for g, _ in drops):
-        x = np.stack([d, d], axis=1)
-        for i in range(1, N + 1):
-            x = sel.tau_many(x, _RIGHT_LEFT)
-            value += (coef * f.eval_many(x)).sum(axis=1)
-            g, weight = drops[N - i]
-            coef[g] -= weight
+    table = SelectorTable.one_flowers(
+        T, _off_degenerate(family, reduce_many(gammas)))
+    a, b = table.left, table.right
+    value = f.eval_many(b) - f.eval_many(a) + transfer(table, f, N, a, b)
     K = T.expansion_constant
-    return value, f.lipschitz_constant() * tail_bound(K, N, sel.length)
+    return value[:, 0], f.lipschitz_constant() * tail_bound(
+        K, N, table.length[:, 0])
 
 
 def phi_of_gamma(family: OneFlowerFamily, f, gamma: float,

@@ -7,9 +7,9 @@ import pytest
 from flowerflat.circle import Arc
 from flowerflat.dynamics import make_linear_map, map_from_slopes
 from flowerflat.flower import (BoundaryAtBranchBreak, DegeneratePetal,
-                               FlowerError, OneFlowerSelectors,
-                               OverlappingPetals, SamplingFailed, one_flower,
-                               random_flower, selector, validate_flower)
+                               FlowerError, OverlappingPetals, SamplingFailed,
+                               SelectorTable, one_flower, random_flower,
+                               selector, validate_flower)
 
 T2 = make_linear_map(2)
 
@@ -178,7 +178,7 @@ class TestSelector:
         assert lhs.eval(0.25) == rhs.eval(0.25) == 1
 
 
-class TestOneFlowerSelectors:
+class TestSelectorTable:
     @pytest.mark.parametrize("T", [
         T2, make_linear_map(3), map_from_slopes([2.0, 4.0, 4.0]),
         map_from_slopes([4.0, 2.0, 4.0], fixed_point=0.3)])
@@ -188,20 +188,24 @@ class TestOneFlowerSelectors:
         gammas = np.concatenate([
             np.arange(64) / 64, rng.random(64),
             np.nextafter(breaks, 1.0), np.nextafter(breaks, 0.0)]) % 1.0
-        batch = OneFlowerSelectors(T, gammas)
-        xs = np.column_stack([batch.disc, batch.left, batch.right,
+        N = 40
+        table = SelectorTable.one_flowers(T, gammas)
+        xs = np.column_stack([table.disc, table.left, table.right,
                               rng.random((len(gammas), 3))])
-        taus = {side: batch.tau_many(xs, side) for side in ("right", "left")}
-        inside = batch.contains(xs[:, 3])
+        taus = {side: table.tau_many(xs, side) for side in ("right", "left")}
+        ledger = (*table.orbits(N), *table.chains(N))
         for g, gamma in enumerate(gammas):
             F = one_flower(T, gamma)
             sel = selector(F)
-            assert (batch.left[g], batch.right[g], batch.length[g]) == \
+            row = sel.table
+            assert (table.left[g, 0], table.right[g, 0],
+                    table.length[g, 0]) == \
                 (F.petals[0].left, F.petals[0].right, F.petals[0].length)
-            assert batch.disc[g] == sel.discontinuity_points[0]
+            assert table.disc[g, 0] == sel.discontinuity_points[0]
             for side, tau in taus.items():
-                assert np.array_equal(tau[g], sel.tau_many(xs[g], side))
-            assert inside[g] == F.contains(xs[g, 3])
+                assert np.array_equal(tau[g], row.tau_many(xs[g], side))
+            for got, want in zip(ledger, (*row.orbits(N), *row.chains(N))):
+                assert np.array_equal(got[:, g], want[:, 0])
 
 
 class TestCharacteristicIdentityRandom:

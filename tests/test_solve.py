@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import flowerflat.solve as solve_mod
 from flowerflat.circle import Arc, distance, reduce
 from flowerflat.dynamics import make_linear_map, map_from_slopes
-from flowerflat.flatten import default_depth, tail_bound
+from flowerflat.flatten import default_depth, functional, tail_bound
 from flowerflat.flower import (one_flower, random_flower, selector,
                                validate_flower)
 from flowerflat.functions import PiecewiseLinear, TrigPolynomial, demo_function
@@ -140,6 +140,18 @@ class TestPhiOfGammas:
                                               [0.3, -0.5, 0.9])):
             assert phi_of_gamma(family, f, gamma, 18) == pytest.approx(
                 reference_phi(family, f, gamma, 18), abs=1e-11)
+
+    @pytest.mark.parametrize("T", [T2, T3, S244])
+    def test_equals_the_functional_of_each_flower(self, T):
+        # one kernel: the batched rows and the one-row table of each
+        # flower's own selector take the same float operations
+        gammas = np.random.default_rng(17).random(200)
+        f = TrigPolynomial([0.3, -0.7], [0.5])
+        values, _ = phi_of_gammas(OneFlowerFamily(T), f, gammas, 40)
+        for g, value in zip(gammas, values):
+            sel = selector(one_flower(T, g))
+            want, _ = functional(sel, sel.discontinuities()[0], f, 40)
+            assert value == pytest.approx(want, abs=1e-15)
 
     def test_periodic_anchor_beyond_the_walk(self):
         # T3's 1-flower [1/2, 5/6] starts at a fixed point, which is also
