@@ -6,6 +6,13 @@ one positive slope per branch.  Each branch is affine in the lift and wraps
 the circle exactly once, so the branch lengths are the reciprocals of the
 slopes.  Inverse branches, the expansion constant K and the Lipschitz
 constant C are all exact for this class.
+
+All branch geometry goes through one monotone lift F: R -> R of the map,
+affine with slope s_i on branch i, with F(a_i) = i at the lifted breaks
+a_0 < ... < a_{k-1} < a_0 + 1 and F(u + 1) = F(u) + k.  The image of an
+arc [u, v] winds F(v) - F(u) times round the circle, the arc from u whose
+image winds w times ends at F^-1(F(u) + w), and the arc crosses a branch
+break wherever (F(u), F(v)) contains an integer.
 """
 from __future__ import annotations
 
@@ -51,6 +58,9 @@ class ExpandingMap:
                 raise ValueError(
                     "branch %d does not wrap the circle exactly once" % i)
         object.__setattr__(self, "_lifted", tuple(lifted))
+        object.__setattr__(self, "_lifted_array", np.array(lifted))
+        object.__setattr__(self, "_slope_array",
+                           np.array(self.slopes, dtype=float))
 
     @property
     def degree(self) -> int:
@@ -87,10 +97,9 @@ class ExpandingMap:
 
     def apply_many(self, xs) -> np.ndarray:
         """``apply`` on an array of points."""
-        lifted = np.asarray(self._lifted)
+        lifted, slopes = self._lifted_array, self._slope_array
         u = lifted[0] + reduce_many(np.asarray(xs, dtype=float) - lifted[0])
-        i = np.maximum(lifted.searchsorted(u, "right") - 1, 0)
-        slopes = np.asarray(self.slopes)
+        i = lifted[1:].searchsorted(u, "right")
         return reduce_many(lifted[0] + slopes[i] * (u - lifted[i]))
 
     def orbit(self, x: float, n: int) -> List[float]:
@@ -117,29 +126,36 @@ class ExpandingMap:
                 and all(s == k for s in self.slopes)
                 and all(abs(self.breaks[i] - i / k) <= EPS for i in range(k)))
 
-    def winding(self, left: float, right: float) -> float:
+    def lift(self, us) -> np.ndarray:
+        """F on an array of real points: with t whole turns past a_0 and
+        u - t in branch i, F(u) = i + kt + s_i (u - t - a_i)."""
+        lifted, slopes = self._lifted_array, self._slope_array
+        w = np.subtract(us, self._lifted[0])
+        turns = np.floor(w)
+        # the representative of u in [a_0, a_0 + 1), lifted as ``apply``
+        # lifts
+        v = self._lifted[0] + (w - turns)
+        i = lifted[1:].searchsorted(v, "right")
+        return (i + self.degree * turns) + slopes[i] * (v - lifted[i])
+
+    def lift_inverse(self, ys) -> np.ndarray:
+        """F^-1 on an array: the real points u with F(u) = y."""
+        ys = np.asarray(ys, dtype=float)
+        n = np.floor(ys)
+        turns, i = np.divmod(n.astype(int), self.degree)
+        return self._lifted_array[i] + (ys - n) / self._slope_array[i] + turns
+
+    def winding(self, left, right):
         """Total expansion of the positively oriented arc [left, right],
-        i.e. the length of its image counted with multiplicity."""
-        a0 = self._lifted[0]
-        u = a0 + reduce(left - a0)
-        length = reduce(right - left)
-        if length == 0.0 and left != right:
-            length = 1.0
-        total = 0.0
-        remaining = length
-        i = self.branch_index(left)
-        pos = u
-        while remaining > 0:
-            hi = self._lifted[i + 1] if i + 1 < self.degree else a0 + 1.0
-            step = min(remaining, hi - pos)
-            total += self.slopes[i] * step
-            remaining -= step
-            pos += step
-            i += 1
-            if i == self.degree:
-                i = 0
-                pos -= 1.0
-        return total
+        i.e. the length of its image counted with multiplicity,
+        F(left + length) - F(left); k for a full turn (right one turn
+        past left).  Arrays of ends give an array of windings."""
+        left = np.asarray(left, dtype=float)
+        length = reduce_many(np.subtract(right, left))
+        length[(length == 0.0) & (left != right)] = 1.0
+        ends = self.lift(np.array([left, left + length]))
+        total = ends[1] - ends[0]
+        return float(total) if total.ndim == 0 else total
 
 
 def make_linear_map(k: int) -> ExpandingMap:

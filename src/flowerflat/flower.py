@@ -6,6 +6,14 @@ circle, its unique preimage inside the flower; it has exactly p jump
 discontinuities, located at the images of the petal endpoints.  A
 ``SelectorTable`` holds the selectors of many flowers as rows of affine
 pieces, for pushing arrays of points through all of them at once.
+
+Petal geometry comes from the lift F of the map (``dynamics``): the arc
+from l whose image winds w times ends at F^-1(F(l) + w) (``arc_end``),
+and a petal is cut where (F(l), F(r)) contains an integer, at a branch
+break.  A petal's image winds at most once, so it is cut at most once:
+every petal is one or two affine pieces of tau, and the selectors of
+one flower and of a whole family come from the one ``SelectorTable``
+constructor.
 """
 from __future__ import annotations
 
@@ -48,36 +56,6 @@ class BoundaryAtBranchBreak(FlowerError):
 
 class SamplingFailed(FlowerError):
     """``random_flower`` found no valid flower within its attempts."""
-
-
-def _petal_pieces(T: ExpandingMap, petal: Arc):
-    """Split a petal at the branch breaks it crosses.
-
-    Returns (pieces, winding) where each piece is
-    (image_offset, left_endpoint, length, slope): the sub-arc starting at
-    ``left_endpoint`` lies in a single branch and its image starts at
-    ``image_offset`` past the image of the petal's left endpoint.
-    """
-    a0 = T.fixed_point
-    lifted = T._lifted
-    u = a0 + reduce(petal.left - a0)
-    remaining = petal.length
-    i = T.branch_index(petal.left)
-    pos = u
-    offset = 0.0
-    pieces = []
-    while remaining > EPS:
-        hi = lifted[i + 1] if i + 1 < T.degree else a0 + 1.0
-        step = min(remaining, hi - pos)
-        pieces.append((offset, reduce(pos), step, T.slopes[i]))
-        offset += T.slopes[i] * step
-        remaining -= step
-        pos += step
-        i += 1
-        if i == T.degree:
-            i = 0
-            pos -= 1.0
-    return pieces, offset
 
 
 @dataclass(frozen=True)
@@ -135,7 +113,8 @@ def validate_flower(petals: Sequence[Arc], T: ExpandingMap,
         if petal.length >= gap_to_next - EPS:
             raise OverlappingPetals(f"petals {petal} and {nxt} intersect")
 
-    windings = [T.winding(p.left, p.right) for p in petals]
+    windings = T.winding([p.left for p in petals],
+                         [p.right for p in petals]).tolist()
     total = sum(windings)
     if total < 1.0 - _IMAGE_TOL:
         raise CoverageGap(
@@ -180,49 +159,19 @@ class PreImageSelector:
     def __init__(self, flower: Flower):
         self.flower = flower
         T = flower.map
-        petals = flower.petals
-        data = [_petal_pieces(T, p) for p in petals]
-        starts = [T.apply(p.left) for p in petals]
-        order = sorted(range(len(petals)), key=lambda i: starts[i])
+        starts = [T.apply(p.left) for p in flower.petals]
+        order = sorted(range(len(starts)), key=starts.__getitem__)
         self._disc = [starts[i] for i in order]          # sorted D_F
-        self._owner = [order[j] for j in range(len(order))]
-        self._pieces = [data[i][0] for i in range(len(petals))]
-        self._winding = [data[i][1] for i in range(len(petals))]
-        # petal whose image *ends* at each discontinuity point
-        self._end_owner = []
-        for d in self._disc:
-            ends = [(i, reduce(starts[i] + self._winding[i]))
-                    for i in range(len(petals))]
-            match = min(ends, key=lambda t: distance(t[1], d))
-            self._end_owner.append(match[0])
+        # the petal whose image starts at each discontinuity point, and the
+        # one whose image ends there: the images tile the circle in order
+        self._owner = order
+        self._end_owner = order[-1:] + order[:-1]
         self._table = None
+        self._row = None
 
     @property
     def discontinuity_points(self) -> List[float]:
         return list(self._disc)
-
-    def _image_index(self, x: float) -> int:
-        i = bisect.bisect_right(self._disc, reduce(x)) - 1
-        return i % len(self._disc)
-
-    def _invert_offset(self, petal_idx: int, offset: float) -> float:
-        """Preimage at the given image offset inside the numbered petal."""
-        pieces = self._pieces[petal_idx]
-        for piece_off, left, length, slope in reversed(pieces):
-            if offset >= piece_off - EPS:
-                t = min(max((offset - piece_off) / slope, 0.0), length)
-                return reduce(left + t)
-        return self.flower.petals[petal_idx].left
-
-    def _invert(self, image_idx: int, x: float) -> float:
-        """Preimage of x inside the petal whose image starts at D[image_idx]."""
-        petal_idx = self._owner[image_idx]
-        offset = reduce(x - self._disc[image_idx])
-        w = self._winding[petal_idx]
-        if offset > w:
-            # x fell outside the image arc by rounding; snap to the nearer end
-            offset = 0.0 if offset > (1.0 + w) / 2.0 else w
-        return self._invert_offset(petal_idx, offset)
 
     def _jump_value(self, disc_idx: int, side: str) -> float:
         if side == "right":
@@ -232,12 +181,23 @@ class PreImageSelector:
     def tau(self, x: float, side: str = "right") -> float:
         """The selected preimage of x.  Within EPS of a discontinuity point
         tau takes its right limit (the petal left endpoint there), or its
-        left limit (the petal right endpoint) with ``side='left'``."""
+        left limit (the petal right endpoint) with ``side='left'``.
+        Elsewhere it is ``tau_many`` of the one-row table, on the row's
+        pieces as Python lists: one step of a sequential orbit costs less
+        than a numpy call."""
         x = reduce(x)
         for i, d in enumerate(self._disc):
             if distance(x, d) <= EPS:
                 return self._jump_value(i, side)
-        return self._invert(self._image_index(x), x)
+        if self._row is None:
+            self._row = [col.tolist() for col in self.table._row]
+        starts, bases, slopes, lengths = self._row
+        j = bisect.bisect_right(starts, x) - 1
+        off = x - starts[j]
+        if off < 0.0:
+            off += 1.0
+        y = bases[j] + min(off / slopes[j], lengths[j])
+        return y - 1.0 if y >= 1.0 else y
 
     def discontinuities(self) -> List[Discontinuity]:
         """The p discontinuities with their I/J arcs and A-membership."""
@@ -323,17 +283,12 @@ class PreImageSelector:
     @property
     def table(self) -> "SelectorTable":
         """This selector as a one-row ``SelectorTable``, built on first
-        use, so selectors that never push arrays of points skip it."""
+        use, so selectors that never map a point skip it."""
         if self._table is None:
-            pieces = sorted((reduce(d + off), left, slope, length)
-                            for j, d in enumerate(self._disc)
-                            for off, left, length, slope
-                            in self._pieces[self._owner[j]])
-            petals = [(p.left, p.right, p.length) for p in self.flower.petals]
+            petals = self.flower.petals
             self._table = SelectorTable(
-                self.flower.map, [np.array([col]) for col in zip(*pieces)],
-                np.array([self._disc]),
-                [np.array([col]) for col in zip(*petals)])
+                self.flower.map, np.array([[p.left for p in petals]]),
+                np.array([[p.right for p in petals]]))
         return self._table
 
     def tau_many(self, xs: np.ndarray, side: str = "right") -> np.ndarray:
@@ -355,134 +310,83 @@ def selector(F: Flower) -> PreImageSelector:
     return PreImageSelector(F)
 
 
-def _walk_forward(T: ExpandingMap, start: float, image_length: float) -> float:
-    """Endpoint of the arc starting at ``start`` whose image has the given
-    length (exact accumulation over the affine branch pieces)."""
-    a0 = T.fixed_point
-    lifted = T._lifted
-    i = T.branch_index(start)
-    pos = a0 + reduce(start - a0)
-    remaining = image_length
-    while True:
-        hi = lifted[i + 1] if i + 1 < T.degree else a0 + 1.0
-        capacity = T.slopes[i] * (hi - pos)
-        if remaining <= capacity:
-            return reduce(pos + remaining / T.slopes[i])
-        remaining -= capacity
-        pos = hi
-        i += 1
-        if i == T.degree:
-            i = 0
-            pos -= 1.0
+def arc_end(T: ExpandingMap, start, winding) -> np.ndarray:
+    """The reduced end F^-1(F(start) + winding) of the arc from ``start``
+    whose image winds ``winding`` times round the circle (the start of
+    the arc that ends at ``start`` for a negative winding), on arrays."""
+    return reduce_many(T.lift_inverse(T.lift(start) + winding))
 
 
 def one_flower(T: ExpandingMap, gamma: float) -> Flower:
     """The 1-flower whose petal starts at gamma (image winds exactly once)."""
     a = reduce(gamma)
-    b = _walk_forward(T, a, 1.0)
+    b = float(arc_end(T, a, 1.0))
     return validate_flower([Arc(a, b)], T, allow_break_endpoints=True)
-
-
-def _branch_walk_start(T: ExpandingMap, starts: np.ndarray):
-    """Lifted start points and their branch indices, as ``_walk_forward``
-    and ``_petal_pieces`` compute them, on arrays."""
-    lifted = np.asarray(T._lifted)
-    pos = lifted[0] + reduce_many(starts - lifted[0])
-    i = np.maximum(np.searchsorted(lifted, pos, side="right") - 1, 0)
-    return pos, i
-
-
-def _branch_walk_step(T: ExpandingMap, pos: np.ndarray, i: np.ndarray):
-    """The end of branch i, and the next (pos, i) of a walk that has
-    reached it, wrapping past the last branch as the scalar walks do."""
-    lifted = np.asarray(T._lifted)
-    k = T.degree
-    hi = np.where(i + 1 < k, lifted[np.minimum(i + 1, k - 1)],
-                  lifted[0] + 1.0)
-    wrap = i + 1 == k
-    return hi, wrap, np.where(wrap, 0, i + 1)
-
-
-def _walk_forward_many(T: ExpandingMap, starts: np.ndarray,
-                       image_length: float) -> np.ndarray:
-    """``_walk_forward`` on an array of start points, with the same float
-    operations, so each endpoint equals the scalar one bitwise."""
-    slopes = np.asarray(T.slopes)
-    pos, i = _branch_walk_start(T, starts)
-    remaining = np.full(pos.shape, float(image_length))
-    out = np.empty_like(pos)
-    todo = np.ones(pos.shape, dtype=bool)
-    while todo.any():
-        hi, wrap, nxt = _branch_walk_step(T, pos, i)
-        capacity = slopes[i] * (hi - pos)
-        done = todo & (remaining <= capacity)
-        out[done] = reduce_many(pos[done] + remaining[done] / slopes[i[done]])
-        todo &= ~done
-        remaining = remaining - capacity
-        pos = np.where(wrap, hi - 1.0, hi)
-        i = nxt
-    return out
 
 
 class SelectorTable:
     """The pre-image selectors of G p-flowers of one map, one row per
     flower, for pushing points through all of them in one numpy step.
 
-    ``pieces`` are the affine pieces of each tau, arrays (start, preimage
-    of the start, slope, preimage length) of shape (G, P) sorted by start
-    in each row; a row with fewer pieces is padded with start +inf, never
-    selected.  ``disc`` (the p sorted discontinuity points) and the petals
-    (``left``, ``right``, ``length``) have shape (G, p).  The data of the
-    closed form in ``flatten.transfer`` (``orbits``, ``chains`` and their
-    ``ledger``, and the ``sums`` of the last f) is built on first use.
+    The table is built from the petals, arrays ``left`` and ``right``
+    of shape (G, p); ``length`` and ``disc`` (the p sorted discontinuity
+    points) have that shape too.  The affine pieces of each tau are
+    arrays (start, preimage of the start, slope, preimage length) of
+    shape (G, P) sorted by start in each row; a row with fewer pieces is
+    padded with start +inf, never selected.  The data of the closed form
+    in ``flatten.transfer`` (``orbits``, ``chains`` and their ``ledger``,
+    and the ``sums`` of the last f) is built on first use.
     """
 
-    def __init__(self, T: ExpandingMap, pieces, disc: np.ndarray, petals):
-        self._pieces = pieces
-        self._last = (pieces[0] < np.inf).sum(axis=1) - 1
-        # a one-row table keeps its row unpacked for ``searchsorted``
-        self._row = ((pieces[0][0], pieces[1][0], pieces[2][0], pieces[3][0])
-                     if len(disc) == 1 else None)
+    def __init__(self, T: ExpandingMap, left: np.ndarray, right: np.ndarray):
         self.map = T
-        self.disc = disc
-        self.left, self.right, self.length = petals
-        self._orbits = (disc[None], disc[None])
-        self._chain = [disc]
-        self._live = [np.ones(disc.shape, dtype=bool)]
+        self.left, self.right = left, right
+        # ``Arc.length``: the difference of two reduced points lies in
+        # (-1, 1), where x + (x < 0) reduces it exactly (short of a petal
+        # one turn long)
+        self.length = right - left
+        self.length += self.length < 0.0
+        starts = T.apply_many(left)
+        self.disc = np.sort(starts, axis=1)
+        # A petal's image winds at most once, so the petal crosses at most
+        # one break: the first past its left end, where F reaches the next
+        # integer m.  The head piece runs up to it; the tail piece past it,
+        # kept when longer than EPS, starts where the head's image ends.
+        m = np.floor(T.lift(left)).astype(int) + 1
+        brk = T.lift_inverse(m)
+        head = np.minimum(self.length, brk - left)
+        tail = self.length - head
+        slopes = np.asarray(T.slopes, dtype=float)
+        head_slope = slopes[(m - 1) % T.degree]
+        # both lie in [0, 2), where x - (x >= 1) reduces exactly
+        tail_start = starts + head_slope * head
+        tail_start -= tail_start >= 1.0
+        tail_start[tail <= EPS] = np.inf
+        pieces = np.concatenate([
+            np.array([starts, left, head_slope, head]),
+            np.array([tail_start, brk - (brk >= 1.0), slopes[m % T.degree],
+                      tail])], axis=2)
+        rows = np.arange(len(left))[:, None]
+        self._pieces = pieces[:, rows, np.argsort(pieces[0], axis=1,
+                                                  kind="stable")]
+        self._last = (self._pieces[0] < np.inf).sum(axis=1) - 1
+        # a one-row table keeps its row unpacked, without the padding, for
+        # ``searchsorted``
+        self._row = (tuple(self._pieces[:, 0, :self._last[0] + 1])
+                     if len(left) == 1 else None)
+        self._orbits = (self.disc[None], self.disc[None])
+        self._chain = [self.disc]
+        self._live = [np.ones(self.disc.shape, dtype=bool)]
         self._ledger, self._sums = (None, None), (None, None, None)
 
     @classmethod
     def one_flowers(cls, T: ExpandingMap, lefts) -> "SelectorTable":
         """The selectors of the 1-flowers [a, b] with the given left
         endpoints a.  Row g is ``selector(one_flower(T, a[g])).table``,
-        built with the same float operations, so the two agree bitwise."""
-        a = reduce_many(lefts)
-        b = _walk_forward_many(T, a, 1.0)
-        length = reduce_many(b - a)
-        disc = T.apply_many(a)
-        # the pieces of each petal, as in _petal_pieces
-        slopes = np.asarray(T.slopes)
-        pos, i = _branch_walk_start(T, a)
-        remaining = length.copy()
-        offset = np.zeros_like(a)
-        live = remaining > EPS
-        columns = []
-        while live.any():
-            hi, wrap, nxt = _branch_walk_step(T, pos, i)
-            step = np.minimum(remaining, hi - pos)
-            columns.append((np.where(live, reduce_many(disc + offset),
-                                     np.inf),
-                            reduce_many(pos), slopes[i], step))
-            offset = offset + slopes[i] * step
-            remaining = remaining - step
-            pos = pos + step
-            pos = np.where(wrap, pos - 1.0, pos)
-            i = nxt
-            live &= remaining > EPS
-        pieces = [np.stack(col, axis=1) for col in zip(*columns)]
-        order = np.argsort(pieces[0], axis=1)
-        return cls(T, [np.take_along_axis(col, order, 1) for col in pieces],
-                   disc[:, None], (a[:, None], b[:, None], length[:, None]))
+        built by the same constructor from the same petal ends, so the
+        two agree bitwise."""
+        a = reduce_many(lefts)[:, None]
+        return cls(T, a, arc_end(T, a, 1.0))
 
     def tau_many(self, xs: np.ndarray, side: str = "right") -> np.ndarray:
         """tau of flower g on the reduced points xs[g] (any shape for a
@@ -598,6 +502,12 @@ def random_flower(T: ExpandingMap, p: int, rng) -> Flower:
         raise ValueError("degree-2 maps admit no flower with an even "
                          "number of petals")
     margin = 0.02
+    # the p gaps between the discontinuity points sum to 1 and each must
+    # be at least margin wide, and the gap that holds the fixed point at
+    # least twice that: no draw can pass unless (p + 1) margin < 1
+    if (p + 1) * margin >= 1.0:
+        raise SamplingFailed(f"no {p}-flower keeps its discontinuity points "
+                             f"{margin} apart and off the fixed point")
     for _ in range(1000):
         d = sorted(rng.uniform(0.0, 1.0) for _ in range(p))
         if p > 1 and min((reduce(d[(i + 1) % p] - d[i]) or 1.0)
@@ -606,12 +516,10 @@ def random_flower(T: ExpandingMap, p: int, rng) -> Flower:
         if any(distance(x, T.fixed_point) < margin for x in d):
             continue
         choices = [rng.randrange(k) for _ in range(p)]
-        petals = []
-        for i in range(p):
-            image_len = (reduce(d[(i + 1) % p] - d[i]) or 1.0)
-            left = T.inverse_branch(choices[i], d[i])
-            right = _walk_forward(T, left, image_len)
-            petals.append(Arc(left, right))
+        lefts = [T.inverse_branch(choices[i], d[i]) for i in range(p)]
+        image_lens = [reduce(d[(i + 1) % p] - d[i]) or 1.0 for i in range(p)]
+        rights = arc_end(T, lefts, image_lens).tolist()
+        petals = [Arc(l, r) for l, r in zip(lefts, rights)]
         # reject chains that merge adjacent petals or collide
         try:
             return validate_flower(petals, T)

@@ -36,8 +36,8 @@ from .dynamics import ExpandingMap, periodic_orbits
 # ``functional`` is re-exported for callers of ``solve.functional``, such as
 # the span recorder in perfbench/spans.py, which patches it here
 from .flatten import escape_counts, functional, tail_bound, transfer
-from .flower import (Flower, PreImageSelector, SelectorTable, _walk_forward,
-                     _walk_forward_many, one_flower, selector)
+from .flower import (Flower, PreImageSelector, SelectorTable, arc_end,
+                     one_flower, selector)
 
 #: interior points per bracket and round of the root multisection
 MULTISECTION_POINTS = 63
@@ -65,23 +65,12 @@ class OneFlowerFamily:
         return one_flower(self.map, gamma)
 
     def right_endpoint(self, gamma: float) -> float:
-        return _walk_forward(self.map, reduce(gamma), 1.0)
+        return float(arc_end(self.map, reduce(gamma), 1.0))
 
     def gamma_with_right_endpoint(self, b: float) -> float:
-        """The parameter whose flower ends at b (exact for affine maps)."""
-        T = self.map
-        lo, hi = 0.0, 1.0
-        target = reduce(b)
-        # winding from b backwards: invert by monotone bisection on gamma
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            g = reduce(target - mid)
-            w = T.winding(g, target)
-            if w < 1.0:
-                lo = mid
-            else:
-                hi = mid
-        return reduce(target - 0.5 * (lo + hi))
+        """The parameter whose flower ends at b: the start of the arc that
+        ends at b and whose image winds once, F^-1(F(b) - 1)."""
+        return float(arc_end(self.map, reduce(b), -1.0))
 
 
 def _off_degenerate(family: OneFlowerFamily, gammas: np.ndarray
@@ -95,7 +84,7 @@ def _off_degenerate(family: OneFlowerFamily, gammas: np.ndarray
     breaks = np.asarray(T.breaks)
     gammas = gammas.copy()
     for _ in range(4):
-        ends = np.stack([gammas, _walk_forward_many(T, gammas, 1.0)])
+        ends = np.stack([gammas, arc_end(T, gammas, 1.0)])
         bad = (distance_many(ends[..., None], breaks) <= 1e-9).any(axis=(0, 2))
         if not bad.any():
             break
@@ -424,7 +413,10 @@ def rank_test(F: Flower, N: int = 15, grid: int = 512,
 
     The densities are sampled at the midpoints of the cells cut at the
     petal endpoints, at their one-sided selector orbits to depth N (where
-    the arcs tau^n I_x end) and at a uniform grid."""
+    the arcs tau^n I_x end) and at a uniform grid.  Raises ValueError
+    for N < 0."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
     sel = selector(F)
     ends = np.array(F.boundary())
     cuts = [ends, np.arange(grid) / grid]

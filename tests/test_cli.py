@@ -245,6 +245,24 @@ class TestRank:
         assert main(["rank", "--config", cfg]) == EXIT_INVALID
         assert "61-flower" in capsys.readouterr().err
 
+    def test_flower_too_large_to_sample(self, tmp_path, capsys):
+        # rejected before a single point is drawn
+        cfg = _write_config(tmp_path, {
+            "map": {"type": "linear", "k": 3},
+            "p": 10 ** 7,
+        })
+        assert main(["rank", "--config", cfg]) == EXIT_INVALID
+        assert "10000000-flower" in capsys.readouterr().err
+
+    def test_negative_depth_rejected(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {
+            "map": {"type": "linear", "k": 3},
+            "p": 2,
+        })
+        assert main(["rank", "--config", cfg, "--depth", "-1"]) == \
+            EXIT_INVALID
+        assert "N must be >= 0" in capsys.readouterr().err
+
 
 class TestOrbits:
     def test_exact_orbits_with_averages(self, tmp_path):

@@ -71,6 +71,42 @@ class TestMapFromSlopes:
             assert T.winding(left, right) == pytest.approx(1.0, abs=1e-9)
 
 
+class TestLift:
+    MAPS = [make_linear_map(2), make_linear_map(3),
+            map_from_slopes([2.0, 4.0, 4.0]),
+            map_from_slopes([4.0, 2.0, 4.0], fixed_point=0.3)]
+
+    @pytest.mark.parametrize("T", MAPS)
+    def test_integers_at_the_lifted_breaks(self, T):
+        k = T.degree
+        lifted = np.array(T._lifted)
+        for turns in (-1, 0, 1):
+            assert T.lift(lifted + turns).tolist() == \
+                [i + k * turns for i in range(k)]
+        assert T.lift_inverse(np.arange(-k, 2 * k)).tolist() == \
+            np.concatenate([lifted - 1, lifted, lifted + 1]).tolist()
+
+    @pytest.mark.parametrize("T", MAPS)
+    def test_equivariant_monotone_and_inverted(self, T):
+        rng = np.random.default_rng(4)
+        u = np.sort(rng.uniform(-1.0, 2.0, 2000))
+        y = T.lift(u)
+        assert np.all(np.diff(y) >= 0.0)
+        assert T.lift(u + 1.0) == pytest.approx(y + T.degree, abs=1e-14)
+        assert T.lift_inverse(y) == pytest.approx(u, abs=1e-15)
+        # the circle image is the fractional part of F past the fixed point
+        x = u % 1.0
+        assert np.allclose((T.fixed_point + T.lift(x)) % 1.0,
+                           T.apply_many(x), rtol=0.0, atol=1e-14)
+
+    def test_winding_of_arrays_and_of_a_full_turn(self):
+        T = map_from_slopes([2.0, 4.0, 4.0])
+        assert T.winding([0.25, 0.5], [0.5, 0.75]) == \
+            pytest.approx([0.5, 1.0], abs=1e-15)
+        assert T.winding(0.3, 0.3) == 0.0
+        assert T.winding(0.3, 1.3) == pytest.approx(3.0, abs=1e-15)
+
+
 class TestInverseBranches:
     def test_doubling_preimages(self):
         T = make_linear_map(2)

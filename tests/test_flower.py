@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from flowerflat.circle import Arc
+from flowerflat.circle import EPS, Arc
 from flowerflat.dynamics import make_linear_map, map_from_slopes
 from flowerflat.flower import (BoundaryAtBranchBreak, DegeneratePetal,
                                FlowerError, OverlappingPetals, SamplingFailed,
@@ -90,6 +90,15 @@ class TestRandomFlower:
         with pytest.raises(SamplingFailed):
             random_flower(make_linear_map(3), 61, random.Random(5))
 
+    def test_gives_up_before_drawing_when_no_spacing_fits(self):
+        # p points 0.02 apart and off the fixed point need (p + 1) 0.02 < 1
+        rng = random.Random(5)
+        state = rng.getstate()
+        for p in (49, 10 ** 7):
+            with pytest.raises(SamplingFailed):
+                random_flower(make_linear_map(3), p, rng)
+        assert rng.getstate() == state
+
 
 class TestSelector:
     def setup_method(self):
@@ -154,14 +163,21 @@ class TestSelector:
         assert sel.jump_ledger(5) == [(0, 0, 1 / 3), (0, 1, 2 / 3)]
 
     def test_tau_many_matches_tau_with_one_sided_limits(self):
+        # bitwise away from the discontinuity points, where tau snaps to
+        # a petal end within EPS
         rng = random.Random(9)
-        for k, p in ((2, 3), (3, 2), (4, 1)):
-            sel = selector(random_flower(make_linear_map(k), p, rng))
-            xs = np.array([rng.random() for _ in range(300)])
+        maps = [make_linear_map(k) for k in (2, 3, 4)] + [
+            map_from_slopes([2.0, 4.0, 4.0]),
+            map_from_slopes([4.0, 2.0, 4.0], fixed_point=0.3)]
+        for T, p in zip(maps * 2, (3, 2, 1, 2, 3, 1, 1, 3, 1, 1)):
+            sel = selector(random_flower(T, p, rng))
+            xs = np.array([rng.random() for _ in range(4000)])
+            ds = np.array(sel.discontinuity_points)
+            far = np.abs((xs[:, None] - ds + 0.5) % 1.0 - 0.5) > EPS
+            xs = xs[far.all(axis=1)]
             for side in ("right", "left"):
-                assert sel.tau_many(xs, side) == pytest.approx(
-                    [sel.tau(x, side) for x in xs], abs=1e-13)
-                ds = np.array(sel.discontinuity_points)
+                assert sel.tau_many(xs, side).tolist() == \
+                    [sel.tau(x, side) for x in xs]
                 assert sel.tau_many(ds, side) == pytest.approx(
                     [sel.tau(d, side) for d in ds], abs=1e-13)
 
@@ -206,6 +222,36 @@ class TestSelectorTable:
                 assert np.array_equal(tau[g], row.tau_many(xs[g], side))
             for got, want in zip(ledger, (*row.orbits(N), *row.chains(N))):
                 assert np.array_equal(got[:, g], want[:, 0])
+
+    @pytest.mark.parametrize("T", [
+        make_linear_map(3), make_linear_map(4),
+        map_from_slopes([2.0, 4.0, 4.0]),
+        map_from_slopes([4.0, 2.0, 4.0], fixed_point=0.3)])
+    def test_rows_of_p_flowers_equal_their_selectors_bitwise(self, T):
+        # a table of several 3-flowers, whose rows are padded to the
+        # longest, against each flower's own one-row table
+        rng = random.Random(13)
+        flowers = [random_flower(T, 3, rng) for _ in range(6)]
+        table = SelectorTable(
+            T, np.array([[q.left for q in F.petals] for F in flowers]),
+            np.array([[q.right for q in F.petals] for F in flowers]))
+        N = 30
+        xs = np.column_stack([table.disc, table.left, table.right,
+                              np.random.default_rng(2).random((6, 20))])
+        taus = {side: table.tau_many(xs, side) for side in ("right", "left")}
+        ledger = (*table.orbits(N), *table.chains(N))
+        for g, F in enumerate(flowers):
+            row = selector(F).table
+            for name in ("disc", "left", "right", "length"):
+                assert np.array_equal(getattr(table, name)[g],
+                                      getattr(row, name)[0])
+            for side, tau in taus.items():
+                assert np.array_equal(tau[g], row.tau_many(xs[g], side))
+            for got, want in zip(ledger, (*row.orbits(N), *row.chains(N))):
+                assert np.array_equal(got[:, g], want[:, 0])
+            # the one petal whose image passes the fixed point is cut at
+            # its branch break, the others are not cut
+            assert len(row._row[0]) <= F.p + 1
 
 
 class TestCharacteristicIdentityRandom:

@@ -96,6 +96,19 @@ class TestOneFlowerFamily:
             assert fam.gamma_with_right_endpoint(b) == \
                 pytest.approx(g, abs=1e-9)
 
+    @pytest.mark.parametrize("T", [
+        T2, T3, S244, map_from_slopes([4.0, 2.0, 4.0], fixed_point=0.3)])
+    def test_endpoint_round_trips(self, T):
+        fam = OneFlowerFamily(T)
+        rng = random.Random(8)
+        points = [i / 512 for i in range(512)]
+        points += [rng.random() for _ in range(512)]
+        for x in points:
+            b = fam.right_endpoint(fam.gamma_with_right_endpoint(x))
+            assert distance(b, x) <= 1e-15
+            g = fam.gamma_with_right_endpoint(fam.right_endpoint(x))
+            assert distance(g, x) <= 1e-15
+
 
 class TestPhiOfGamma:
     def test_even_function_at_symmetric_flower(self):
@@ -306,6 +319,11 @@ class TestOrbitOracle:
 class TestRankTest:
     def test_semicircle(self):
         assert rank_test(one_flower(T2, 0.25)) == (2, 1)
+
+    def test_negative_depth_rejected(self):
+        # with N < 0 no density would be counted, and the rank would be 1
+        with pytest.raises(ValueError):
+            rank_test(one_flower(T2, 0.25), N=-1)
 
     def test_random_flowers(self):
         rng = random.Random(21)
