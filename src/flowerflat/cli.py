@@ -1,7 +1,12 @@
 """Command-line interface: config ingestion and deterministic reports.
 
-Subcommands: validate, scan, flatten, solve, rank, orbits, demo.  All
-numeric output is emitted with 17 significant digits in a fixed order, so
+Subcommands: validate, scan, flatten, solve, rank, orbits, demo.  The
+settings table ``SETTINGS`` lists the settings each command reads, with
+their defaults; a command registers an option only for those of its
+settings that are options (``OPTIONS``), and ``_load`` reads every
+setting from its option or else its config key and checks it by the one
+rule ``RULES`` gives its name, before any computation.  All numeric
+output is emitted with 17 significant digits in a fixed order, so
 identical configs produce byte-identical CSV/JSON.  Exit codes: 0 ok,
 2 invalid spec, 3 not flattenable, 4 no solution found.
 """
@@ -12,10 +17,12 @@ import json
 import math
 import random
 import sys
+from types import SimpleNamespace
 from typing import List, Optional
 
 from .circle import Arc, reduce
-from .dynamics import ExpandingMap, make_linear_map
+from .dynamics import (MAX_PERIOD, ExpandingMap, check_periodic_orbits,
+                       make_linear_map, periodic_orbits)
 from .flatten import (build_coboundary, default_depth, flattened_values,
                       functional, is_flat, normal_form_check, petal_samples)
 from .flower import (Flower, FlowerError, random_flower, selector,
@@ -34,6 +41,51 @@ EXIT_NO_SOLUTION = 4
 #: largest degree k of a linear map spec; building T_k takes O(k) time and
 #: memory, so larger k is rejected before anything is allocated
 MAX_LINEAR_DEGREE = 1000
+#: largest truncation depth N; the selector tables of ``scan`` and
+#: ``solve`` keep the orbits and ledger chains of every scanned flower to
+#: depth N, so their memory grows with grid * depth (see MAX_GRID)
+MAX_DEPTH = 1000
+#: largest grid of ``scan``, ``solve`` and ``rank``; ``scan`` on T2 with
+#: cos at MAX_GRID x MAX_DEPTH takes 4.9 s and 471 MB peak RSS (at grid
+#: 2048, 1.3 s and 141 MB; Python 3.11, numpy 2.4, 2 CPUs)
+MAX_GRID = 8192
+#: largest ``burn_in`` and ``length`` of a Sturmian estimate, each one
+#: scalar selector step; an orbit that is not certified periodic takes
+#: about 4.4 us a step, 45 s for 10^7 steps (same machine)
+MAX_ORBIT_STEPS = 10 ** 7
+
+#: the rule of each setting name, the same in every command that reads
+#: it, and of the linear map degree: (type, least value, greatest value,
+#: the rule in words); the least positive and the greatest finite float
+#: bound ``tol``
+RULES = {
+    "map.k": (int, 2, MAX_LINEAR_DEGREE,
+              f"an integer in [2, {MAX_LINEAR_DEGREE}]"),
+    "depth": (int, 1, MAX_DEPTH, f"an integer in [1, {MAX_DEPTH}]"),
+    "grid": (int, 2, MAX_GRID, f"an integer in [2, {MAX_GRID}]"),
+    "tol": (float, math.ulp(0.0), sys.float_info.max, "finite and > 0"),
+    "seed": (int, -math.inf, math.inf, "an integer"),
+    "burn_in": (int, 1, MAX_ORBIT_STEPS,
+                f"an integer in [1, {MAX_ORBIT_STEPS}]"),
+    "length": (int, 1, MAX_ORBIT_STEPS,
+               f"an integer in [1, {MAX_ORBIT_STEPS}]"),
+    "max_period": (int, 1, MAX_PERIOD, f"an integer in [1, {MAX_PERIOD}]"),
+    "p": (int, 1, math.inf, "an integer >= 1"),
+}
+#: the settings that are options as well as config keys
+OPTIONS = ("depth", "grid", "tol", "seed")
+#: the settings each command reads, with their defaults; a depth of None
+#: is chosen by ``default_depth`` for the config's function and map
+SETTINGS = {
+    "validate": {},
+    "scan": {"depth": None, "grid": 512},
+    "flatten": {"depth": None, "tol": 1e-8},
+    "solve": {"depth": None, "grid": 512, "tol": 1e-10, "burn_in": 1000,
+              "length": 100000, "max_period": 10},
+    "rank": {"depth": 15, "grid": 512, "seed": 0, "p": 2},
+    "orbits": {"max_period": 10},
+    "demo": {},
+}
 
 
 class ConfigError(ValueError):
@@ -63,11 +115,7 @@ def build_map(spec) -> ExpandingMap:
         raise ConfigError("map spec needs a 'type' field")
     try:
         if spec["type"] == "linear":
-            k = _finite(spec, "k", "map.k")
-            if k != int(k) or not 2 <= k <= MAX_LINEAR_DEGREE:
-                raise ConfigError("map.k must be an integer in [2, "
-                                  f"{MAX_LINEAR_DEGREE}], got {spec['k']!r}")
-            return make_linear_map(int(k))
+            return make_linear_map(_setting("map.k", spec["k"]))
         if spec["type"] == "piecewise_affine":
             return ExpandingMap(tuple(_finite(spec, "breaks", "map.breaks")),
                                 tuple(_finite(spec, "slopes", "map.slopes")))
@@ -127,21 +175,45 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _knob(cfg: dict, args, name: str, default):
-    val = getattr(args, name, None)
-    if val is None:
-        val = cfg.get(name, default)
-    return val
+def _setting(name: str, value):
+    """value as the setting ``name`` takes it; a ConfigError names the
+    setting unless value is a number (not a bool) that keeps its rule in
+    ``RULES``.  An integer setting takes an integral float as an int."""
+    kind, low, high, words = RULES[name]
+    if kind is int and type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) not in (int, kind) or not low <= value <= high:
+        raise ConfigError(f"{name} must be {words}, got {value!r}")
+    return kind(value)
 
 
-def _pick_depth(cfg, args, f, T: ExpandingMap) -> int:
-    depth = _knob(cfg, args, "depth", None)
-    if depth is not None:
-        depth = int(depth)
-        if depth < 1:
-            raise ConfigError("depth must be >= 1")
-        return depth
-    return default_depth(f.lipschitz_constant(), T.expansion_constant, 1e-10)
+def _load(args, *required: str):
+    """The config of ``args`` as (settings, map, function, flower); the
+    function and the flower are None when the config has no such section,
+    and a ConfigError names a ``required`` section that is missing.
+
+    The settings are those ``SETTINGS`` lists for ``args.command``, each
+    from its option, else its config key, else its default, and checked
+    by ``_setting``; a depth left to None is chosen by ``default_depth``
+    for the function and the map, and checked too."""
+    cfg = load_config(args.config)
+    for section in required:
+        if section not in cfg:
+            raise ConfigError(f"config needs a '{section}' section")
+    T = build_map(cfg.get("map", {"type": "linear", "k": 2}))
+    f = build_function(cfg["function"]) if "function" in cfg else None
+    F = build_flower(cfg["flower"], T) if "flower" in cfg else None
+    settings = {}
+    for name, value in SETTINGS[args.command].items():
+        if getattr(args, name, None) is not None:
+            value = getattr(args, name)
+        elif name in cfg:
+            value = cfg[name]
+        elif value is None:
+            value = default_depth(f.lipschitz_constant(),
+                                  T.expansion_constant, 1e-10)
+        settings[name] = _setting(name, value)
+    return SimpleNamespace(**settings), T, f, F
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -157,18 +229,14 @@ def _emit_json(report: dict, out_path: Optional[str]) -> None:
 
 
 def cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    report = {}
-    T = build_map(cfg.get("map", {"type": "linear", "k": 2}))
-    report["map"] = {"degree": T.degree,
-                     "expansion_constant": T.expansion_constant,
-                     "lipschitz_constant": T.lipschitz_constant,
-                     "fixed_point": T.fixed_point}
-    if "function" in cfg:
-        f = build_function(cfg["function"])
+    _, T, f, F = _load(args)
+    report = {"map": {"degree": T.degree,
+                      "expansion_constant": T.expansion_constant,
+                      "lipschitz_constant": T.lipschitz_constant,
+                      "fixed_point": T.fixed_point}}
+    if f is not None:
         report["function"] = {"lipschitz_constant": f.lipschitz_constant()}
-    if "flower" in cfg:
-        F = build_flower(cfg["flower"], T)
+    if F is not None:
         report["flower"] = {
             "p": F.p,
             "petals": [[p.left, p.right] for p in F.petals],
@@ -180,12 +248,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    cfg = load_config(args.config)
-    T = build_map(cfg.get("map", {"type": "linear", "k": 2}))
-    f = build_function(cfg["function"])
-    grid = int(_knob(cfg, args, "grid", 512))
-    depth = _pick_depth(cfg, args, f, T)
-    rows = scan(OneFlowerFamily(T), f, grid, depth)
+    s, T, f, _ = _load(args, "function")
+    rows = scan(OneFlowerFamily(T), f, s.grid, s.depth)
     lines = ["gamma,phi,error_bound"]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     _emit("\n".join(lines) + "\n", args.out)
@@ -193,31 +257,26 @@ def cmd_scan(args) -> int:
 
 
 def cmd_flatten(args) -> int:
-    cfg = load_config(args.config)
-    T = build_map(cfg.get("map", {"type": "linear", "k": 2}))
-    f = build_function(cfg["function"])
-    F = build_flower(cfg["flower"], T)
-    depth = _pick_depth(cfg, args, f, T)
-    tol = float(_knob(cfg, args, "tol", 1e-8))
+    s, T, f, F = _load(args, "function", "flower")
     sel = selector(F)
     functionals = []
     bounds = []
     flattenable = True
     for disc in sel.discontinuities():
-        value, err = functional(sel, disc, f, depth)
+        value, err = functional(sel, disc, f, s.depth)
         functionals.append(value)
         bounds.append(err)
-        if abs(value) > err + tol:
+        if abs(value) > err + s.tol:
             flattenable = False
     report = {"functionals": functionals, "error_bounds": bounds,
-              "depth": depth}
+              "depth": s.depth}
     if not flattenable:
         report["flat"] = False
         report["reason"] = "a flattening functional exceeds its error bound"
         _emit_json(report, args.out)
         return EXIT_NOT_FLAT
-    cob = build_coboundary(sel, f, depth)
-    flat, constant, max_dev = is_flat(f, cob, F, tol=tol)
+    cob = build_coboundary(sel, f, s.depth)
+    flat, constant, max_dev = is_flat(f, cob, F, tol=s.tol)
     pts = petal_samples(F, 16)
     report.update({
         "flat": bool(flat),
@@ -232,29 +291,23 @@ def cmd_flatten(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
-    T = build_map(cfg.get("map", {"type": "linear", "k": 2}))
-    f = build_function(cfg["function"])
-    grid = int(_knob(cfg, args, "grid", 512))
-    depth = _pick_depth(cfg, args, f, T)
-    tol = float(_knob(cfg, args, "tol", 1e-10))
-    burn_in = int(cfg.get("burn_in", 1000))
-    length = int(cfg.get("length", 100000))
-    max_period = int(cfg.get("max_period", 10))
+    s, T, f, _ = _load(args, "function")
+    # the orbit oracle runs last, but its map and period are checked first
+    check_periodic_orbits(T, s.max_period)
     family = OneFlowerFamily(T)
     try:
-        intervals = solve_pre_sturmian(family, f, depth, resolution=tol,
-                                       grid_size=grid)
+        intervals = solve_pre_sturmian(family, f, s.depth,
+                                       resolution=s.tol, grid_size=s.grid)
     except NoSignChange as exc:
         _emit_json({"zero_intervals": [],
                     "phi_min": exc.phi_min, "phi_max": exc.phi_max,
                     "reason": str(exc)}, args.out)
         return EXIT_NO_SOLUTION
-    report = {"zero_intervals": [], "depth": depth}
+    report = {"zero_intervals": [], "depth": s.depth}
     best = None
     for zi in intervals:
         est = sturmian_estimate(family.flower(zi.midpoint), f,
-                                burn_in=burn_in, length=length)
+                                burn_in=s.burn_in, length=s.length)
         entry = {
             "gamma_low": zi.gamma_low, "gamma_high": zi.gamma_high,
             "phi_low": zi.phi_low, "phi_high": zi.phi_high,
@@ -272,7 +325,7 @@ def cmd_solve(args) -> int:
         if best is None or est.integral_of_f > best["sturmian"]["integral"]:
             best = entry
     report["best_interval"] = best
-    alpha, orbit = orbit_oracle(T, f, max_period)
+    alpha, orbit = orbit_oracle(T, f, s.max_period)
     report["oracle"] = {"best_average": alpha,
                         "best_orbit": [str(p) for p in orbit]}
     _emit_json(report, args.out)
@@ -280,17 +333,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    cfg = load_config(args.config)
-    T = build_map(cfg.get("map", {"type": "linear", "k": 2}))
-    if "flower" in cfg:
-        F = build_flower(cfg["flower"], T)
-    else:
-        p = int(cfg.get("p", 2))
-        rng = random.Random(int(_knob(cfg, args, "seed", 0)))
-        F = random_flower(T, p, rng)
-    depth = int(_knob(cfg, args, "depth", 15))
-    grid = int(_knob(cfg, args, "grid", 512))
-    rank, p = rank_test(F, N=depth, grid=grid)
+    s, T, _, F = _load(args)
+    if F is None:
+        F = random_flower(T, s.p, random.Random(s.seed))
+    rank, p = rank_test(F, N=s.depth, grid=s.grid)
     _emit_json({"rank": rank, "p": p, "expected": p + 1,
                 "petals": [[q.left, q.right] for q in F.petals],
                 "matches": rank == p + 1}, args.out)
@@ -298,13 +344,9 @@ def cmd_rank(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    cfg = load_config(args.config)
-    T = build_map(cfg.get("map", {"type": "linear", "k": 2}))
-    f = build_function(cfg["function"]) if "function" in cfg else None
-    max_period = int(cfg.get("max_period", 10))
-    from .dynamics import periodic_orbits
+    s, T, f, _ = _load(args)
     out = []
-    for orbit in periodic_orbits(T, max_period):
+    for orbit in periodic_orbits(T, s.max_period):
         entry = {"period": len(orbit), "points": [str(p) for p in orbit]}
         if f is not None:
             entry["average"] = sum(f.eval(float(p))
@@ -312,7 +354,7 @@ def cmd_orbits(args) -> int:
         out.append(entry)
     report = {"orbits": out}
     if f is not None:
-        alpha, orbit = orbit_oracle(T, f, max_period)
+        alpha, orbit = orbit_oracle(T, f, s.max_period)
         report["best_average"] = alpha
         report["best_orbit"] = [str(p) for p in orbit]
     _emit_json(report, args.out)
@@ -328,8 +370,6 @@ def cmd_demo(args) -> int:
     status of f and f+g.
     """
     g = args.gamma
-    if g is None:
-        raise ConfigError("demo needs --gamma")
     if not 0.0 < g < 1.0 / 6.0:
         raise ConfigError("gamma must lie in (0, 1/6)")
     T = make_linear_map(2)
@@ -373,27 +413,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Flattening Lipschitz functions on flowers of "
                     "expanding circle maps")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True,
-                           help="path to a JSON config file")
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        return p
-
-    common(sub.add_parser("validate")).set_defaults(func=cmd_validate)
-    common(sub.add_parser("scan")).set_defaults(func=cmd_scan)
-    common(sub.add_parser("flatten")).set_defaults(func=cmd_flatten)
-    common(sub.add_parser("solve")).set_defaults(func=cmd_solve)
-    common(sub.add_parser("rank")).set_defaults(func=cmd_rank)
-    common(sub.add_parser("orbits")).set_defaults(func=cmd_orbits)
-    demo = common(sub.add_parser("demo"), config_required=False)
-    demo.add_argument("--gamma", type=float, default=None)
-    demo.set_defaults(func=cmd_demo)
+    for name, func in (("validate", cmd_validate), ("scan", cmd_scan),
+                       ("flatten", cmd_flatten), ("solve", cmd_solve),
+                       ("rank", cmd_rank), ("orbits", cmd_orbits),
+                       ("demo", cmd_demo)):
+        command = sub.add_parser(name)
+        command.set_defaults(func=func)
+        if name == "demo":
+            command.add_argument("--gamma", type=float, required=True)
+        else:
+            command.add_argument("--config", required=True,
+                                 help="path to a JSON config file")
+        for setting in SETTINGS[name]:
+            if setting in OPTIONS:
+                command.add_argument(f"--{setting}", type=RULES[setting][0])
+        command.add_argument("--out", default=None)
     return parser
 
 

@@ -184,6 +184,25 @@ def map_from_slopes(slopes: Sequence[float],
 #: cap on sum_{n <= max_period} k^n, the numerators ``periodic_orbits``
 #: walks; 10^6 walks take about a second
 MAX_ORBIT_WORK = 10 ** 6
+#: largest period ``periodic_orbits`` lists
+MAX_PERIOD = 16
+
+
+def check_periodic_orbits(T: ExpandingMap, max_period: int) -> None:
+    """Raise ValueError unless ``periodic_orbits(T, max_period)`` can run:
+    T linear, max_period <= MAX_PERIOD and sum_{n <= max_period} k^n <=
+    MAX_ORBIT_WORK.  It walks no orbit, so callers check before any work."""
+    if not T.is_linear():
+        raise ValueError("exact periodic orbits need an integer-slope "
+                         "linear map")
+    if max_period > MAX_PERIOD:
+        raise ValueError(f"max_period capped at {MAX_PERIOD}")
+    k = T.degree
+    work = sum(k ** n for n in range(1, max_period + 1))
+    if work > MAX_ORBIT_WORK:
+        raise ValueError(f"periodic orbits of T_{k} up to period "
+                         f"{max_period} need {work} steps, more than the cap "
+                         f"of {MAX_ORBIT_WORK}")
 
 
 def periodic_orbits(T: ExpandingMap, max_period: int) -> List[List[Fraction]]:
@@ -194,20 +213,10 @@ def periodic_orbits(T: ExpandingMap, max_period: int) -> List[List[Fraction]]:
     j -> k j mod (k^n - 1); it starts an orbit of period n when the walk
     returns to j after exactly n steps without dropping below j, so every
     orbit is listed once, from its smallest point, by period and then by
-    that point.  Raises ValueError when sum_{n <= max_period} k^n exceeds
-    MAX_ORBIT_WORK.
+    that point.  Raises ValueError where ``check_periodic_orbits`` does.
     """
-    if not T.is_linear():
-        raise ValueError("exact periodic orbits need an integer-slope "
-                         "linear map")
-    if max_period > 16:
-        raise ValueError("max_period capped at 16")
+    check_periodic_orbits(T, max_period)
     k = T.degree
-    work = sum(k ** n for n in range(1, max_period + 1))
-    if work > MAX_ORBIT_WORK:
-        raise ValueError(f"periodic orbits of T_{k} up to period "
-                         f"{max_period} need {work} steps, more than the cap "
-                         f"of {MAX_ORBIT_WORK}")
     orbits: List[List[Fraction]] = []
     for n in range(1, max_period + 1):
         den = k ** n - 1

@@ -36,6 +36,11 @@ import numpy as np
 from .circle import EPS, Arc, reduce, reduce_many
 from .flower import Discontinuity, Flower, PreImageSelector, SelectorTable
 
+#: points per petal on which ``is_flat`` samples the flattened function
+FLAT_SAMPLES = 64
+#: size of the sample grid of ``normal_form_check``, and its tolerance
+NORMAL_FORM_SAMPLES, NORMAL_FORM_TOL = 4096, 1e-9
+
 
 def tail_bound(K: float, N: int, base_length: float = 1.0) -> float:
     """L1 bound on sum_{n>N} of the iterated-image lengths."""
@@ -43,8 +48,8 @@ def tail_bound(K: float, N: int, base_length: float = 1.0) -> float:
 
 
 def default_depth(lipschitz: float, K: float, target: float = 1e-10) -> int:
-    """Smallest N whose truncation certificate drops below ``target``."""
-    N = 0
+    """Smallest N >= 1 whose truncation certificate drops below ``target``."""
+    N = 1
     while lipschitz * tail_bound(K, N) > target:
         N += 1
         if N > 10000:
@@ -260,16 +265,14 @@ def petal_samples(F: Flower, samples_per_petal: int) -> List[float]:
     return pts
 
 
-def is_flat(f, cob: Coboundary, F: Flower, samples: int = 64,
+def is_flat(f, cob: Coboundary, F: Flower,
             tol: float = 1e-8) -> Tuple[bool, float, float]:
     """Check that f + phi - phi o T is constant on the flower.
 
     Returns (flat, witnessed_constant, max_deviation); ``flat`` is true
     when the deviation stays below tol plus the truncation certificates.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples per petal")
-    pts = petal_samples(F, samples)
+    pts = petal_samples(F, FLAT_SAMPLES)
     vals = flattened_values(f, cob, pts)
     constant = float(np.mean(vals))
     max_dev = float(np.max(np.abs(vals - constant)))
@@ -277,11 +280,10 @@ def is_flat(f, cob: Coboundary, F: Flower, samples: int = 64,
     return max_dev <= certified, constant, max_dev
 
 
-def normal_form_check(f, alpha_estimate: float, samples: int = 4096,
-                      tol: float = 1e-9) -> bool:
-    """True iff max f <= alpha_estimate + tol on a sample grid refined by
-    the function's own breakpoints (if any)."""
-    grid = [i / samples for i in range(samples)]
+def normal_form_check(f, alpha_estimate: float) -> bool:
+    """True iff max f <= alpha_estimate + NORMAL_FORM_TOL on a sample grid
+    refined by the function's own breakpoints (if any)."""
+    grid = [i / NORMAL_FORM_SAMPLES for i in range(NORMAL_FORM_SAMPLES)]
     grid.extend(getattr(f, "breakpoints", ()))
     top = max(f.eval(x) for x in grid)
-    return top <= alpha_estimate + tol
+    return top <= alpha_estimate + NORMAL_FORM_TOL

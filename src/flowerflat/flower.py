@@ -335,7 +335,8 @@ class SelectorTable:
     shape (G, P) sorted by start in each row; a row with fewer pieces is
     padded with start +inf, never selected.  The data of the closed form
     in ``flatten.transfer`` (``orbits``, ``chains`` and their ``ledger``,
-    and the ``sums`` of the last f) is built on first use.
+    and the ``sums`` of the last f) is built on first use, once for the
+    last depth asked for.
     """
 
     def __init__(self, T: ExpandingMap, left: np.ndarray, right: np.ndarray):
@@ -374,10 +375,7 @@ class SelectorTable:
         # ``searchsorted``
         self._row = (tuple(self._pieces[:, 0, :self._last[0] + 1])
                      if len(left) == 1 else None)
-        self._orbits = (self.disc[None], self.disc[None])
-        self._chain = [self.disc]
-        self._live = [np.ones(self.disc.shape, dtype=bool)]
-        self._ledger, self._sums = (None, None), (None, None, None)
+        self._depth, self._sums = (None, None, None), (None, None, None)
 
     @classmethod
     def one_flowers(cls, T: ExpandingMap, lefts) -> "SelectorTable":
@@ -419,20 +417,26 @@ class SelectorTable:
         y = bases + np.minimum(off / slopes, lengths)
         return y - (y >= 1.0)
 
+    def _at_depth(self, n: int) -> tuple:
+        """(n, orbits, ledger) at depth n; the last depth asked for is
+        kept."""
+        if self._depth[0] != n:
+            shape = (n + 1,) + self.disc.shape
+            orbits = np.empty(shape), np.empty(shape)
+            for orbit, side in zip(orbits, ("right", "left")):
+                orbit[0] = self.disc
+                for i in range(1, n + 1):
+                    orbit[i] = self.tau_many(orbit[i - 1], side)
+            c, live = self.chains(n)
+            g, j, m = np.nonzero(live.transpose(1, 2, 0))
+            self._depth = (n, orbits, (g, j, m, c[m, g, j]))
+        return self._depth
+
     def orbits(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """The right and the left orbit of the discontinuity points to
         depth n: arrays of shape (n + 1, G, p) with rows tau_R^i d and
         tau_L^i d."""
-        known = len(self._orbits[0])
-        if known <= n:
-            more = np.empty((n + 1 - known,) + self.disc.shape)
-            self._orbits = tuple(np.concatenate([o, more])
-                                 for o in self._orbits)
-            for i in range(known, n + 1):
-                for orbit, side in zip(self._orbits, ("right", "left")):
-                    orbit[i] = self.tau_many(orbit[i - 1], side)
-        right, left = self._orbits
-        return right[:n + 1], left[:n + 1]
+        return self._at_depth(n)[1]
 
     def chains(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """The jump-ledger chains to depth n: arrays (c, live) of shape
@@ -446,35 +450,29 @@ class SelectorTable:
         discontinuity point: the chain from there is that point's own, and
         each point is listed once.
         """
-        chain, live = self._chain, self._live
-        while len(chain) < n and live[-1].any():
-            c = chain[-1]
-            # Flower.contains and circle.distance, on reduced points
-            off = c[:, :, None] - self.left[:, None, :]
-            off += off < 0.0
-            inside = (off <= self.length[:, None, :]) | (off >= 1.0)
-            nxt = self.map.apply_many(c)
-            e = np.abs(nxt[:, :, None] - self.disc[:, None, :])
-            near = np.minimum(e, 1.0 - e) <= EPS
-            on = live[-1] & inside.any(axis=2) & ~near.any(axis=2)
-            chain.append(np.where(on, nxt, c))
-            live.append(on)
-        # past the end of every chain nothing changes
-        chain += chain[-1:] * (n - len(chain))
-        live += live[-1:] * (n - len(live))
-        shape = (n,) + self.disc.shape
-        return (np.array(chain[:n]).reshape(shape),
-                np.array(live[:n]).reshape(shape))
+        chain = np.empty((n,) + self.disc.shape)
+        live = np.empty(chain.shape, dtype=bool)
+        c, on = self.disc, np.ones(self.disc.shape, dtype=bool)
+        for m in range(n):
+            # past the end of every chain nothing changes
+            if m and on.any():
+                # Flower.contains and circle.distance, on reduced points
+                off = c[:, :, None] - self.left[:, None, :]
+                off += off < 0.0
+                inside = (off <= self.length[:, None, :]) | (off >= 1.0)
+                nxt = self.map.apply_many(c)
+                e = np.abs(nxt[:, :, None] - self.disc[:, None, :])
+                near = np.minimum(e, 1.0 - e) <= EPS
+                on = on & inside.any(axis=2) & ~near.any(axis=2)
+                c = np.where(on, nxt, c)
+            chain[m], live[m] = c, on
+        return chain, live
 
     def ledger(self, n: int) -> Tuple[np.ndarray, ...]:
         """The live entries of ``chains(n)``: arrays (g, j, m, c) of the
         flower, the discontinuity, the level and the chain point, by g, j
-        and m.  The last ledger asked for is kept."""
-        if self._ledger[0] != n:
-            c, live = self.chains(n)
-            g, j, m = np.nonzero(live.transpose(1, 2, 0))
-            self._ledger = (n, (g, j, m, c[m, g, j]))
-        return self._ledger[1]
+        and m."""
+        return self._at_depth(n)[2]
 
     def sums(self, f, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """The sums of f over levels 1..i of the right and of the left

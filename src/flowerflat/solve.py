@@ -41,6 +41,13 @@ from .flower import (Flower, PreImageSelector, SelectorTable, arc_end,
 
 #: interior points per bracket and round of the root multisection
 MULTISECTION_POINTS = 63
+#: ``_detect_cycle`` takes an iterate within CYCLE_TOL of one of the
+#: CYCLE_MAX_PERIOD before it to close a cycle
+CYCLE_TOL, CYCLE_MAX_PERIOD = 1e-9, 256
+#: largest distance of a cycle point from its snap to j/(k^q - 1)
+SNAP_TOL = 1e-6
+#: ``rank_test`` counts the singular values above RANK_THRESHOLD
+RANK_THRESHOLD = 1e-8
 
 
 class NoSignChange(RuntimeError):
@@ -181,8 +188,7 @@ def _multisect_roots(family: OneFlowerFamily, f, N: int, lo, flo, hi, fhi,
 
 
 def solve_pre_sturmian(family: OneFlowerFamily, f, N: int,
-                       resolution: float = 1e-10, grid_size: int = 512,
-                       plateau_tol: Optional[float] = None
+                       resolution: float = 1e-10, grid_size: int = 512
                        ) -> List[ZeroInterval]:
     """All zero intervals of Phi: plateaus, exact zeros on the grid and
     multisected sign changes.
@@ -193,9 +199,7 @@ def solve_pre_sturmian(family: OneFlowerFamily, f, N: int,
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError("resolution must be finite and positive")
     rows = scan(family, f, grid_size, N)
-    err = rows[0][2]
-    if plateau_tol is None:
-        plateau_tol = max(1e-9, 2.0 * err)
+    plateau_tol = max(1e-9, 2.0 * rows[0][2])
     phis = [v for _, v, _ in rows]
     m = len(rows)
     small = [abs(v) <= plateau_tol for v in phis]
@@ -261,10 +265,9 @@ class SturmianEstimate:
     period: Optional[int] = None
 
 
-def _detect_cycle(sel: PreImageSelector, x: float, max_steps: int,
-                  tol: float = 1e-9, max_period: int = 256):
+def _detect_cycle(sel: PreImageSelector, x: float, max_steps: int):
     """Follow the selector orbit and report (period, last point) as soon as
-    some iterate returns within tol of an earlier one, else None.
+    some iterate returns within CYCLE_TOL of an earlier one, else None.
 
     Detection runs online, without a burn-in: orbits attracted to a cycle
     on the petal boundary can be knocked off it by rounding after ~50
@@ -275,14 +278,14 @@ def _detect_cycle(sel: PreImageSelector, x: float, max_steps: int,
     for _ in range(max_steps):
         x = sel.tau(x)
         history.append(x)
-        limit = min(len(history) - 1, max_period)
+        limit = min(len(history) - 1, CYCLE_MAX_PERIOD)
         for q in range(1, limit + 1):
-            if distance(history[-1], history[-1 - q]) <= tol:
+            if distance(history[-1], history[-1 - q]) <= CYCLE_TOL:
                 return q, history[-q:]
     return None
 
 
-def _verify_rational_cycle(F: Flower, pts: Sequence[float], tol: float = 1e-6
+def _verify_rational_cycle(F: Flower, pts: Sequence[float]
                            ) -> Optional[List[Fraction]]:
     """Snap a floating cycle of a linear map to j/(k^q - 1) and certify it:
     exact dynamics must cycle through the snapped points in order and every
@@ -296,7 +299,7 @@ def _verify_rational_cycle(F: Flower, pts: Sequence[float], tol: float = 1e-6
     exact = []
     for p in pts:
         frac = Fraction(round(p * den), den) % 1
-        if distance(float(frac), p) > tol:
+        if distance(float(frac), p) > SNAP_TOL:
             return None
         exact.append(frac)
     petal = F.petals[0]
@@ -406,8 +409,7 @@ def orbit_oracle(T: ExpandingMap, f, max_period: int
     return best, best_orbit
 
 
-def rank_test(F: Flower, N: int = 15, grid: int = 512,
-              threshold: float = 1e-8) -> Tuple[int, int]:
+def rank_test(F: Flower, N: int = 15, grid: int = 512) -> Tuple[int, int]:
     """Numerical rank of the p escape densities together with the constant
     function; the codimension statement predicts rank p + 1.
 
@@ -434,7 +436,7 @@ def rank_test(F: Flower, N: int = 15, grid: int = 512,
     norms = np.linalg.norm(M, axis=1, keepdims=True)
     M = M / np.where(norms == 0, 1.0, norms)
     svals = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(svals > threshold)), F.p
+    return int(np.sum(svals > RANK_THRESHOLD)), F.p
 
 
 def branch_one_frequency_scan(k: int, gammas: Sequence[float],

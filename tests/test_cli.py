@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from flowerflat import cli
 from flowerflat.cli import (EXIT_INVALID, EXIT_NOT_FLAT, EXIT_NO_SOLUTION,
-                            EXIT_OK, main)
+                            EXIT_OK, build_parser, main)
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -85,7 +86,7 @@ class TestNonFiniteInput:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("k", [1e9, 1001, 2.5, 1, INF])
+    @pytest.mark.parametrize("k", [1e9, 1001, 2.5, 1, INF, "2", True])
     def test_linear_degree_bounded(self, tmp_path, capsys, k):
         cfg = _write_config(tmp_path, {"map": {"type": "linear", "k": k}})
         assert main(["validate", "--config", cfg]) == EXIT_INVALID
@@ -101,7 +102,7 @@ class TestNonFiniteInput:
         cfg = _write_config(tmp_path, COS_CONFIG)
         assert main(["solve", "--config", cfg, "--tol", "nan"]) == \
             EXIT_INVALID
-        assert "resolution" in capsys.readouterr().err
+        assert "tol must be finite and > 0" in capsys.readouterr().err
 
     def test_overflowing_coefficients_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {
@@ -261,7 +262,8 @@ class TestRank:
         })
         assert main(["rank", "--config", cfg, "--depth", "-1"]) == \
             EXIT_INVALID
-        assert "N must be >= 0" in capsys.readouterr().err
+        assert "depth must be an integer in [1, 1000]" in \
+            capsys.readouterr().err
 
 
 class TestOrbits:
@@ -316,3 +318,199 @@ class TestDemo:
     def test_gamma_out_of_range(self, tmp_path):
         assert main(["demo", "--gamma", "0.2"]) == EXIT_INVALID
         assert main(["demo", "--gamma", "0.0"]) == EXIT_INVALID
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: the options each command registers besides --help
+OPTIONS = {
+    "validate": {"--config", "--out"},
+    "scan": {"--config", "--depth", "--grid", "--out"},
+    "flatten": {"--config", "--depth", "--tol", "--out"},
+    "solve": {"--config", "--depth", "--grid", "--tol", "--out"},
+    "rank": {"--config", "--depth", "--grid", "--seed", "--out"},
+    "orbits": {"--config", "--out"},
+    "demo": {"--gamma", "--out"},
+}
+#: the settings that are options; each command registers only those it
+#: reads
+SETTING_OPTIONS = {"--depth", "--grid", "--tol", "--seed"}
+#: the settings each command reads, and the library entry point it calls
+#: only once they are checked
+SETTINGS = {
+    "scan": (("depth", "grid"), "scan"),
+    "flatten": (("depth", "tol"), "functional"),
+    "solve": (("depth", "grid", "tol", "burn_in", "length", "max_period"),
+              "solve_pre_sturmian"),
+    "rank": (("depth", "grid", "seed", "p"), "rank_test"),
+    "orbits": (("max_period",), "periodic_orbits"),
+}
+#: values each setting rejects besides null, true, a string and a list:
+#: a fraction for the integers, and one step past each bound
+OUT_OF_RULE = {
+    "depth": [2.7, 0, 1001],
+    "grid": [2.5, 1, 8193],
+    "tol": [NAN, INF, 0, -1e-3],
+    "seed": [2.5],
+    "burn_in": [2.5, 0, 10 ** 7 + 1],
+    "length": [2.5, 0, 10 ** 7 + 1],
+    "max_period": [2.5, 0, 17],
+    "p": [2.5, 0],
+}
+#: a config every command in SETTINGS runs on
+BASE_CONFIG = {"map": {"type": "linear", "k": 3},
+               "function": {"type": "trig", "cos": [1.0]},
+               "flower": {"petals": [[0.5, 0.8333333333333334]]}}
+
+
+def _registered(command):
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    return {action.option_strings[0] for action in sub._actions
+            if action.dest != "help"}
+
+
+def _rejected(tmp_path, capsys, monkeypatch, command, argv, name):
+    """Run argv and check that it exits 2 naming ``name``, writes no
+    report and never reaches the command's library entry point."""
+    def called(*args, **kwargs):
+        raise AssertionError(f"{entry} ran on an invalid setting")
+    entry = SETTINGS[command][1]
+    monkeypatch.setattr(cli, entry, called)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_INVALID
+    assert f"{name} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestOptions:
+    def test_each_command_registers_only_the_options_it_reads(self):
+        assert {command: _registered(command) for command in OPTIONS} == \
+            OPTIONS
+        assert sum(len(options) for options in OPTIONS.values()) == 24
+
+    @pytest.mark.parametrize("command, option", sorted(
+        (command, option) for command, options in OPTIONS.items()
+        for option in SETTING_OPTIONS - options))
+    def test_unread_option_rejected(self, tmp_path, command, option):
+        cfg = _write_config(tmp_path, BASE_CONFIG)
+        argv = ([command, "--gamma", "0.1"] if command == "demo"
+                else [command, "--config", cfg])
+        with pytest.raises(SystemExit) as info:
+            main(argv + [option, "3"])
+        assert info.value.code == 2
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command, name, value", [
+        (command, name, value) for command, (names, _) in SETTINGS.items()
+        for name in names
+        for value in [None, True, "3", [3]] + OUT_OF_RULE[name]])
+    def test_config_value_rejected(self, tmp_path, capsys, monkeypatch,
+                                   command, name, value):
+        cfg = _write_config(tmp_path, dict(BASE_CONFIG, **{name: value}))
+        _rejected(tmp_path, capsys, monkeypatch, command,
+                  [command, "--config", cfg], name)
+
+    @pytest.mark.parametrize("command, name, value", [
+        (command, name, value) for command, (names, _) in SETTINGS.items()
+        for name in names if "--" + name in OPTIONS[command]
+        for value in OUT_OF_RULE[name] if type(value) is not float
+        or name == "tol"])
+    def test_option_value_rejected(self, tmp_path, capsys, monkeypatch,
+                                   command, name, value):
+        # the option wins over a valid config value and is checked by the
+        # same rule; argparse itself rejects a fraction for an int option
+        cfg = _write_config(tmp_path, dict(BASE_CONFIG, depth=20, grid=16,
+                                           tol=1e-8, seed=1))
+        _rejected(tmp_path, capsys, monkeypatch, command,
+                  [command, "--config", cfg, "--" + name, str(value)], name)
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        reports = []
+        for depth in (40, 40.0):
+            cfg = _write_config(tmp_path, dict(COS_CONFIG, grid=16,
+                                               depth=depth))
+            out = tmp_path / "scan.csv"
+            assert main(["scan", "--config", cfg, "--out", str(out)]) == \
+                EXIT_OK
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
+
+    def test_constant_function_flattens_at_depth_one(self, tmp_path):
+        # default_depth chooses N >= 1 also where Lip(f) = 0, the least
+        # depth of a coboundary
+        cfg = _write_config(tmp_path, {
+            "map": {"type": "linear", "k": 2},
+            "function": {"type": "trig", "const": 1.0},
+            "flower": {"petals": [[0.1, 0.6]]},
+        })
+        code, report = _run_json(tmp_path, ["flatten", "--config", cfg])
+        assert code == EXIT_OK
+        assert report["depth"] == 1
+        assert report["flat"] is True
+
+
+class TestDefects:
+    """Inputs that ended in a traceback, a non-JSON report or a silent
+    misreading before every setting went through one reader."""
+
+    @pytest.mark.parametrize("command, section", [("scan", "function"),
+                                                  ("solve", "function"),
+                                                  ("flatten", "function"),
+                                                  ("flatten", "flower")])
+    def test_missing_section(self, tmp_path, capsys, command, section):
+        spec = dict(BASE_CONFIG)
+        del spec[section]
+        cfg = _write_config(tmp_path, spec)
+        assert main([command, "--config", cfg]) == EXIT_INVALID
+        assert f"'{section}' section" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name", [("scan", "grid"),
+                                               ("solve", "burn_in")])
+    def test_null_setting(self, tmp_path, capsys, command, name):
+        cfg = _write_config(tmp_path, dict(COS_CONFIG, **{name: None}))
+        assert main([command, "--config", cfg]) == EXIT_INVALID
+        assert f"{name} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, max_period", [("orbits", 0),
+                                                     ("solve", -3)])
+    def test_max_period_below_one(self, tmp_path, capsys, command,
+                                  max_period):
+        cfg = _write_config(tmp_path, dict(COS_CONFIG,
+                                           max_period=max_period))
+        code, report = _run_json(tmp_path, [command, "--config", cfg])
+        assert code == EXIT_INVALID and report is None
+        assert "max_period must be" in capsys.readouterr().err
+
+    def test_fractional_depth(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, dict(COS_CONFIG, depth=2.7))
+        code, report = _run_json(tmp_path, ["scan", "--config", cfg])
+        assert code == EXIT_INVALID and report is None
+        assert "depth must be" in capsys.readouterr().err
+
+    def test_infinite_tol(self, tmp_path, capsys):
+        # its functional is -3.18, so no finite tol calls it flat
+        cfg = _write_config(tmp_path, dict(
+            COS_CONFIG, flower={"petals": [[0.1, 0.6]]}))
+        code, report = _run_json(tmp_path, ["flatten", "--config", cfg,
+                                            "--tol", "inf"])
+        assert code == EXIT_INVALID and report is None
+        assert "tol must be" in capsys.readouterr().err
+
+
+class TestSolveOracleFirst:
+    @pytest.mark.parametrize("map_spec, message", [
+        ({"type": "piecewise_affine", "breaks": [0.0, 0.5, 0.75],
+          "slopes": [2.0, 4.0, 4.0]}, "linear map"),
+        # sum_{n <= 10} 4^n = 1398100 numerators
+        ({"type": "linear", "k": 4}, "cap"),
+    ])
+    def test_oracle_checked_before_the_scan(self, tmp_path, capsys,
+                                            monkeypatch, map_spec, message):
+        def called(*args, **kwargs):
+            raise AssertionError("the scan ran before the oracle check")
+        monkeypatch.setattr(cli, "solve_pre_sturmian", called)
+        cfg = _write_config(tmp_path, dict(COS_CONFIG, map=map_spec))
+        code, report = _run_json(tmp_path, ["solve", "--config", cfg])
+        assert code == EXIT_INVALID and report is None
+        assert message in capsys.readouterr().err

@@ -254,6 +254,20 @@ class TestSelectorTable:
             assert len(row._row[0]) <= F.p + 1
 
 
+    def test_depths_asked_in_turn_equal_fresh_tables(self):
+        # the table keeps the data of the last depth asked for only
+        T = make_linear_map(3)
+        gammas = np.arange(16) / 16
+        table = SelectorTable.one_flowers(T, gammas)
+        for N in (40, 18, 40, 0):
+            fresh = SelectorTable.one_flowers(T, gammas)
+            got = (*table.orbits(N), *table.chains(N), *table.ledger(N))
+            want = (*fresh.orbits(N), *fresh.chains(N), *fresh.ledger(N))
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            assert table.orbits(N)[0] is table.orbits(N)[0]
+
+
 class TestCharacteristicIdentityRandom:
     def test_holds_on_random_flowers(self):
         rng = random.Random(11)
