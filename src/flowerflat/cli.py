@@ -346,17 +346,21 @@ def cmd_rank(args) -> int:
 def cmd_orbits(args) -> int:
     s, T, f, _ = _load(args)
     out = []
+    # the first orbit with the strictly largest average, as orbit_oracle
+    # picks it
+    best, best_orbit = -math.inf, []
     for orbit in periodic_orbits(T, s.max_period):
         entry = {"period": len(orbit), "points": [str(p) for p in orbit]}
         if f is not None:
             entry["average"] = sum(f.eval(float(p))
                                    for p in orbit) / len(orbit)
+            if entry["average"] > best:
+                best, best_orbit = entry["average"], entry["points"]
         out.append(entry)
     report = {"orbits": out}
     if f is not None:
-        alpha, orbit = orbit_oracle(T, f, s.max_period)
-        report["best_average"] = alpha
-        report["best_orbit"] = [str(p) for p in orbit]
+        report["best_average"] = best
+        report["best_orbit"] = best_orbit
     _emit_json(report, args.out)
     return EXIT_OK
 

@@ -25,6 +25,7 @@ on maximizing measures.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -48,6 +49,9 @@ CYCLE_TOL, CYCLE_MAX_PERIOD = 1e-9, 256
 SNAP_TOL = 1e-6
 #: ``rank_test`` counts the singular values above RANK_THRESHOLD
 RANK_THRESHOLD = 1e-8
+#: steps per block of ``branch_one_frequency_scan``, which looks for a
+#: repeated state, and so a cycle of at most this length, at block ends
+FREQUENCY_BLOCK = 64
 
 
 class NoSignChange(RuntimeError):
@@ -439,20 +443,69 @@ def rank_test(F: Flower, N: int = 15, grid: int = 512) -> Tuple[int, int]:
     return int(np.sum(svals > RANK_THRESHOLD)), F.p
 
 
+def _cycle_hits(cum: np.ndarray, s: np.ndarray, lam: np.ndarray,
+                n) -> np.ndarray:
+    """Branch-1 steps among the first n steps of each column's cycle: block
+    steps s .. s + lam - 1 repeated, with cum[i] the hits before step i."""
+    col = np.arange(len(s))
+    return ((n // lam) * (cum[s + lam, col] - cum[s, col])
+            + cum[s + n % lam, col] - cum[s, col])
+
+
 def branch_one_frequency_scan(k: int, gammas: Sequence[float],
                               burn_in: int = 1000, length: int = 100000
                               ) -> np.ndarray:
     """Frequency of inverse-branch 1 along the selector orbit of the
-    1-flower [gamma, gamma+1/k] of the linear degree-k map, vectorized
-    over the whole gamma grid at once."""
+    1-flower [gamma, gamma+1/k] of the linear degree-k map, over the
+    `length` steps after the first `burn_in`, vectorized over the whole
+    gamma grid at once.
+
+    The next state depends only on the state, so once a row's float state
+    equals one it held lam steps before, its branches repeat with period
+    lam for ever, and the rest of its count is read off that cycle.  The
+    rows run in blocks of FREQUENCY_BLOCK steps; at each block end a row
+    whose state repeats one of the block settles and leaves the batch.
+    The result is bitwise that of following every orbit to the end.
+    Raises ValueError unless k >= 2, burn_in >= 0 and length >= 1 are
+    integers."""
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+               for n in (k, burn_in, length)):
+        raise ValueError("k, burn_in and length must be integers")
+    if k < 2 or burn_in < 0 or length < 1:
+        raise ValueError("need k >= 2, burn_in >= 0 and length >= 1")
     G = np.asarray([reduce(g) for g in gammas])
     X = (G + 1.0 / (2 * k)) % 1.0
-    counts = np.zeros(len(G))
-    for step in range(burn_in + length):
-        h = X / k
-        o = (G - h) % 1.0
-        j = np.ceil(k * o - 1e-9) % k
-        X = h + j / k
-        if step >= burn_in:
-            counts += (j == 1)
+    total = burn_in + length
+    counts = np.zeros(len(G), dtype=np.int64)
+    rows = np.arange(len(G))
+    start = 0
+    while start < total and len(rows):
+        m = min(FREQUENCY_BLOCK, total - start)
+        g = G[rows]
+        # states[i] is the state after start + i steps, and hits[i] marks
+        # branch 1 on the step from states[i] to states[i + 1]
+        states = np.empty((m + 1, len(rows)))
+        hits = np.empty((m, len(rows)), dtype=bool)
+        states[0] = X
+        for i in range(m):
+            h = states[i] / k
+            o = (g - h) % 1.0
+            j = np.ceil(k * o - 1e-9) % k
+            states[i + 1] = h + j / k
+            hits[i] = j == 1
+        counts[rows] += hits[max(burn_in - start, 0):].sum(axis=0)
+        start += m
+        # the latest s < m with states[s] == states[m] closes a cycle of
+        # lam = m - s steps that starts at global step start - lam
+        same = states[:m] == states[m]
+        settled = same.any(axis=0)
+        s = m - 1 - np.argmax(same[::-1, settled], axis=0)
+        lam = m - s
+        cum = np.zeros((m + 1, len(s)), dtype=np.int64)
+        np.cumsum(hits[:, settled], axis=0, out=cum[1:])
+        counts[rows[settled]] += (
+            _cycle_hits(cum, s, lam, total - start + lam)
+            - _cycle_hits(cum, s, lam, max(start, burn_in) - start + lam))
+        rows = rows[~settled]
+        X = states[m, ~settled]
     return counts / length

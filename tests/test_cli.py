@@ -3,9 +3,12 @@ import json
 
 import pytest
 
-from flowerflat import cli
+from flowerflat import cli, solve
 from flowerflat.cli import (EXIT_INVALID, EXIT_NOT_FLAT, EXIT_NO_SOLUTION,
                             EXIT_OK, build_parser, main)
+from flowerflat.dynamics import make_linear_map, periodic_orbits
+from flowerflat.functions import TrigPolynomial
+from flowerflat.solve import orbit_oracle
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -277,6 +280,35 @@ class TestOrbits:
         fixed = [o for o in report["orbits"] if o["period"] == 1][0]
         assert fixed["points"] == ["0"]
         assert fixed["average"] == 1.0
+
+    def test_orbits_enumerated_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return periodic_orbits(*args)
+        monkeypatch.setattr(cli, "periodic_orbits", counted)
+        monkeypatch.setattr(solve, "periodic_orbits", counted)
+        cfg = _write_config(tmp_path, dict(COS_CONFIG, max_period=6))
+        assert main(["orbits", "--config", cfg]) == EXIT_OK
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("max_period", [6, 10])
+    def test_best_orbit_as_the_oracle_picks_it(self, tmp_path, max_period):
+        """The report is byte for byte the one whose best orbit comes from
+        ``orbit_oracle``."""
+        cfg = _write_config(tmp_path, dict(COS_CONFIG, max_period=max_period))
+        out = tmp_path / "out.json"
+        assert main(["orbits", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        T, f = make_linear_map(2), TrigPolynomial(cos_coeffs=[1.0])
+        orbits = [{"period": len(o), "points": [str(p) for p in o],
+                   "average": sum(f.eval(float(p)) for p in o) / len(o)}
+                  for o in periodic_orbits(T, max_period)]
+        alpha, best = orbit_oracle(T, f, max_period)
+        want = {"orbits": orbits, "best_average": alpha,
+                "best_orbit": [str(p) for p in best]}
+        assert out.read_text() == json.dumps(want, indent=2,
+                                             sort_keys=True) + "\n"
 
 
 class TestDemo:

@@ -1,6 +1,7 @@
 """Pre-Sturmian equation solving, Sturmian estimation, and rank tests."""
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +44,29 @@ def reference_phi(family, f, gamma, N):
     K = family.map.expansion_constant
     return (walk_functional(selector(F), F.petals[0], f, N),
             f.lipschitz_constant() * tail_bound(K, N, F.petals[0].length))
+
+
+def reference_frequency_scan(k, gammas, burn_in=1000, length=100000):
+    """The branch-1 frequency by following every orbit to the end: the
+    recurrence that ``branch_one_frequency_scan`` stops at exact cycles."""
+    G = np.asarray([reduce(g) for g in gammas])
+    X = (G + 1.0 / (2 * k)) % 1.0
+    counts = np.zeros(len(G))
+    for step in range(burn_in + length):
+        h = X / k
+        o = (G - h) % 1.0
+        j = np.ceil(k * o - 1e-9) % k
+        X = h + j / k
+        if step >= burn_in:
+            counts += (j == 1)
+    return counts / length
+
+
+def staircase_grid(seed, size=256):
+    """One period of the T2 1-flower family from the frequency-0 plateau
+    at 3/4, shifted by a seeded offset below half a cell."""
+    u = random.Random(seed).uniform(0.0, 0.5)
+    return [(0.75 + (i + u) / size) % 1.0 for i in range(size)]
 
 
 @st.composite
@@ -345,3 +369,76 @@ class TestBranchOneFrequency:
         gammas = [(0.75 + i / 64) % 1.0 for i in range(64)]
         freqs = branch_one_frequency_scan(2, gammas, 500, 20000)
         assert float(np.min(np.diff(freqs))) >= -2e-3
+
+    @pytest.mark.parametrize("k, burn_in, length", [
+        (1, 10, 10), (0, 10, 10), (2.5, 10, 10), (True, 10, 10),
+        (2, -5, 10), (2, 0.5, 10), (2, 10, 0), (2, 10, -1), (2, 10, 10.0)])
+    def test_invalid_arguments_rejected(self, k, burn_in, length):
+        with pytest.raises(ValueError):
+            branch_one_frequency_scan(k, [0.1], burn_in, length)
+
+
+class TestFrequencyCycleExit:
+    """``branch_one_frequency_scan`` stops each orbit at its first exact
+    float cycle; the frequencies are bitwise those of the full orbits."""
+
+    @staticmethod
+    def assert_bitwise(k, gammas, burn_in, length):
+        got = branch_one_frequency_scan(k, gammas, burn_in, length)
+        want = reference_frequency_scan(k, gammas, burn_in, length)
+        assert np.array_equal(got, want)
+
+    def test_criterion_9_grid(self):
+        self.assert_bitwise(2, [(0.75 + i / 512) % 1.0 for i in range(512)],
+                            1000, 100000)
+
+    @pytest.mark.parametrize("seed", [3, 17, 40])
+    def test_staircase_grids(self, seed):
+        self.assert_bitwise(2, staircase_grid(seed), 1000, 20000)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_higher_degree(self, k):
+        rng = random.Random(k)
+        gammas = [i / 64 for i in range(64)] + [rng.random()
+                                                for _ in range(64)]
+        self.assert_bitwise(k, gammas, 500, 5000)
+
+    @pytest.mark.parametrize("burn_in, length", [
+        (0, 3000), (1000, 5000), (2000, 1500), (5, 1), (0, 1), (3, 10),
+        (1000, 40), (0, 63), (0, 64), (0, 65), (64, 64), (63, 129)])
+    def test_special_parameters(self, burn_in, length):
+        """Parameters on the fixed point 0 and its preimages, plateau
+        centres and ends, with burn-ins before and past the settling
+        step (up to about 1075 steps) and runs shorter than one block."""
+        gammas = [0.0, 0.5, 0.75, 0.25, 1 / 3, 2 / 3, 1 / 7, 0.1]
+        gammas += [c + e for c in (1 / 3, 2 / 3, 0.25, 0.5)
+                   for e in (-1e-12, 1e-12)]
+        gammas += staircase_grid(5, 32)
+        self.assert_bitwise(2, gammas, burn_in, length)
+
+    def test_rows_unsettled_at_the_end(self):
+        """Rows drawn to 0 descend through the subnormals for about 1074
+        steps, so none of them settles in a run of 300."""
+        gammas = [0.75 + i / 2048 for i in range(64)] + [0.1, 1 / 3]
+        self.assert_bitwise(2, gammas, 100, 200)
+
+    def test_cycles_longer_than_a_block(self, monkeypatch):
+        """With blocks of 4 steps only cycles of length <= 4 are seen, and
+        the other rows follow their orbits to the end."""
+        monkeypatch.setattr(solve_mod, "FREQUENCY_BLOCK", 4)
+        self.assert_bitwise(2, staircase_grid(8, 64), 30, 1500)
+
+    def test_memory_does_not_grow_with_length(self):
+        """The criterion 9 scan keeps at most one block of states: its
+        traced peak stays below 2 MB and does not rise with the length."""
+        gammas = [(0.75 + i / 512) % 1.0 for i in range(512)]
+        peaks = []
+        for length in (100000, 1000000):
+            tracemalloc.start()
+            try:
+                branch_one_frequency_scan(2, gammas, 1000, length)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2_000_000
+        assert peaks[1] <= peaks[0] + 4096
