@@ -3,10 +3,10 @@
 The package provides exact circle arithmetic, piecewise-affine expanding
 maps, flowers and pre-image selectors, escape-time functionals with
 rigorous truncation certificates, coboundary construction, a solver for
-the pre-Sturmian equation over 1-flowers, and a rank test for the
+the pre-Sturmian equation over 1-flowers, and an exact rank test for the
 codimension of the flattenable subspace.
 """
-from .circle import Arc, CyclicOrder, EPS, StepFunction, distance, lift, reduce
+from .circle import Arc, EPS, distance, lift, reduce
 from .dynamics import (ExpandingMap, make_linear_map, map_from_slopes,
                        periodic_orbits)
 from .flatten import (Coboundary, EscapeFunction, build_coboundary,

@@ -1,15 +1,15 @@
-"""Arithmetic on the circle R/Z: points, oriented arcs, integer step functions.
+"""Arithmetic on the circle R/Z: points, oriented arcs, and on arrays the
+exact arc tests and the cells between points.
 
 Points are plain floats in [0, 1).  An endpoint tolerance EPS is used for
-all coincidence tests; every quantity computed downstream is continuous in
-arc endpoints, so tolerance comparisons are stable.
+the coincidence tests of flower geometry, which are stable because every
+quantity computed downstream is continuous in arc endpoints.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Tuple
 
 import numpy as np
 
@@ -57,19 +57,6 @@ def lift(base: float, x: float) -> float:
     return base + reduce(x - base)
 
 
-class CyclicOrder:
-    """Linear order on the circle with `base` as unique minimum."""
-
-    def __init__(self, base: float):
-        self.base = reduce(base)
-
-    def key(self, x: float) -> float:
-        return lift(self.base, x)
-
-    def less(self, u: float, v: float) -> bool:
-        return self.key(u) < self.key(v)
-
-
 @dataclass(frozen=True)
 class Arc:
     """Positively oriented closed arc [left, right] on the circle.
@@ -106,156 +93,63 @@ class Arc:
         return Arc(self.right, self.left)
 
 
-def _same_point(u: float, v: float) -> bool:
-    return distance(u, v) <= EPS
+def in_closed_arcs(xs, left, length) -> np.ndarray:
+    """``Arc.contains`` on arrays (broadcast): True where the reduced point
+    lies in the closed arc from the reduced ``left`` of that ``length``.
+    A difference of reduced points lies in (-1, 1), where adding 1 below 0
+    reduces it; a sum that rounds to 1.0 is the left end."""
+    off = xs - left
+    off += off < 0.0
+    return (off <= length) | (off >= 1.0)
+
+
+def arc_indicator(xs, arc: Arc, closed: bool = True) -> np.ndarray:
+    """``Arc.contains`` at the reduced points xs, or, for the open arc,
+    that less the two ends."""
+    inside = in_closed_arcs(xs, arc.left, arc.length)
+    return inside if closed else inside & (xs != arc.left) & (xs != arc.right)
+
+
+def cells(xs) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct reduced points xs and the midpoints of the
+    cyclic cells from each point to the next, the last through 0 (a whole
+    turn for one point).  A step function that jumps only at the points is
+    known everywhere from its values at both."""
+    pts = np.unique(xs)
+    nxt = np.roll(pts, -1)
+    return pts, ((pts + nxt + np.where(nxt <= pts, 1.0, 0.0)) / 2.0) % 1.0
 
 
 class StepFunction:
-    """Integer-valued step function with finitely many breakpoints.
+    """An integer step function that jumps at most at the sorted distinct
+    points ``breakpoints``, held exactly as its ``values`` at
+    ``cells(breakpoints)``: at each point, then on the cell after each.
+    The library checks the characteristic identity on plain arrays; this
+    class stays while ``perfbench/spans.py`` wraps ``add`` and ``equal``."""
 
-    ``gaps[i]`` is the value on the open arc (breakpoints[i], breakpoints[i+1])
-    (cyclically), and ``points[i]`` is the value at breakpoints[i] itself, so
-    closed-arc indicators are represented exactly at their endpoints.
-    A function with no breakpoints is the constant ``gaps[0]``.
-    """
-
-    __slots__ = ("breakpoints", "gaps", "points")
-
-    def __init__(self, breakpoints: Sequence[float], gaps: Sequence[int],
-                 points: Sequence[int]):
-        bps = [reduce(b) for b in breakpoints]
-        if bps:
-            order = sorted(range(len(bps)), key=lambda i: bps[i])
-            bps = [bps[i] for i in order]
-            gv = [int(gaps[i]) for i in order]
-            pv = [int(points[i]) for i in order]
-        else:
-            gv = [int(gaps[0])]
-            pv = []
-        m = len(bps)
-        # canonical form: drop breakpoints carrying no information
-        if m:
-            keep = [i for i in range(m)
-                    if not (pv[i] == gv[i] == gv[(i - 1) % m])]
-            if keep:
-                bps = [bps[i] for i in keep]
-                gv = [gv[i] for i in keep]
-                pv = [pv[i] for i in keep]
-            else:
-                bps, gv, pv = [], [gv[0]], []
-        self.breakpoints = tuple(bps)
-        self.gaps = tuple(gv)
-        self.points = tuple(pv)
+    def __init__(self, breakpoints, values):
+        self.breakpoints = np.asarray(breakpoints, dtype=float)
+        self.values = np.asarray(values, dtype=np.int64)
 
     @classmethod
-    def constant(cls, value: int) -> "StepFunction":
-        return cls([], [value], [])
+    def indicator(cls, arc: Arc, closed: bool = True) -> "StepFunction":
+        """The indicator of the closed arc, or of the open one."""
+        pts = np.unique([arc.left, arc.right])
+        return cls(pts, arc_indicator(np.concatenate(cells(pts)), arc, closed))
 
-    @classmethod
-    def indicator(cls, arc: Arc) -> "StepFunction":
-        """Characteristic function of a closed arc (1 at both endpoints)."""
-        if _same_point(arc.left, arc.right) and arc.length < 0.5:
-            return cls([arc.left], [0], [1])
-        # breakpoints sorted; the gap starting at `left` carries value 1
-        if arc.left < arc.right:
-            return cls([arc.left, arc.right], [1, 0], [1, 1])
-        return cls([arc.right, arc.left], [0, 1], [1, 1])
-
-    @classmethod
-    def indicator_open(cls, arc: Arc) -> "StepFunction":
-        """Characteristic function of an open arc (0 at both endpoints)."""
-        if _same_point(arc.left, arc.right) and arc.length < 0.5:
-            return cls.constant(0)
-        if arc.left < arc.right:
-            return cls([arc.left, arc.right], [1, 0], [0, 0])
-        return cls([arc.right, arc.left], [0, 1], [0, 0])
-
-    def eval(self, x: float) -> int:
-        bps = self.breakpoints
-        if not bps:
-            return self.gaps[0]
-        x = reduce(x)
-        m = len(bps)
-        i = bisect.bisect_right(bps, x)
-        # candidates for point coincidence: neighbours (with wrap)
-        for j in (i - 1, i % m):
-            if distance(x, bps[j]) <= EPS:
-                return self.points[j]
-        return self.gaps[(i - 1) % m]
-
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized gap-value evaluation (point values are ignored)."""
-        bps = self.breakpoints
-        if not bps:
-            return np.full(len(xs), self.gaps[0], dtype=np.int64)
-        idx = (np.searchsorted(np.asarray(bps), np.asarray(xs), side="right")
-               - 1) % len(bps)
-        return np.asarray(self.gaps, dtype=np.int64)[idx]
-
-    def _merged_breakpoints(self, other: "StepFunction") -> list:
-        merged: list = []
-        for b in sorted(self.breakpoints + other.breakpoints):
-            if not merged or not _same_point(merged[-1], b):
-                merged.append(b)
-        if len(merged) > 1 and _same_point(merged[0], merged[-1]):
-            merged.pop()
-        return merged
+    def eval_many(self, xs) -> np.ndarray:
+        """The values at the reduced points xs."""
+        n = len(self.breakpoints)
+        i = (np.searchsorted(self.breakpoints, xs, "right") - 1) % n
+        return np.where(self.breakpoints[i] == xs, self.values[i],
+                        self.values[n + i])
 
     def add(self, other: "StepFunction", sign: int = 1) -> "StepFunction":
-        """Pointwise self + sign*other, including at breakpoints."""
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        bps = self._merged_breakpoints(other)
-        if not bps:
-            return StepFunction.constant(self.gaps[0] + sign * other.gaps[0])
-        m = len(bps)
-        pv = [self.eval(b) + sign * other.eval(b) for b in bps]
-        gv = []
-        for i in range(m):
-            gap = reduce(bps[(i + 1) % m] - bps[i]) or 1.0
-            mid = reduce(bps[i] + gap / 2.0)
-            gv.append(self.eval(mid) + sign * other.eval(mid))
-        return StepFunction(bps, gv, pv)
-
-    def __add__(self, other):
-        return self.add(other, 1)
-
-    def __sub__(self, other):
-        return self.add(other, -1)
+        """self + sign * other, on the union of the breakpoints."""
+        pts = np.union1d(self.breakpoints, other.breakpoints)
+        x = np.concatenate(cells(pts))
+        return StepFunction(pts, self.eval_many(x) + sign * other.eval_many(x))
 
     def equal(self, other: "StepFunction") -> bool:
-        """Exact pointwise equality everywhere, including at breakpoints."""
-        if len(self.breakpoints) != len(other.breakpoints):
-            return False
-        if not self.breakpoints:
-            return self.gaps == other.gaps
-        if self.gaps != other.gaps or self.points != other.points:
-            return False
-        return all(_same_point(a, b)
-                   for a, b in zip(self.breakpoints, other.breakpoints))
-
-    def integral(self) -> float:
-        """Integral with respect to Lebesgue measure on the circle."""
-        bps = self.breakpoints
-        if not bps:
-            return float(self.gaps[0])
-        m = len(bps)
-        total = 0.0
-        for i in range(m):
-            gap = reduce(bps[(i + 1) % m] - bps[i]) or 1.0
-            total += self.gaps[i] * gap
-        return total
-
-    def __repr__(self):
-        if not self.breakpoints:
-            return f"StepFunction(const={self.gaps[0]})"
-        return (f"StepFunction(breakpoints={self.breakpoints}, "
-                f"gaps={self.gaps}, points={self.points})")
-
-
-def step_sum(indicators: Iterable[StepFunction]) -> StepFunction:
-    """Sum of a (possibly empty) collection of step functions."""
-    total = StepFunction.constant(0)
-    for s in indicators:
-        total = total.add(s)
-    return total
+        """Exact equality everywhere, at the breakpoints too."""
+        return not self.add(other, -1).values.any()

@@ -33,7 +33,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .circle import EPS, Arc, reduce, reduce_many
+from .circle import EPS, Arc, in_closed_arcs, reduce, reduce_many
 from .flower import Discontinuity, Flower, PreImageSelector, SelectorTable
 
 #: points per petal on which ``is_flat`` samples the flattened function
@@ -66,26 +66,19 @@ def escape_counts(F: Flower, arcs: Sequence[Arc], xs, N: int
 
     all arcs counted on one forward orbit of the points, which is followed
     only while it stays in F.  Arcs are closed, tested as ``Arc.contains``
-    tests them."""
-    def closed(arcs):
-        # Arc.contains of every arc (rows) at the points (columns)
-        left = np.array([[arc.left] for arc in arcs])
-        length = np.array([[arc.length] for arc in arcs])
+    tests them, one arc a row against the points as columns."""
+    def rows(arcs):
+        return (np.array([[arc.left] for arc in arcs]),
+                np.array([[arc.length] for arc in arcs]))
 
-        def inside(x):
-            off = x - left
-            off += off < 0.0
-            return (off <= length) | (off >= 1.0)
-        return inside
-
-    in_arcs, in_flower = closed(arcs), closed(F.petals)
+    arc_rows, petal_rows = rows(arcs), rows(F.petals)
     x = reduce_many(xs)
     counts = np.zeros((len(arcs), len(x)), dtype=np.int64)
     alive = np.arange(len(x))
     for n in range(N + 1):
-        counts[:, alive] += in_arcs(x)
+        counts[:, alive] += in_closed_arcs(x, *arc_rows)
         if n < N:
-            stay = in_flower(x).any(axis=0)
+            stay = in_closed_arcs(x, *petal_rows).any(axis=0)
             alive = alive[stay]
             x = F.map.apply_many(x[stay])
     return counts

@@ -23,8 +23,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .circle import (EPS, Arc, CyclicOrder, StepFunction, distance, reduce,
-                     reduce_many, step_sum)
+from .circle import (EPS, Arc, arc_indicator, cells, distance, in_closed_arcs,
+                     lift, reduce, reduce_many)
 from .dynamics import ExpandingMap
 
 _IMAGE_TOL = 1e-9
@@ -71,9 +71,6 @@ class Flower:
 
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return any(petal.contains(x, tol) for petal in self.petals)
-
-    def characteristic(self) -> StepFunction:
-        return step_sum(StepFunction.indicator(p) for p in self.petals)
 
     def boundary(self) -> List[float]:
         pts: List[float] = []
@@ -205,13 +202,12 @@ class PreImageSelector:
         petals = self.flower.petals
         x1 = min(self._disc)
         y1 = petals[self._owner[self._disc.index(x1)]].left
-        order = CyclicOrder(y1)
         out = []
         for i, d in enumerate(self._disc):
             y = petals[self._owner[i]].left
             yp = petals[self._end_owner[i]].right
             type_pair = (T.branch_index(yp), T.branch_index(y))
-            in_a = order.key(y) <= order.key(yp)
+            in_a = lift(y1, y) <= lift(y1, yp)
             I = Arc(y, yp) if in_a else Arc(yp, y)
             out.append(Discontinuity(x=d, type_pair=type_pair, y=y,
                                      y_prime=yp, I=I, J=I.complement(),
@@ -219,21 +215,22 @@ class PreImageSelector:
         return out
 
     def characteristic_identity(self):
-        """(chi(F), signed sum of chi(I_x), equal?) -- the identity holds
-        for every valid flower.
+        """(lhs, rhs, equal) of the characteristic identity, which holds
+        for every valid flower:
 
-        The signed sum is upper semi-continuous, so the positively counted
-        arcs enter as closed indicators and the negatively counted ones as
-        open indicators.
+            chi(F) = sum_{x in A} chi(I_x) - sum_{x not in A} chi(I_x open).
+
+        Both sides are integer step functions that jump only at the 2p
+        petal endpoints, which are the ends of the arcs I_x bitwise, so
+        they are compared exactly as int64 arrays of their values at
+        ``cells(F.boundary())``: the sorted petal endpoints, then the
+        midpoints of the cells between them.
         """
-        lhs = self.flower.characteristic()
-        rhs = StepFunction.constant(0)
-        for disc in self.discontinuities():
-            if disc.in_A:
-                rhs = rhs.add(StepFunction.indicator(disc.I), 1)
-            else:
-                rhs = rhs.add(StepFunction.indicator_open(disc.I), -1)
-        return lhs, rhs, lhs.equal(rhs)
+        xs = np.concatenate(cells(self.flower.boundary()))
+        lhs = sum(arc_indicator(xs, petal) for petal in self.flower.petals)
+        rhs = sum((1 if d.in_A else -1) * arc_indicator(xs, d.I, d.in_A)
+                  for d in self.discontinuities())
+        return lhs, rhs, bool((lhs == rhs).all())
 
     # -- iterated images ---------------------------------------------------
 
@@ -457,9 +454,8 @@ class SelectorTable:
             # past the end of every chain nothing changes
             if m and on.any():
                 # Flower.contains and circle.distance, on reduced points
-                off = c[:, :, None] - self.left[:, None, :]
-                off += off < 0.0
-                inside = (off <= self.length[:, None, :]) | (off >= 1.0)
+                inside = in_closed_arcs(c[:, :, None], self.left[:, None, :],
+                                        self.length[:, None, :])
                 nxt = self.map.apply_many(c)
                 e = np.abs(nxt[:, :, None] - self.disc[:, None, :])
                 near = np.minimum(e, 1.0 - e) <= EPS

@@ -32,7 +32,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circle import Arc, distance, distance_many, lift, reduce, reduce_many
+from .circle import (Arc, cells, distance, distance_many, lift, reduce,
+                     reduce_many)
 from .dynamics import ExpandingMap, periodic_orbits
 # ``functional`` is re-exported for callers of ``solve.functional``, such as
 # the span recorder in perfbench/spans.py, which patches it here
@@ -47,8 +48,6 @@ MULTISECTION_POINTS = 63
 CYCLE_TOL, CYCLE_MAX_PERIOD = 1e-9, 256
 #: largest distance of a cycle point from its snap to j/(k^q - 1)
 SNAP_TOL = 1e-6
-#: ``rank_test`` counts the singular values above RANK_THRESHOLD
-RANK_THRESHOLD = 1e-8
 #: steps per block of ``branch_one_frequency_scan``, which looks for a
 #: repeated state, and so a cycle of at most this length, at block ends
 FREQUENCY_BLOCK = 64
@@ -413,14 +412,39 @@ def orbit_oracle(T: ExpandingMap, f, max_period: int
     return best, best_orbit
 
 
+def integer_rank(M) -> int:
+    """The exact rank of an integer matrix: columns equal to their left
+    neighbour dropped, then fraction-free elimination on Python ints, one
+    numpy step per pivot.  Every entry after a step is a minor of M, so
+    each division is exact and nothing overflows (Bareiss 1968)."""
+    M = np.asarray(M)
+    if M.shape[1] > 1:
+        M = M[:, np.r_[True, (M[:, 1:] != M[:, :-1]).any(axis=0)]]
+    A = M.astype(object)
+    rank, pivot = 0, 1
+    for c in range(A.shape[1]):
+        if rank == len(A):
+            break
+        nonzero = np.flatnonzero(A[rank:, c] != 0)
+        if not len(nonzero):
+            continue
+        A[[rank, rank + nonzero[0]]] = A[[rank + nonzero[0], rank]]
+        below, row = A[rank + 1:], A[rank]
+        below[:, c + 1:] = (row[c] * below[:, c + 1:]
+                            - below[:, c:c + 1] * row[c + 1:]) // pivot
+        pivot, rank = row[c], rank + 1
+    return rank
+
+
 def rank_test(F: Flower, N: int = 15, grid: int = 512) -> Tuple[int, int]:
-    """Numerical rank of the p escape densities together with the constant
+    """Exact rank of the p escape densities together with the constant
     function; the codimension statement predicts rank p + 1.
 
     The densities are sampled at the midpoints of the cells cut at the
     petal endpoints, at their one-sided selector orbits to depth N (where
-    the arcs tau^n I_x end) and at a uniform grid.  Raises ValueError
-    for N < 0."""
+    the arcs tau^n I_x end) and at a uniform grid.  Their integer counts
+    and a row of ones form the matrix whose ``integer_rank`` is returned,
+    with p.  Raises ValueError for N < 0."""
     if N < 0:
         raise ValueError("N must be >= 0")
     sel = selector(F)
@@ -431,16 +455,9 @@ def rank_test(F: Flower, N: int = 15, grid: int = 512) -> Tuple[int, int]:
         right = sel.tau_many(right, "right")
         left = sel.tau_many(left, "left")
         cuts += [right, left]
-    pts = np.unique(np.concatenate(cuts))
-    mids = ((pts + np.roll(pts, -1) + np.where(
-        np.roll(pts, -1) < pts, 1.0, 0.0)) / 2.0) % 1.0
-    arcs = [d.I for d in sel.discontinuities()]
-    M = np.vstack([escape_counts(F, arcs, mids, N).astype(float),
-                   np.ones_like(mids)])
-    norms = np.linalg.norm(M, axis=1, keepdims=True)
-    M = M / np.where(norms == 0, 1.0, norms)
-    svals = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(svals > RANK_THRESHOLD)), F.p
+    _, mids = cells(np.concatenate(cuts))
+    counts = escape_counts(F, [d.I for d in sel.discontinuities()], mids, N)
+    return integer_rank(np.vstack([counts, np.ones_like(mids, int)])), F.p
 
 
 def _cycle_hits(cum: np.ndarray, s: np.ndarray, lam: np.ndarray,

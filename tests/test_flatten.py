@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowerflat.circle import EPS, Arc, StepFunction, lift, reduce
+from flowerflat.circle import EPS, Arc, lift, reduce
 from flowerflat.dynamics import make_linear_map, map_from_slopes
 from flowerflat.flatten import (build_coboundary, default_depth,
                                 escape_function, escape_time_direct,
@@ -79,9 +79,8 @@ class TestEscapeFunction:
     def test_depth_zero_is_flower_indicator(self):
         F, sel, disc = _semicircle()
         e = escape_function(sel, disc, 0)
-        chi = StepFunction.indicator(Arc(0.25, 0.75))
         xs = [i / 64 for i in range(64)]
-        assert e.eval_many(xs).tolist() == [chi.eval(x) for x in xs]
+        assert e.eval_many(xs).tolist() == [F.contains(x) for x in xs]
 
     def test_frozen_values(self):
         F, sel, disc = _semicircle()

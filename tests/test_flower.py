@@ -1,10 +1,11 @@
 """Flowers, their validation, and pre-image selectors."""
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
-from flowerflat.circle import EPS, Arc
+from flowerflat.circle import EPS, Arc, cells
 from flowerflat.dynamics import make_linear_map, map_from_slopes
 from flowerflat.flower import (BoundaryAtBranchBreak, DegeneratePetal,
                                FlowerError, OverlappingPetals, SamplingFailed,
@@ -49,11 +50,10 @@ class TestValidation:
         F = validate_flower([Arc(0.25, 0.75)], T2)
         assert F.contains(0.5)
         assert not F.contains(0.1)
-        chi = F.characteristic()
-        assert chi.eval(0.5) == 1
-        assert chi.eval(0.25) == 1
-        assert chi.eval(0.1) == 0
         assert F.boundary() == [0.25, 0.75]
+        # chi(F) at 1/4, 3/4 and the cell midpoints 1/2 and 0
+        chi, _, _ = selector(F).characteristic_identity()
+        assert chi.tolist() == [1, 1, 1, 0]
 
 
 class TestOneFlower:
@@ -189,9 +189,11 @@ class TestSelector:
             pytest.approx([1 / 3], abs=1e-15)
 
     def test_characteristic_identity(self):
+        # at 1/4, 3/4 and the cell midpoints 1/2 and 0
         lhs, rhs, equal = self.sel.characteristic_identity()
         assert equal
-        assert lhs.eval(0.25) == rhs.eval(0.25) == 1
+        assert lhs.dtype == rhs.dtype == np.int64
+        assert lhs.tolist() == rhs.tolist() == [1, 1, 1, 0]
 
 
 class TestSelectorTable:
@@ -279,3 +281,60 @@ class TestCharacteristicIdentityRandom:
             F = random_flower(make_linear_map(k), p, rng)
             _, _, equal = selector(F).characteristic_identity()
             assert equal
+
+    @staticmethod
+    def _flowers(seed, count, min_p=1):
+        """Random flowers of T2, T3, T4 and S244 with p in [min_p, 4]."""
+        rng = random.Random(seed)
+        maps = [make_linear_map(k) for k in (2, 3, 4)] + [
+            map_from_slopes([2.0, 4.0, 4.0])]
+        for _ in range(count):
+            T = rng.choice(maps)
+            p = rng.randint(min_p, 4)
+            if T.degree == 2 and p % 2 == 0:
+                p += 1
+            yield random_flower(T, p, rng), rng
+
+    @staticmethod
+    def _oracle(sel, x):
+        """Both sides of the identity at x from ``Arc.contains``, an open
+        arc holding the points of the closed one other than its ends."""
+        lhs = sum(petal.contains(x) for petal in sel.flower.petals)
+        rhs = 0
+        for disc in sel.discontinuities():
+            inside = disc.I.contains(x)
+            if disc.in_A:
+                rhs += inside
+            else:
+                rhs -= inside and x not in (disc.I.left, disc.I.right)
+        return lhs, rhs
+
+    def test_matches_the_scalar_oracle(self):
+        # at every sample point; and at random points, where both sides
+        # take the value of the cell the point lies in
+        for F, rng in self._flowers(12, 60):
+            sel = selector(F)
+            lhs, rhs, equal = sel.characteristic_identity()
+            pts, mids = cells(F.boundary())
+            xs = np.concatenate([pts, mids]).tolist()
+            assert list(zip(lhs.tolist(), rhs.tolist())) == \
+                [self._oracle(sel, x) for x in xs]
+            assert equal
+            for x in (rng.random() for _ in range(50)):
+                if x in xs:
+                    continue
+                cell = (np.searchsorted(pts, x) - 1) % len(pts)
+                assert self._oracle(sel, x) == \
+                    (lhs[len(pts) + cell], rhs[len(pts) + cell])
+
+    def test_mutations_break_the_identity(self):
+        # flipping one discontinuity's A-membership, or dropping its arc
+        for F, _ in self._flowers(13, 20, min_p=2):
+            sel = selector(F)
+            discs = sel.discontinuities()
+            for i, disc in enumerate(discs):
+                flipped = dataclasses.replace(disc, in_A=not disc.in_A)
+                for mutant in (discs[:i] + [flipped] + discs[i + 1:],
+                               discs[:i] + discs[i + 1:]):
+                    sel.discontinuities = lambda: mutant
+                    assert not sel.characteristic_identity()[2]

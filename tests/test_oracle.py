@@ -83,25 +83,31 @@ def test_flower_ending_at_the_fixed_point():
 
 #: rationals j/q where the closed form is known to miss the exact value
 #: with f = cos 2 pi x (ROADMAP item 1); by map and depth
+_T3_40 = {"1/26", "20/39", "7/13", "17/26",
+          "1/24", "1/8", "5/39", "2/13", "1/6", "5/8"}
+_T4_40 = {"1/12", "1/15", "2/5", "7/20"}
 KNOWN_DEFECTS = {
     (2, 24): set(), (2, 40): set(),
+    (2, 60): {"1/14", "1/15", "1/30", "1/31", "1/6", "1/7", "11/31",
+              "13/30", "15/31", "5/14", "5/31", "7/15"},
     (3, 24): {"1/26", "20/39", "7/13", "17/26"},
-    (3, 40): {"1/26", "20/39", "7/13", "17/26",
-              "1/24", "1/8", "5/39", "2/13", "1/6", "5/8"},
+    (3, 40): _T3_40, (3, 60): _T3_40,
+    (4, 24): {"2/5", "7/20"}, (4, 40): _T4_40, (4, 60): _T4_40,
 }
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_rational_sweep(k):
     # all 489 rationals j/q in (0, 1) with q <= 40, moved off the branch
     # breaks as phi_of_gammas moves them; a value may only leave the set
     # of known defects, and the set only shrink
+    depths = (24, 40, 60)
     rationals = sorted({Fraction(j, q) for q in range(2, 41)
                         for j in range(1, q)})
     family = OneFlowerFamily(make_linear_map(k))
     gammas = _off_degenerate(family, np.array([float(r) for r in rationals]))
-    exact = np.array([exact_phi(k, g, [COS], [24, 40])[0] for g in gammas])
-    for j, N in enumerate((24, 40)):
+    exact = np.array([exact_phi(k, g, [COS], depths)[0] for g in gammas])
+    for j, N in enumerate(depths):
         values, _ = phi_of_gammas(family, COS, gammas, N)
         wrong = np.abs(values - exact[:, j]) > 1e-12
         assert {str(rationals[i]) for i in np.nonzero(wrong)[0]} <= \

@@ -18,9 +18,10 @@ from flowerflat.flower import (one_flower, random_flower, selector,
 from flowerflat.functions import PiecewiseLinear, TrigPolynomial, demo_function
 from flowerflat.solve import (NoSignChange, OneFlowerFamily, ZeroInterval,
                               branch_one_frequency_scan, orbit_oracle,
-                              phi_of_gamma, phi_of_gammas, rank_test, scan,
-                              sign_conditions, solve_pre_sturmian,
-                              sturmian_estimate, support_extremes)
+                              integer_rank, phi_of_gamma, phi_of_gammas,
+                              rank_test, scan, sign_conditions,
+                              solve_pre_sturmian, sturmian_estimate,
+                              support_extremes)
 
 from arc_walk import walk_functional
 
@@ -356,6 +357,62 @@ class TestRankTest:
             rank, got_p = rank_test(F)
             assert got_p == p
             assert rank == p + 1
+
+
+def _fraction_rank(M):
+    """Rank by Gaussian elimination in exact rationals."""
+    rows = [[Fraction(int(v)) for v in row] for row in M]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            ratio = rows[i][c] / rows[rank][c]
+            rows[i] = [a - ratio * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestIntegerRank:
+    def test_unit_determinant_near_one_billion(self):
+        # det = 10^18 - (10^18 - 1) = 1, where the singular values of the
+        # row-normalised matrix are 1.41 and 6.5e-17
+        M = [[10**9, 10**9 + 1], [10**9 - 1, 10**9]]
+        assert integer_rank(M) == 2
+
+    def test_dependent_rows(self):
+        M = np.array([[1, 2, 0, 5], [3, -1, 4, 0], [0, 0, 0, 0]])
+        M[2] = 2 * M[0] - 3 * M[1]
+        assert integer_rank(M) == 2
+        assert integer_rank(M.T) == 2
+
+    def test_zero_and_empty(self):
+        assert integer_rank(np.zeros((3, 4), dtype=int)) == 0
+        assert integer_rank(np.zeros((3, 0), dtype=int)) == 0
+        assert integer_rank(np.eye(4, dtype=int)) == 4
+
+    def test_duplicated_columns_keep_the_rank(self):
+        rng = np.random.default_rng(3)
+        for rank in (1, 2, 3):
+            M = rng.integers(-5, 6, (4, rank)) @ rng.integers(-5, 6,
+                                                               (rank, 7))
+            want = integer_rank(M)
+            assert want == _fraction_rank(M)
+            assert integer_rank(np.repeat(M, 3, axis=1)) == want
+            cols = M[:, rng.integers(0, 7, 30)]
+            assert integer_rank(cols) == _fraction_rank(cols)
+
+    def test_depth_1000_counts_match_fraction_elimination(self):
+        # escape counts at depth 1000 reach 1001; on the six rows of a
+        # 5-flower, the minors that Bareiss elimination keeps pass 2^63
+        rng = np.random.default_rng(4)
+        for rows, rank in ((6, 6), (6, 4), (5, 3), (3, 3)):
+            basis = rng.integers(0, 1002, (rank, 40))
+            mix = rng.integers(0, 4, (rows, rank))
+            M = mix @ basis
+            assert integer_rank(M) == _fraction_rank(M)
 
 
 class TestBranchOneFrequency:
