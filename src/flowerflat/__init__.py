@@ -19,9 +19,9 @@ from .flower import (BoundaryAtBranchBreak, CoverageGap, DegeneratePetal,
                      one_flower, random_flower, selector, validate_flower)
 from .functions import (PiecewiseLinear, TrigPolynomial, compose_with_map,
                         demo_function, demo_potential)
-from .solve import (NoSignChange, OneFlowerFamily, SturmianEstimate,
-                    ZeroInterval, branch_one_frequency_scan, orbit_oracle,
-                    phi_of_gamma, rank_test, scan, sign_conditions,
-                    solve_pre_sturmian, sturmian_estimate, support_extremes)
+from .solve import (NoSignChange, SturmianEstimate, ZeroInterval,
+                    branch_one_frequency_scan, orbit_oracle, phi_of_gamma,
+                    rank_test, scan, sign_conditions, solve_pre_sturmian,
+                    sturmian_estimate, support_extremes)
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ setting from its option or else its config key and checks it by the one
 rule ``RULES`` gives its name, before any computation.  All numeric
 output is emitted with 17 significant digits in a fixed order, so
 identical configs produce byte-identical CSV/JSON.  Exit codes: 0 ok,
-2 invalid spec, 3 not flattenable, 4 no solution found.
+2 invalid spec, 3 not flattenable (for ``demo``: its flatness or
+closed-form check failed), 4 no solution found.
 """
 from __future__ import annotations
 
@@ -23,14 +24,14 @@ from typing import List, Optional
 from .circle import Arc, reduce
 from .dynamics import (MAX_PERIOD, ExpandingMap, check_periodic_orbits,
                        make_linear_map, periodic_orbits)
-from .flatten import (build_coboundary, default_depth, flattened_values,
+from .flatten import (Coboundary, default_depth, flattened_values,
                       functional, is_flat, normal_form_check, petal_samples)
-from .flower import (Flower, FlowerError, random_flower, selector,
+from .flower import (Flower, FlowerError, one_flower, random_flower, selector,
                      validate_flower)
 from .functions import (PiecewiseLinear, TrigPolynomial, compose_with_map,
                         demo_function, demo_potential)
-from .solve import (NoSignChange, OneFlowerFamily, orbit_oracle, rank_test,
-                    scan, solve_pre_sturmian, sturmian_estimate)
+from .solve import (NoSignChange, orbit_oracle, rank_test, scan,
+                    solve_pre_sturmian, sturmian_estimate)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -249,7 +250,7 @@ def cmd_validate(args) -> int:
 
 def cmd_scan(args) -> int:
     s, T, f, _ = _load(args, "function")
-    rows = scan(OneFlowerFamily(T), f, s.grid, s.depth)
+    rows = scan(T, f, s.grid, s.depth)
     lines = ["gamma,phi,error_bound"]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     _emit("\n".join(lines) + "\n", args.out)
@@ -275,7 +276,7 @@ def cmd_flatten(args) -> int:
         report["reason"] = "a flattening functional exceeds its error bound"
         _emit_json(report, args.out)
         return EXIT_NOT_FLAT
-    cob = build_coboundary(sel, f, s.depth)
+    cob = Coboundary(sel, f, s.depth)
     flat, constant, max_dev = is_flat(f, cob, F, tol=s.tol)
     pts = petal_samples(F, 16)
     report.update({
@@ -294,9 +295,8 @@ def cmd_solve(args) -> int:
     s, T, f, _ = _load(args, "function")
     # the orbit oracle runs last, but its map and period are checked first
     check_periodic_orbits(T, s.max_period)
-    family = OneFlowerFamily(T)
     try:
-        intervals = solve_pre_sturmian(family, f, s.depth,
+        intervals = solve_pre_sturmian(T, f, s.depth,
                                        resolution=s.tol, grid_size=s.grid)
     except NoSignChange as exc:
         _emit_json({"zero_intervals": [],
@@ -306,7 +306,7 @@ def cmd_solve(args) -> int:
     report = {"zero_intervals": [], "depth": s.depth}
     best = None
     for zi in intervals:
-        est = sturmian_estimate(family.flower(zi.midpoint), f,
+        est = sturmian_estimate(one_flower(T, zi.midpoint), f,
                                 burn_in=s.burn_in, length=s.length)
         entry = {
             "gamma_low": zi.gamma_low, "gamma_high": zi.gamma_high,
@@ -371,7 +371,8 @@ def cmd_demo(args) -> int:
     Builds the piecewise-linear f with gamma in (0, 1/6), flattens it on
     the 1-flower [gamma, gamma+1/2] of the doubling map, checks the
     closed-form value of (f+g)(gamma+3/4), and reports the normal-form
-    status of f and f+g.
+    status of f and f+g.  Exits EXIT_NOT_FLAT when the flatness or the
+    closed-form check fails.
     """
     g = args.gamma
     if not 0.0 < g < 1.0 / 6.0:
@@ -382,7 +383,7 @@ def cmd_demo(args) -> int:
     sel = selector(F)
     depth = default_depth(f.lipschitz_constant(), T.expansion_constant,
                           2.5e-11)
-    cob = build_coboundary(sel, f, depth)
+    cob = Coboundary(sel, f, depth)
     pts = [reduce(g + 0.5 * i / 999) for i in range(1000)]
     vals = flattened_values(f, cob, pts)
     max_dev = float(max(abs(v) for v in vals))
@@ -407,7 +408,7 @@ def cmd_demo(args) -> int:
     }
     _emit_json(report, args.out)
     if not flat_on_F or abs(value - formula) > 1e-10:
-        return 1
+        return EXIT_NOT_FLAT
     return EXIT_OK
 
 

@@ -102,22 +102,12 @@ class ExpandingMap:
         i = lifted[1:].searchsorted(u, "right")
         return reduce_many(lifted[0] + slopes[i] * (u - lifted[i]))
 
-    def orbit(self, x: float, n: int) -> List[float]:
-        """Forward orbit x, T(x), ..., T^{n-1}(x)."""
-        out = [reduce(x)]
-        for _ in range(n - 1):
-            out.append(self.apply(out[-1]))
-        return out
-
     def inverse_branch(self, i: int, x: float) -> float:
         """The unique preimage of x in the branch interval [a_i, a_{i+1})."""
         if not 0 <= i < self.degree:
             raise IndexError(f"branch index {i} out of range")
         a0 = self._lifted[0]
         return reduce(self._lifted[i] + reduce(x - a0) / self.slopes[i])
-
-    def preimages(self, x: float) -> List[float]:
-        return [self.inverse_branch(i, x) for i in range(self.degree)]
 
     def is_linear(self) -> bool:
         """True iff this is the map x -> kx mod 1."""

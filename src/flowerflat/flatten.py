@@ -101,6 +101,9 @@ class EscapeFunction:
 
 def escape_function(sel: PreImageSelector, disc: Discontinuity,
                     N: int) -> EscapeFunction:
+    """The ``EscapeFunction`` of the arc I_x of ``disc``, a wrapper of
+    ``escape_counts`` that stays only because the benchmark workloads in
+    perfbench/workloads.py call it.  Raises ValueError for N < 0."""
     if N < 0:
         raise ValueError("N must be >= 0")
     K = sel.flower.map.expansion_constant
@@ -163,36 +166,34 @@ def transfer(table: SelectorTable, f, N: int, u, v) -> np.ndarray:
     iterating on could round onto d again where that orbit returns to it.
     """
     v, u = np.asarray(v, dtype=float), np.asarray(u, dtype=float)
-    G, M = v.shape
-    p = table.disc.shape[1]
-    # all points in one flat array, row by row, so that a one-row table
-    # pushes a plain vector; reshape(rows) views it by flower
-    orbit = np.concatenate([v, u], axis=1).ravel()
-    rows = (G, len(orbit) // G)
-    total = np.zeros(len(orbit))
-    alive = np.ones(len(orbit), dtype=bool)
+    M = v.shape[1]
+    points = np.concatenate([v, u], axis=1)
+    total = np.zeros(points.shape)
+    alive = np.ones(points.shape, dtype=bool)
     g, j, m, c = table.ledger(N)
     tail_right, tail_left = (sums[N - m, g, j] for sums in table.sums(f, N))
-    past = c[:, None] <= orbit.reshape(rows)[g]
-    # one-sided decisions only at the (level, discontinuity) of some jump
+    past = c[:, None] <= points[g]
+    # one-sided decisions only at the (level, discontinuity) of some jump:
+    # the ledger sorted by level and then discontinuity, cut into slices
+    order = np.lexsort((j, m))
+    mo, jo = m[order], j[order]
+    heads = np.flatnonzero((np.diff(mo, prepend=-1) != 0)
+                           | (np.diff(jo, prepend=-1) != 0))
     jumps = {}
-    for step in sorted(set((m * p + j).tolist())):
-        jumps.setdefault(step // p, []).append(step % p)
+    for h, e in zip(heads.tolist(), heads[1:].tolist() + [len(order)]):
+        jumps.setdefault(int(mo[h]), []).append((jo[h], order[h:e]))
     for n in range(N):
-        for jj in jumps.get(n, ()):
-            k = np.nonzero((m == n) & (j == jj))[0]
+        for jj, k in jumps.get(n, ()):
             at = g[k]
-            near, side = one_sided(orbit.reshape(rows)[at],
-                                   table.disc[at, jj, None])
-            near &= alive.reshape(rows)[at]
+            near, side = one_sided(points[at], table.disc[at, jj, None])
+            near &= alive[at]
             past[k] = np.where(near, side, past[k])
-            total.reshape(rows)[at] += np.where(
+            total[at] += np.where(
                 near, np.where(side, tail_right[k, None], tail_left[k, None]),
                 0.0)
-            alive.reshape(rows)[at] &= ~near
-        orbit = table.tau_many(orbit)
-        total += np.where(alive, f.eval_many(orbit), 0.0)
-    total = total.reshape(rows)
+            alive[at] &= ~near
+        points = table.tau_many(points)
+        total += np.where(alive, f.eval_many(points), 0.0)
     after_anchor, past = ~past[:, M:], past[:, :M]
     inside = np.where(v[g] >= u[g], after_anchor & past,
                       after_anchor | past)
@@ -204,21 +205,20 @@ def transfer(table: SelectorTable, f, N: int, u, v) -> np.ndarray:
 class Coboundary:
     """Truncated transfer function phi with phi' = sum_{n=1..N} (f o tau^n)'.
 
-    phi is anchored to 0 at ``anchor`` and carries a uniform truncation
-    certificate ``error_bound``; the flattening coboundary is
-    g = phi - phi o T.  phi is evaluated by ``transfer`` on the
-    selector's one-row table.
+    phi is anchored to 0 at ``anchor``, the left end of the first petal,
+    and carries a uniform truncation certificate ``error_bound``; the
+    flattening coboundary is g = phi - phi o T.  phi is evaluated by
+    ``transfer`` on the selector's one-row table; ``transfer`` itself
+    gives phi(v) - phi(u) for any other anchor u.
     """
 
-    def __init__(self, sel: PreImageSelector, f, depth: int,
-                 anchor: float = None):
+    def __init__(self, sel: PreImageSelector, f, depth: int):
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.selector = sel
         self.f = f
         self.depth = depth
-        self.anchor = (sel.flower.petals[0].left if anchor is None
-                       else reduce(anchor))
+        self.anchor = sel.flower.petals[0].left
         K = sel.flower.map.expansion_constant
         self.error_bound = f.lipschitz_constant() * tail_bound(K, depth)
 
@@ -226,9 +226,6 @@ class Coboundary:
         """phi at many points.  Raises ValueError on non-finite points."""
         return transfer(self.selector.table, self.f, self.depth,
                         [[self.anchor]], reduce_many(xs)[None, :])[0]
-
-    def eval(self, x: float) -> float:
-        return float(self.eval_many([x])[0])
 
     def coboundary_many(self, xs: Sequence[float]) -> np.ndarray:
         """g = phi - phi o T at many points (error bound: 2*error_bound)."""
@@ -239,9 +236,10 @@ class Coboundary:
         return vals[:n] - vals[n:]
 
 
-def build_coboundary(sel: PreImageSelector, f, N: int,
-                     anchor: float = None) -> Coboundary:
-    return Coboundary(sel, f, N, anchor)
+def build_coboundary(sel: PreImageSelector, f, N: int) -> Coboundary:
+    """``Coboundary(sel, f, N)``; it stays only because the benchmark
+    workloads in perfbench/workloads.py call it."""
+    return Coboundary(sel, f, N)
 
 
 def flattened_values(f, cob: Coboundary, points: Sequence[float]

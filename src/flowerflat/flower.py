@@ -69,8 +69,8 @@ class Flower:
     def p(self) -> int:
         return len(self.petals)
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return any(petal.contains(x, tol) for petal in self.petals)
+    def contains(self, x: float) -> bool:
+        return any(petal.contains(x) for petal in self.petals)
 
     def boundary(self) -> List[float]:
         pts: List[float] = []
@@ -170,22 +170,16 @@ class PreImageSelector:
     def discontinuity_points(self) -> List[float]:
         return list(self._disc)
 
-    def _jump_value(self, disc_idx: int, side: str) -> float:
-        if side == "right":
-            return self.flower.petals[self._owner[disc_idx]].left
-        return self.flower.petals[self._end_owner[disc_idx]].right
-
-    def tau(self, x: float, side: str = "right") -> float:
+    def tau(self, x: float) -> float:
         """The selected preimage of x.  Within EPS of a discontinuity point
-        tau takes its right limit (the petal left endpoint there), or its
-        left limit (the petal right endpoint) with ``side='left'``.
+        tau takes its right limit, the petal left endpoint there.
         Elsewhere it is ``tau_many`` of the one-row table, on the row's
         pieces as Python lists: one step of a sequential orbit costs less
         than a numpy call."""
         x = reduce(x)
         for i, d in enumerate(self._disc):
             if distance(x, d) <= EPS:
-                return self._jump_value(i, side)
+                return self.flower.petals[self._owner[i]].left
         if self._row is None:
             self._row = [col.tolist() for col in self.table._row]
         starts, bases, slopes, lengths = self._row
@@ -253,8 +247,8 @@ class PreImageSelector:
             ends = [l, *cuts, r]
             us += ends[:-1]
             vs += ends[1:]
-        lefts = self.tau_many(np.array(us), "right").tolist()
-        rights = self.tau_many(np.array(vs), "left").tolist()
+        lefts = self.table.tau_many(np.array(us), "right").tolist()
+        rights = self.table.tau_many(np.array(vs), "left").tolist()
         return [(y, y if u == v or reduce(z - y) > reduce(v - u) else z)
                 for u, v, y, z in zip(us, vs, lefts, rights)]
 
@@ -269,12 +263,6 @@ class PreImageSelector:
             arcs = self.push_once(arcs)
         return [Arc(l, r) for l, r in arcs]
 
-    def discontinuity_set(self, n: int) -> List[float]:
-        """All discontinuity points of tau^n (the jump ledger's points)."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return sorted(set(self.table.ledger(n)[3].tolist()))
-
     # -- vectorized selector orbits ----------------------------------------
 
     @property
@@ -287,20 +275,6 @@ class PreImageSelector:
                 self.flower.map, np.array([[p.left for p in petals]]),
                 np.array([[p.right for p in petals]]))
         return self._table
-
-    def tau_many(self, xs: np.ndarray, side: str = "right") -> np.ndarray:
-        """tau on an array of reduced points, with one-sided limits at the
-        discontinuity points (``SelectorTable.tau_many``)."""
-        return self.table.tau_many(xs, side)
-
-    def jump_ledger(self, n: int) -> List[Tuple[int, int, float]]:
-        """The jumps of tau, ..., tau^n as (j, m, c): tau^(m+1) and every
-        later iterate jump at c = T^m(d_j), d_j the j-th discontinuity
-        point, because tau^m is continuous at c and maps it to d_j: the
-        table's ``ledger``, by j and then m.
-        """
-        _, j, m, c = self.table.ledger(n)
-        return list(zip(j.tolist(), m.tolist(), c.tolist()))
 
 
 def selector(F: Flower) -> PreImageSelector:

@@ -1,10 +1,10 @@
 """Lipschitz function models on the circle.
 
 Two concrete classes are provided: continuous piecewise-linear functions
-and trigonometric polynomials.  Both support exact evaluation and exact
-arc increments f(b) - f(a), which is all the flattening functionals need:
-integrals of f' against step functions reduce to finite sums of
-increments, so no quadrature ever enters.
+and trigonometric polynomials.  Both evaluate exactly, on one point or on
+an array, and carry their Lipschitz constant: integrals of f' against
+step functions reduce to finite sums of f-values, so no quadrature ever
+enters.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .circle import Arc, EPS, reduce, reduce_many
+from .circle import EPS, reduce, reduce_many
 from .dynamics import ExpandingMap
 
 _CLOSURE_TOL = 1e-9
@@ -98,15 +98,12 @@ class PiecewiseLinear:
         i = bisect.bisect_right(self._lifted, u) - 1
         return self.slopes[min(max(i, 0), len(self.slopes) - 1)]
 
-    def increment(self, J: Arc) -> float:
-        return self.eval(J.right) - self.eval(J.left)
-
     def lipschitz_constant(self) -> float:
         return max(abs(s) for s in self.slopes)
 
-    def add(self, other: "PiecewiseLinear", sign: float = 1.0,
-            constant: float = 0.0) -> "PiecewiseLinear":
-        """self + sign*other + constant as a new piecewise-linear function."""
+    def add(self, other: "PiecewiseLinear",
+            sign: float = 1.0) -> "PiecewiseLinear":
+        """self + sign*other as a new piecewise-linear function."""
         bps: List[float] = []
         for b in sorted(self.breakpoints + other.breakpoints):
             if not bps or b - bps[-1] > EPS:
@@ -119,7 +116,7 @@ class PiecewiseLinear:
             gap = (bps[(i + 1) % m] - bps[i]) % 1.0 or 1.0
             mid = reduce(bps[i] + gap / 2.0)
             slopes.append(self.slope_at(mid) + sign * other.slope_at(mid))
-        anchor = self.eval(bps[0]) + sign * other.eval(bps[0]) + constant
+        anchor = self.eval(bps[0]) + sign * other.eval(bps[0])
         return PiecewiseLinear(bps, slopes, anchor)
 
     def shift(self, constant: float) -> "PiecewiseLinear":
@@ -159,9 +156,6 @@ class TrigPolynomial:
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
-
-    def increment(self, J: Arc) -> float:
-        return self.eval(J.right) - self.eval(J.left)
 
     def lipschitz_constant(self) -> float:
         return 2.0 * math.pi * sum(

@@ -1,8 +1,9 @@
 """Pre-Sturmian equation solving and Sturmian measure estimation.
 
-The 1-flowers of an orientation-preserving expanding map form a circle
-family F_gamma = [a, b] with a = gamma; a Lipschitz function f can be
-flattened on F_gamma exactly when Phi(gamma) = integral of f' against the
+The 1-flowers of an orientation-preserving expanding map T form a circle
+family F_gamma = ``one_flower(T, gamma)`` = [a, b] with a = gamma, so the
+functions here take T itself.  A Lipschitz function f can be flattened on
+F_gamma exactly when Phi(gamma) = integral of f' against the
 escape-time density of F_gamma vanishes.  Phi is the flattening
 functional of the flower's one discontinuity, the closed form of
 ``flatten.transfer`` with anchor a, at the right end b:
@@ -39,7 +40,7 @@ from .dynamics import ExpandingMap, periodic_orbits
 # the span recorder in perfbench/spans.py, which patches it here
 from .flatten import escape_counts, functional, tail_bound, transfer
 from .flower import (Flower, PreImageSelector, SelectorTable, arc_end,
-                     one_flower, selector)
+                     selector)
 
 #: interior points per bracket and round of the root multisection
 MULTISECTION_POINTS = 63
@@ -64,33 +65,12 @@ class NoSignChange(RuntimeError):
         self.phi_max = phi_max
 
 
-@dataclass(frozen=True)
-class OneFlowerFamily:
-    """The family of 1-flowers [gamma, b(gamma)], parametrized by the left
-    endpoint; b(gamma) is the point whose image winds exactly once."""
-
-    map: ExpandingMap
-
-    def flower(self, gamma: float) -> Flower:
-        return one_flower(self.map, gamma)
-
-    def right_endpoint(self, gamma: float) -> float:
-        return float(arc_end(self.map, reduce(gamma), 1.0))
-
-    def gamma_with_right_endpoint(self, b: float) -> float:
-        """The parameter whose flower ends at b: the start of the arc that
-        ends at b and whose image winds once, F^-1(F(b) - 1)."""
-        return float(arc_end(self.map, reduce(b), -1.0))
-
-
-def _off_degenerate(family: OneFlowerFamily, gammas: np.ndarray
-                    ) -> np.ndarray:
+def _off_degenerate(T: ExpandingMap, gammas: np.ndarray) -> np.ndarray:
     """Nudge each gamma off the finite set of parameters where a petal
     endpoint coincides with a branch break.  There the selector's jump
     classification is ambiguous and the computed functional can be off by
     O(1); Phi is continuous in gamma, so a 2e-9 shift changes the true
     value by at most Lip(f) * O(1e-9).  At most four shifts are made."""
-    T = family.map
     breaks = np.asarray(T.breaks)
     gammas = gammas.copy()
     for _ in range(4):
@@ -102,14 +82,18 @@ def _off_degenerate(family: OneFlowerFamily, gammas: np.ndarray
     return gammas
 
 
-def phi_of_gammas(family: OneFlowerFamily, f, gammas: Sequence[float],
+def phi_of_gammas(T: ExpandingMap, f, gammas: Sequence[float],
                   N: int) -> Tuple[np.ndarray, np.ndarray]:
     """The pre-Sturmian functional Phi at every gamma, with its truncation
     bounds: f(b) - f(a) plus ``flatten.transfer`` from a to b on the
-    table of the 1-flowers [a, b] (see the module docstring)."""
-    T = family.map
-    table = SelectorTable.one_flowers(
-        T, _off_degenerate(family, reduce_many(gammas)))
+    table of the 1-flowers [a, b] (see the module docstring).  No gammas
+    give two empty arrays; raises ValueError for N < 0."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    gammas = reduce_many(gammas)
+    if not len(gammas):
+        return np.empty(0), np.empty(0)
+    table = SelectorTable.one_flowers(T, _off_degenerate(T, gammas))
     a, b = table.left, table.right
     value = f.eval_many(b) - f.eval_many(a) + transfer(table, f, N, a, b)
     K = T.expansion_constant
@@ -117,20 +101,20 @@ def phi_of_gammas(family: OneFlowerFamily, f, gammas: Sequence[float],
         K, N, table.length[:, 0])
 
 
-def phi_of_gamma(family: OneFlowerFamily, f, gamma: float,
+def phi_of_gamma(T: ExpandingMap, f, gamma: float,
                  N: int) -> Tuple[float, float]:
     """The pre-Sturmian functional Phi(gamma) with its truncation bound."""
-    values, bounds = phi_of_gammas(family, f, [gamma], N)
+    values, bounds = phi_of_gammas(T, f, [gamma], N)
     return float(values[0]), float(bounds[0])
 
 
-def scan(family: OneFlowerFamily, f, grid_size: int,
+def scan(T: ExpandingMap, f, grid_size: int,
          N: int) -> List[Tuple[float, float, float]]:
     """Phi on a uniform gamma grid, as (gamma, phi, error_bound) rows."""
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     gammas = [i / grid_size for i in range(grid_size)]
-    values, bounds = phi_of_gammas(family, f, gammas, N)
+    values, bounds = phi_of_gammas(T, f, gammas, N)
     return list(zip(gammas, values.tolist(), bounds.tolist()))
 
 
@@ -158,7 +142,7 @@ class ZeroInterval:
         return reduce(self.gamma_high - self.gamma_low) > 2.0 * self.resolution
 
 
-def _multisect_roots(family: OneFlowerFamily, f, N: int, lo, flo, hi, fhi,
+def _multisect_roots(T: ExpandingMap, f, N: int, lo, flo, hi, fhi,
                      resolution: float) -> Tuple[np.ndarray, ...]:
     """Shrink sign-change brackets [lo, hi] (lifted, hi may exceed 1) to
     width <= resolution, all brackets together.
@@ -176,8 +160,7 @@ def _multisect_roots(family: OneFlowerFamily, f, N: int, lo, flo, hi, fhi,
             return lo, flo, hi, fhi
         xs = lo[open_, None] + (hi - lo)[open_, None] * steps
         xs[:, -1] = hi[open_]
-        values, _ = phi_of_gammas(family, f,
-                                  reduce_many(xs[:, 1:-1]).ravel(), N)
+        values, _ = phi_of_gammas(T, f, reduce_many(xs[:, 1:-1]).ravel(), N)
         ys = np.hstack([flo[open_, None],
                         values.reshape(len(open_), -1), fhi[open_, None]])
         hit = (ys[:, 1:] == 0.0) | ((ys[:, 1:] < 0) != (ys[:, :-1] < 0))
@@ -190,7 +173,7 @@ def _multisect_roots(family: OneFlowerFamily, f, N: int, lo, flo, hi, fhi,
         fhi[open_] = ys[rows, j + 1]
 
 
-def solve_pre_sturmian(family: OneFlowerFamily, f, N: int,
+def solve_pre_sturmian(T: ExpandingMap, f, N: int,
                        resolution: float = 1e-10, grid_size: int = 512
                        ) -> List[ZeroInterval]:
     """All zero intervals of Phi: plateaus, exact zeros on the grid and
@@ -201,7 +184,7 @@ def solve_pre_sturmian(family: OneFlowerFamily, f, N: int,
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError("resolution must be finite and positive")
-    rows = scan(family, f, grid_size, N)
+    rows = scan(T, f, grid_size, N)
     plateau_tol = max(1e-9, 2.0 * rows[0][2])
     phis = [v for _, v, _ in rows]
     m = len(rows)
@@ -241,7 +224,7 @@ def solve_pre_sturmian(family: OneFlowerFamily, f, N: int,
              and phis[i] != 0.0 and phis[(i + 1) % m] != 0.0
              and (phis[i] < 0) != (phis[(i + 1) % m] < 0)]
     lo, flo, hi, fhi = _multisect_roots(
-        family, f, N, [rows[i][0] for i in cells], [phis[i] for i in cells],
+        T, f, N, [rows[i][0] for i in cells], [phis[i] for i in cells],
         [rows[i][0] + 1.0 / m for i in cells],
         [phis[(i + 1) % m] for i in cells], resolution)
     found = [(i, 0, ZeroInterval(rows[i][0], rows[i][0], 0.0, 0.0,
@@ -261,7 +244,6 @@ class SturmianEstimate:
 
     flower: Flower
     support_arcs: List[Arc]
-    empirical_points: List[float]
     integral_of_f: float
     coding_frequencies: List[float]
     periodic: Optional[List[Fraction]] = None
@@ -345,8 +327,7 @@ def sturmian_estimate(F: Flower, f, burn_in: int = 1000,
             counts = [branches.count(b) for b in range(k)]
             integral = sum(f.eval(p) for p in pts) / q
             return SturmianEstimate(
-                flower=F, support_arcs=support, empirical_points=pts,
-                integral_of_f=integral,
+                flower=F, support_arcs=support, integral_of_f=integral,
                 coding_frequencies=[c / q for c in counts],
                 periodic=exact, period=q)
         x = pts[-1]
@@ -355,18 +336,12 @@ def sturmian_estimate(F: Flower, f, burn_in: int = 1000,
             x = sel.tau(x)
     counts = [0] * k
     total = 0.0
-    sample: List[float] = []
-    keep_every = max(1, length // 1000)
-    for i in range(length):
-        nxt = sel.tau(x)
-        counts[T.branch_index(nxt)] += 1
-        total += f.eval(nxt)
-        if i % keep_every == 0:
-            sample.append(nxt)
-        x = nxt
+    for _ in range(length):
+        x = sel.tau(x)
+        counts[T.branch_index(x)] += 1
+        total += f.eval(x)
     return SturmianEstimate(
-        flower=F, support_arcs=support, empirical_points=sample,
-        integral_of_f=total / length,
+        flower=F, support_arcs=support, integral_of_f=total / length,
         coding_frequencies=[c / length for c in counts],
         periodic=None, period=None)
 
@@ -380,7 +355,7 @@ def support_extremes(est: SturmianEstimate) -> Tuple[float, float]:
     return reduce(left), reduce(right)
 
 
-def sign_conditions(family: OneFlowerFamily, f, est: SturmianEstimate,
+def sign_conditions(T: ExpandingMap, f, est: SturmianEstimate,
                     N: int) -> Tuple[float, float, bool]:
     """Evaluate Phi at the two bracket flowers of the Sturmian support.
 
@@ -390,10 +365,10 @@ def sign_conditions(family: OneFlowerFamily, f, est: SturmianEstimate,
     maximizing measure.
     """
     leftmost, rightmost = support_extremes(est)
-    gamma_minus = family.gamma_with_right_endpoint(rightmost)
-    gamma_plus = leftmost
-    phi_minus, err_minus = phi_of_gamma(family, f, gamma_minus, N)
-    phi_plus, err_plus = phi_of_gamma(family, f, gamma_plus, N)
+    # the flower ending at b starts at F^-1(F(b) - 1)
+    gamma_minus = float(arc_end(T, reduce(rightmost), -1.0))
+    phi_minus, err_minus = phi_of_gamma(T, f, gamma_minus, N)
+    phi_plus, err_plus = phi_of_gamma(T, f, leftmost, N)
     consistent = (phi_minus >= -err_minus) and (phi_plus <= err_plus)
     return phi_minus, phi_plus, consistent
 
@@ -452,8 +427,8 @@ def rank_test(F: Flower, N: int = 15, grid: int = 512) -> Tuple[int, int]:
     cuts = [ends, np.arange(grid) / grid]
     right = left = ends
     for _ in range(N):
-        right = sel.tau_many(right, "right")
-        left = sel.tau_many(left, "left")
+        right = sel.table.tau_many(right, "right")
+        left = sel.table.tau_many(left, "left")
         cuts += [right, left]
     _, mids = cells(np.concatenate(cuts))
     counts = escape_counts(F, [d.I for d in sel.discontinuities()], mids, N)

@@ -15,16 +15,14 @@ import pytest
 
 from flowerflat import (Arc, make_linear_map, map_from_slopes, one_flower,
                         random_flower, selector, validate_flower)
-from flowerflat.flatten import (build_coboundary, default_depth,
-                                escape_function, escape_time_direct,
-                                flattened_values, functional, is_flat,
-                                petal_samples)
+from flowerflat.flatten import (Coboundary, default_depth, escape_function,
+                                escape_time_direct, flattened_values,
+                                functional, is_flat, petal_samples)
 from flowerflat.functions import (PiecewiseLinear, TrigPolynomial,
                                   compose_with_map, demo_function,
                                   demo_potential)
-from flowerflat.solve import (OneFlowerFamily, branch_one_frequency_scan,
-                              orbit_oracle, phi_of_gamma, rank_test,
-                              sign_conditions, solve_pre_sturmian,
+from flowerflat.solve import (branch_one_frequency_scan, orbit_oracle,
+                              rank_test, sign_conditions, solve_pre_sturmian,
                               sturmian_estimate)
 
 
@@ -45,10 +43,10 @@ def _random_map(rng):
     return make_linear_map(k)
 
 
-def _best_estimate(fam, f, intervals, N):
+def _best_estimate(T, f, intervals, N):
     best = None
     for zi in intervals:
-        est = sturmian_estimate(fam.flower(zi.midpoint), f, 200, 2000,
+        est = sturmian_estimate(one_flower(T, zi.midpoint), f, 200, 2000,
                                 depth=N)
         if best is None or est.integral_of_f > best.integral_of_f:
             best = est
@@ -67,7 +65,7 @@ def test_criterion_1_demo_flattening():
         f = demo_function(g)
         F = one_flower(T, g)
         depth = default_depth(f.lipschitz_constant(), 2.0, 2.5e-11)
-        cob = build_coboundary(selector(F), f, depth)
+        cob = Coboundary(selector(F), f, depth)
         vals = flattened_values(f, cob, petal_samples(F, 1000))
         dev = float(np.max(vals) - np.min(vals))
         # on the flower the flattened function sits at its ergodic maximum
@@ -95,7 +93,7 @@ def test_criterion_2_coboundary_matches_exact_potential():
         psi = demo_potential(g)
         F = one_flower(T, g)
         depth = default_depth(f.lipschitz_constant(), 2.0, 2.5e-11)
-        cob = build_coboundary(selector(F), f, depth)
+        cob = Coboundary(selector(F), f, depth)
         xs = [i / 512 for i in range(512)]
         diffs = cob.eval_many(xs) - np.array([psi.eval(x) for x in xs])
         spread = float(np.max(diffs) - np.min(diffs))
@@ -195,7 +193,7 @@ def test_criterion_5_round_trip():
             value, err = functional(sel, disc, f, depth)
             if abs(value) > err + 1e-10:
                 bad += 1
-        cob = build_coboundary(sel, f, depth)
+        cob = Coboundary(sel, f, depth)
         flat, constant, _ = is_flat(f, cob, F)
         if not flat or abs(constant - c) > 1e-8:
             bad += 1
@@ -227,7 +225,6 @@ def test_criterion_7_solver_vs_orbit_oracle():
     """For 32 rotated cosines the solver's best Sturmian estimate matches
     the brute-force best periodic average."""
     T = make_linear_map(2)
-    fam = OneFlowerFamily(T)
     t0 = time.monotonic()
     bad = 0
     theta0_contains = False
@@ -236,12 +233,12 @@ def test_criterion_7_solver_vs_orbit_oracle():
         f = TrigPolynomial(cos_coeffs=[math.cos(2 * math.pi * theta)],
                            sin_coeffs=[math.sin(2 * math.pi * theta)])
         N = default_depth(f.lipschitz_constant(), 2.0, 1e-12)
-        intervals = solve_pre_sturmian(fam, f, N, resolution=1e-12,
+        intervals = solve_pre_sturmian(T, f, N, resolution=1e-12,
                                        grid_size=512)
         if not intervals:
             bad += 1
             continue
-        best = _best_estimate(fam, f, intervals, N)
+        best = _best_estimate(T, f, intervals, N)
         alpha, _ = orbit_oracle(T, f, 10)
         diff = abs(best.integral_of_f - alpha)
         tol = 1e-10 if best.periodic is not None else 1e-6
@@ -262,16 +259,15 @@ def test_criterion_8_sign_conditions():
     """The bracket flowers of the solved Sturmian support have consistent
     functional signs for the demo functions."""
     T = make_linear_map(2)
-    fam = OneFlowerFamily(T)
     t0 = time.monotonic()
     ok = True
     for g in (0.05, 0.10, 0.15):
         f = demo_function(g)
         N = default_depth(f.lipschitz_constant(), 2.0, 1e-11)
-        intervals = solve_pre_sturmian(fam, f, N, resolution=1e-10,
+        intervals = solve_pre_sturmian(T, f, N, resolution=1e-10,
                                        grid_size=512)
-        best = _best_estimate(fam, f, intervals, N)
-        phi_minus, phi_plus, consistent = sign_conditions(fam, f, best, N)
+        best = _best_estimate(T, f, intervals, N)
+        phi_minus, phi_plus, consistent = sign_conditions(T, f, best, N)
         ok = ok and consistent and phi_minus > 0.0 and phi_plus < 0.0
     elapsed = time.monotonic() - t0
     ok = ok and elapsed <= 10.0

@@ -351,6 +351,28 @@ class TestDemo:
         assert main(["demo", "--gamma", "0.2"]) == EXIT_INVALID
         assert main(["demo", "--gamma", "0.0"]) == EXIT_INVALID
 
+    @pytest.mark.parametrize("bad_call", [0, 1])
+    def test_failed_check_exits_not_flat(self, tmp_path, monkeypatch,
+                                         bad_call):
+        # call 0 samples the flower for the flatness check, call 1 the
+        # point of the closed-form check; either failing gives exit 3
+        real = cli.flattened_values
+        calls = []
+
+        def off(f, cob, points):
+            values = real(f, cob, points)
+            if len(calls) == bad_call:
+                values = values + 1e-6
+            calls.append(points)
+            return values
+
+        monkeypatch.setattr(cli, "flattened_values", off)
+        code, report = _run_json(tmp_path, ["demo", "--gamma", "0.1"])
+        assert code == EXIT_NOT_FLAT
+        assert len(calls) == 2
+        assert report["flat_on_F"] is (bad_call == 1)
+        assert (report["value_error"] > 1e-10) is (bad_call == 1)
+
 
 NAN, INF = float("nan"), float("inf")
 

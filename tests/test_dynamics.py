@@ -112,7 +112,7 @@ class TestInverseBranches:
         T = make_linear_map(2)
         assert T.inverse_branch(0, 0.6) == pytest.approx(0.3, abs=1e-15)
         assert T.inverse_branch(1, 0.6) == pytest.approx(0.8, abs=1e-15)
-        pre = T.preimages(0.6)
+        pre = [T.inverse_branch(i, 0.6) for i in range(T.degree)]
         assert len(pre) == 2
         for y in pre:
             assert T.apply(y) == pytest.approx(0.6, abs=1e-14)
@@ -133,7 +133,9 @@ class TestInverseBranches:
 class TestOrbits:
     def test_orbit_length_and_values(self):
         T = make_linear_map(2)
-        orb = T.orbit(0.1, 4)
+        orb = [0.1]
+        for _ in range(3):
+            orb.append(T.apply(orb[-1]))
         assert orb == pytest.approx([0.1, 0.2, 0.4, 0.8], abs=1e-15)
 
 

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from flowerflat.circle import EPS, Arc, lift, reduce
 from flowerflat.dynamics import make_linear_map, map_from_slopes
-from flowerflat.flatten import (build_coboundary, default_depth,
-                                escape_function, escape_time_direct,
-                                flattened_values, functional, is_flat,
-                                normal_form_check, petal_samples, tail_bound)
+from flowerflat.flatten import (Coboundary, default_depth, escape_function,
+                                escape_time_direct, flattened_values,
+                                functional, is_flat, normal_form_check,
+                                petal_samples, tail_bound)
 from flowerflat.flower import (one_flower, random_flower, selector,
                                validate_flower)
 from flowerflat.functions import (PiecewiseLinear, TrigPolynomial,
@@ -236,7 +236,7 @@ class TestFunctional:
         for disc in sel.discontinuities():
             value, err = functional(sel, disc, f, depth)
             assert abs(value) <= err
-        flat, constant, _ = is_flat(f, build_coboundary(sel, f, depth), F)
+        flat, constant, _ = is_flat(f, Coboundary(sel, f, depth), F)
         assert flat
         assert constant == pytest.approx(c, abs=1e-8)
 
@@ -250,22 +250,24 @@ class TestFunctional:
 class TestCoboundary:
     def test_anchored_at_zero(self):
         F, sel, disc = _semicircle()
-        cob = build_coboundary(sel, TrigPolynomial(cos_coeffs=[1.0]), 30)
-        assert cob.eval(cob.anchor) == 0.0
+        cob = Coboundary(sel, TrigPolynomial(cos_coeffs=[1.0]), 30)
+        assert cob.anchor == F.petals[0].left
+        assert cob.eval_many([cob.anchor]).tolist() == [0.0]
 
     def test_eval_consistency(self):
         F, sel, disc = _semicircle()
-        cob = build_coboundary(sel, TrigPolynomial(cos_coeffs=[1.0]), 30)
+        cob = Coboundary(sel, TrigPolynomial(cos_coeffs=[1.0]), 30)
         xs = [0.05, 0.3, 0.55, 0.8]
         batch = cob.eval_many(xs)
         for x, v in zip(xs, batch):
-            assert cob.eval(x) == pytest.approx(float(v), abs=1e-12)
+            assert cob.eval_many([x])[0] == pytest.approx(float(v),
+                                                          abs=1e-12)
 
     def test_error_bound_decays_with_depth(self):
         F, sel, disc = _semicircle()
         f = TrigPolynomial(cos_coeffs=[1.0])
-        b1 = build_coboundary(sel, f, 10).error_bound
-        b2 = build_coboundary(sel, f, 20).error_bound
+        b1 = Coboundary(sel, f, 10).error_bound
+        b2 = Coboundary(sel, f, 20).error_bound
         assert b2 < b1 / 500
 
     def test_flattens_exact_coboundary(self):
@@ -278,7 +280,7 @@ class TestCoboundary:
         F = one_flower(T, 0.3)
         sel = selector(F)
         depth = default_depth(f.lipschitz_constant(), 2.0, 1e-11)
-        cob = build_coboundary(sel, f, depth)
+        cob = Coboundary(sel, f, depth)
         flat, constant, max_dev = is_flat(f, cob, F)
         assert flat
         assert constant == pytest.approx(0.0, abs=1e-8)
@@ -313,13 +315,14 @@ def _kernel_cases(draw):
     depth = draw(st.integers(1, 30))
     ks = st.integers(-3, 3)
     xs = []
-    for c in sel.discontinuity_set(min(depth, 4)):
+    # the ledger's points, the discontinuity points of tau^min(depth, 4)
+    for c in sorted(set(sel.table.ledger(min(depth, 4))[3].tolist())):
         xs += [_ulps(c, draw(ks)) for _ in range(2)]
     for petal in F.petals:
         for y in (petal.left, petal.right):
             xs += [y, T.apply(y), _ulps(T.apply(y), draw(ks))]
     xs += draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8))
-    return build_coboundary(sel, f, depth), xs
+    return Coboundary(sel, f, depth), xs
 
 
 class TestCoboundaryKernel:
@@ -334,7 +337,7 @@ class TestCoboundaryKernel:
         # to 2e-9
         want = [reference_phi(cob, [x])[0] for x in xs]
         assert got == pytest.approx(want, abs=1e-11)
-        assert cob.eval(cob.anchor) == 0.0
+        assert cob.eval_many([cob.anchor]).tolist() == [0.0]
 
     @pytest.mark.parametrize("T, petal", [
         # the petal starts at the fixed point, which is also the
@@ -351,14 +354,14 @@ class TestCoboundaryKernel:
         F = validate_flower([Arc(*petal)], T, allow_break_endpoints=True)
         depth = default_depth(f.lipschitz_constant(), T.expansion_constant,
                               1e-11)
-        cob = build_coboundary(selector(F), f, depth)
+        cob = Coboundary(selector(F), f, depth)
         flat, constant, max_dev = is_flat(f, cob, F)
         assert flat
         assert max_dev <= 1e-11
 
     def test_rejects_non_finite_points(self):
         F, sel, disc = _semicircle()
-        cob = build_coboundary(sel, TrigPolynomial(cos_coeffs=[1.0]), 20)
+        cob = Coboundary(sel, TrigPolynomial(cos_coeffs=[1.0]), 20)
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError):
                 cob.eval_many([0.3, bad])
@@ -372,7 +375,7 @@ class TestIsFlat:
         f = demo_function(g)
         F = one_flower(T2, g)
         depth = default_depth(f.lipschitz_constant(), 2.0, 2.5e-11)
-        cob = build_coboundary(selector(F), f, depth)
+        cob = Coboundary(selector(F), f, depth)
         flat, constant, max_dev = is_flat(f, cob, F)
         assert flat
         assert constant == pytest.approx(0.0, abs=1e-10)
@@ -382,7 +385,7 @@ class TestIsFlat:
         f = TrigPolynomial(cos_coeffs=[1.0])
         F = validate_flower([Arc(0.26, 0.76)], T2)
         depth = default_depth(f.lipschitz_constant(), 2.0, 1e-11)
-        cob = build_coboundary(selector(F), f, depth)
+        cob = Coboundary(selector(F), f, depth)
         flat, _, max_dev = is_flat(f, cob, F)
         assert not flat
         assert max_dev > 1e-3
@@ -393,7 +396,7 @@ class TestPetalSamples:
         F = one_flower(T2, 0.25)
         pts = petal_samples(F, 17)
         assert len(pts) == 17
-        assert all(F.contains(x, tol=1e-12) for x in pts)
+        assert all(F.contains(x) for x in pts)
 
 
 class TestNormalFormCheck:

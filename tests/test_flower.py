@@ -111,7 +111,7 @@ class TestSelector:
 
     def test_tau_lands_in_flower(self):
         for x in (0.05, 0.3, 0.49, 0.51, 0.9):
-            assert self.F.contains(self.sel.tau(x), tol=1e-12)
+            assert self.F.contains(self.sel.tau(x))
             assert T2.apply(self.sel.tau(x)) == pytest.approx(x, abs=1e-12)
 
     def test_discontinuity_structure(self):
@@ -125,9 +125,14 @@ class TestSelector:
         assert d.in_A
 
     def test_one_sided_limits(self):
+        # the scalar tau takes the right limit, the table either one
         d = self.sel.discontinuities()[0]
-        assert self.sel.tau(d.x, "left") == pytest.approx(0.75, abs=1e-9)
-        assert self.sel.tau(d.x, "right") == pytest.approx(0.25, abs=1e-9)
+        assert self.sel.tau(d.x) == pytest.approx(0.25, abs=1e-9)
+        table = self.sel.table
+        assert table.tau_many(np.array([d.x]), "left") == \
+            pytest.approx([0.75], abs=1e-9)
+        assert table.tau_many(np.array([d.x]), "right") == \
+            pytest.approx([0.25], abs=1e-9)
 
     def test_push_arc_one_step(self):
         arcs = self.sel.push_arc(Arc(0.25, 0.75), 1)
@@ -149,43 +154,53 @@ class TestSelector:
         assert max(a.length for a in arcs) <= 1e-14
 
     def test_discontinuity_set(self):
-        assert self.sel.discontinuity_set(2) == \
+        # the ledger's points are the discontinuity points of tau^2
+        points = self.sel.table.ledger(2)[3]
+        assert sorted(set(points.tolist())) == \
             pytest.approx([0.0, 0.5], abs=1e-12)
 
     def test_jump_ledger_chains(self):
+        def jumps(sel, n):
+            _, j, m, c = sel.table.ledger(n)
+            return list(zip(j.tolist(), m.tolist(), c.tolist()))
+
         # 0.5 lies in the petal, so the chain goes on to T(0.5) = 0, which
         # lies outside and ends it
-        assert self.sel.jump_ledger(5) == [(0, 0, 0.5), (0, 1, 0.0)]
-        assert self.sel.jump_ledger(1) == [(0, 0, 0.5)]
+        assert jumps(self.sel, 5) == [(0, 0, 0.5), (0, 1, 0.0)]
+        assert jumps(self.sel, 1) == [(0, 0, 0.5)]
         # the chain 1/3, 2/3 returns to the discontinuity 1/3 and stops
         # before it
         sel = selector(validate_flower([Arc(1 / 6, 2 / 3)], T2))
-        assert sel.jump_ledger(5) == [(0, 0, 1 / 3), (0, 1, 2 / 3)]
+        assert jumps(sel, 5) == [(0, 0, 1 / 3), (0, 1, 2 / 3)]
 
     def test_tau_many_matches_tau_with_one_sided_limits(self):
         # bitwise away from the discontinuity points, where tau snaps to
-        # a petal end within EPS
+        # a petal end within EPS; both limits of the table there are the
+        # petal ends of the discontinuity
         rng = random.Random(9)
         maps = [make_linear_map(k) for k in (2, 3, 4)] + [
             map_from_slopes([2.0, 4.0, 4.0]),
             map_from_slopes([4.0, 2.0, 4.0], fixed_point=0.3)]
         for T, p in zip(maps * 2, (3, 2, 1, 2, 3, 1, 1, 3, 1, 1)):
             sel = selector(random_flower(T, p, rng))
+            table = sel.table
             xs = np.array([rng.random() for _ in range(4000)])
             ds = np.array(sel.discontinuity_points)
             far = np.abs((xs[:, None] - ds + 0.5) % 1.0 - 0.5) > EPS
             xs = xs[far.all(axis=1)]
             for side in ("right", "left"):
-                assert sel.tau_many(xs, side).tolist() == \
-                    [sel.tau(x, side) for x in xs]
-                assert sel.tau_many(ds, side) == pytest.approx(
-                    [sel.tau(d, side) for d in ds], abs=1e-13)
+                assert table.tau_many(xs, side).tolist() == \
+                    [sel.tau(x) for x in xs]
+            assert table.tau_many(ds, "right") == pytest.approx(
+                [sel.tau(d) for d in ds], abs=1e-13)
+            assert table.tau_many(ds, "left") == pytest.approx(
+                [d.y_prime for d in sel.discontinuities()], abs=1e-13)
 
     def test_tau_many_left_limit_of_a_single_piece(self):
         # one petal inside one branch: its image wraps the whole circle
-        sel = selector(one_flower(make_linear_map(3), 0.0))
-        assert sel.tau_many(np.array([0.0]), "right").tolist() == [0.0]
-        assert sel.tau_many(np.array([0.0]), "left") == \
+        table = selector(one_flower(make_linear_map(3), 0.0)).table
+        assert table.tau_many(np.array([0.0]), "right").tolist() == [0.0]
+        assert table.tau_many(np.array([0.0]), "left") == \
             pytest.approx([1 / 3], abs=1e-15)
 
     def test_characteristic_identity(self):

@@ -5,7 +5,6 @@ import random
 import numpy as np
 import pytest
 
-from flowerflat.circle import Arc
 from flowerflat.dynamics import make_linear_map
 from flowerflat.functions import (PiecewiseLinear, TrigPolynomial,
                                   compose_with_map, demo_function,
@@ -24,15 +23,15 @@ class TestPiecewiseLinear:
     def test_periodicity(self):
         f = PiecewiseLinear.from_points([0.1, 0.4, 0.7], [0.3, -0.2, 0.5])
         assert f.eval(0.05) == pytest.approx(f.eval(1.05), abs=1e-12)
-        assert f.increment(Arc(0.2, 0.2)) == 0.0
+        assert f.eval(1.2) - f.eval(0.2) == pytest.approx(0.0, abs=1e-12)
 
     def test_increment_telescopes(self):
+        # the increments over consecutive arcs round the circle sum to 0
         f = PiecewiseLinear.from_points([0.1, 0.4, 0.7], [0.3, -0.2, 0.5])
         a, b, c = 0.15, 0.55, 0.95
-        assert f.increment(Arc(a, b)) + f.increment(Arc(b, c)) == \
-            pytest.approx(f.increment(Arc(a, c)), abs=1e-12)
-        assert f.increment(Arc(a, b)) == pytest.approx(
-            f.eval(b) - f.eval(a), abs=1e-12)
+        steps = [f.eval(b) - f.eval(a), f.eval(c) - f.eval(b),
+                 f.eval(a + 1.0) - f.eval(c)]
+        assert sum(steps) == pytest.approx(0.0, abs=1e-12)
 
     def test_lipschitz_constant(self):
         f = PiecewiseLinear.from_points([0.0, 0.5], [0.0, 1.0])
@@ -64,7 +63,7 @@ class TestTrigPolynomial:
 
     def test_symmetric_increment_vanishes(self):
         f = TrigPolynomial(cos_coeffs=[1.0])
-        assert f.increment(Arc(0.75, 0.25)) == pytest.approx(0.0, abs=1e-15)
+        assert f.eval(0.25) - f.eval(0.75) == pytest.approx(0.0, abs=1e-15)
 
     def test_lipschitz_constant(self):
         f = TrigPolynomial(cos_coeffs=[1.0])
@@ -103,7 +102,7 @@ class TestDemoFunction:
         assert f.eval(0.35) == pytest.approx(-1.0, abs=1e-12)
         assert f.eval(0.1) == pytest.approx(0.0, abs=1e-12)
         assert f.eval(0.85) == pytest.approx(-0.25, abs=1e-12)
-        assert f.increment(Arc(0.3, 0.35)) == pytest.approx(-1.0, abs=1e-12)
+        assert f.eval(0.35) - f.eval(0.3) == pytest.approx(-1.0, abs=1e-12)
         assert f.lipschitz_constant() == pytest.approx(20.0)
 
     def test_nonpositive_and_zero_on_flower_boundary(self):

@@ -10,8 +10,7 @@ from flowerflat.dynamics import make_linear_map
 from flowerflat.flatten import Coboundary, functional
 from flowerflat.flower import one_flower, selector
 from flowerflat.functions import PiecewiseLinear, TrigPolynomial
-from flowerflat.solve import (OneFlowerFamily, _off_degenerate, phi_of_gamma,
-                              phi_of_gammas)
+from flowerflat.solve import _off_degenerate, phi_of_gamma, phi_of_gammas
 
 from exact_oracle import exact_phi
 
@@ -21,15 +20,20 @@ FUNCTIONS = [COS, TrigPolynomial([0.3, -0.7], [0.5]),
 
 
 def _one_flower_values(T, gamma, pairs):
-    """``functional`` and f(b) - f(a) + phi(b), phi anchored at a, on the
-    1-flower [a, b] at gamma, for every (f, N) in ``pairs``."""
+    """``functional`` and f(b) - f(a) + phi(b), phi of the ``Coboundary``,
+    which is anchored at a, on the 1-flower [a, b] at gamma, for every
+    (f, N) in ``pairs``."""
     F = one_flower(T, gamma)
     sel = selector(F)
     disc = sel.discontinuities()[0]
     a, b = F.petals[0].left, F.petals[0].right
-    return [(functional(sel, disc, f, N)[0],
-             f.eval(b) - f.eval(a) + Coboundary(sel, f, N, anchor=a).eval(b))
-            for f, N in pairs]
+    out = []
+    for f, N in pairs:
+        cob = Coboundary(sel, f, N)
+        assert cob.anchor == a
+        out.append((functional(sel, disc, f, N)[0],
+                    f.eval(b) - f.eval(a) + cob.eval_many([b])[0]))
+    return out
 
 
 @pytest.mark.parametrize("k, depths", [(2, [24, 40, 60]), (4, [24, 40, 60]),
@@ -38,12 +42,11 @@ def test_closed_form_matches_the_exact_push(k, depths):
     # every 16th point of the scan grid i/512, moved off the branch breaks
     # as phi_of_gammas moves it; on T3 these are periodic parameters
     T = make_linear_map(k)
-    family = OneFlowerFamily(T)
-    gammas = _off_degenerate(family, np.arange(0, 512, 16) / 512)
+    gammas = _off_degenerate(T, np.arange(0, 512, 16) / 512)
     exact = np.array([exact_phi(k, g, FUNCTIONS, depths) for g in gammas])
     for i, f in enumerate(FUNCTIONS):
         for j, N in enumerate(depths):
-            values, _ = phi_of_gammas(family, f, gammas, N)
+            values, _ = phi_of_gammas(T, f, gammas, N)
             assert values == pytest.approx(exact[:, i, j], abs=1e-12)
     pairs = [(f, N) for f in FUNCTIONS for N in depths]
     for g, want in zip(gammas, exact.reshape(len(gammas), -1)):
@@ -63,7 +66,7 @@ def test_periodic_parameters(k, gamma, N):
     # orbits land on their discontinuity
     T = make_linear_map(k)
     want = exact_phi(k, gamma, [COS], [N])[0][0]
-    assert phi_of_gamma(OneFlowerFamily(T), COS, gamma, N)[0] == \
+    assert phi_of_gamma(T, COS, gamma, N)[0] == \
         pytest.approx(want, abs=1e-12)
     assert _one_flower_values(T, gamma, [(COS, N)]) == pytest.approx(
         [(want, want)], abs=1e-12)
@@ -104,11 +107,11 @@ def test_rational_sweep(k):
     depths = (24, 40, 60)
     rationals = sorted({Fraction(j, q) for q in range(2, 41)
                         for j in range(1, q)})
-    family = OneFlowerFamily(make_linear_map(k))
-    gammas = _off_degenerate(family, np.array([float(r) for r in rationals]))
+    T = make_linear_map(k)
+    gammas = _off_degenerate(T, np.array([float(r) for r in rationals]))
     exact = np.array([exact_phi(k, g, [COS], depths)[0] for g in gammas])
     for j, N in enumerate(depths):
-        values, _ = phi_of_gammas(family, COS, gammas, N)
+        values, _ = phi_of_gammas(T, COS, gammas, N)
         wrong = np.abs(values - exact[:, j]) > 1e-12
         assert {str(rationals[i]) for i in np.nonzero(wrong)[0]} <= \
             KNOWN_DEFECTS[k, N]

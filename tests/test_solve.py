@@ -13,10 +13,10 @@ import flowerflat.solve as solve_mod
 from flowerflat.circle import Arc, distance, reduce
 from flowerflat.dynamics import make_linear_map, map_from_slopes
 from flowerflat.flatten import default_depth, functional, tail_bound
-from flowerflat.flower import (one_flower, random_flower, selector,
+from flowerflat.flower import (arc_end, one_flower, random_flower, selector,
                                validate_flower)
 from flowerflat.functions import PiecewiseLinear, TrigPolynomial, demo_function
-from flowerflat.solve import (NoSignChange, OneFlowerFamily, ZeroInterval,
+from flowerflat.solve import (NoSignChange, ZeroInterval,
                               branch_one_frequency_scan, orbit_oracle,
                               integer_rank, phi_of_gamma, phi_of_gammas,
                               rank_test, scan, sign_conditions,
@@ -28,21 +28,31 @@ from arc_walk import walk_functional
 T2 = make_linear_map(2)
 T3 = make_linear_map(3)
 S244 = map_from_slopes([2.0, 4.0, 4.0])
-FAM = OneFlowerFamily(T2)
 COS = TrigPolynomial(cos_coeffs=[1.0])
 
 
-def reference_phi(family, f, gamma, N):
+def right_end(T, gamma):
+    """The right end of the 1-flower at gamma."""
+    return one_flower(T, gamma).petals[0].right
+
+
+def gamma_ending_at(T, b):
+    """The parameter whose 1-flower ends at b, as ``sign_conditions``
+    finds it: the start of the arc that ends at b and winds once."""
+    return float(arc_end(T, reduce(b), -1.0))
+
+
+def reference_phi(T, f, gamma, N):
     """Phi(gamma) by the arc walk on one flower, with its truncation
     bound, after the scalar nudge off parameters whose petal ends sit on a
     branch break: the per-gamma path that ``phi_of_gammas`` replaced."""
     for _ in range(4):
-        ends = (gamma, family.right_endpoint(gamma))
-        if all(distance(e, b) > 1e-9 for e in ends for b in family.map.breaks):
+        ends = (gamma, right_end(T, gamma))
+        if all(distance(e, b) > 1e-9 for e in ends for b in T.breaks):
             break
         gamma = reduce(gamma + 2e-9)
-    F = family.flower(gamma)
-    K = family.map.expansion_constant
+    F = one_flower(T, gamma)
+    K = T.expansion_constant
     return (walk_functional(selector(F), F.petals[0], f, N),
             f.lipschitz_constant() * tail_bound(K, N, F.petals[0].length))
 
@@ -97,58 +107,52 @@ def _family_cases(draw):
                   st.floats(-1e-9, 1e-9)),
         st.sampled_from([1 / 3, 2 / 3, 1 / 7, 1 / 2]),
         st.floats(0.0, 1.0, exclude_max=True))
-    return OneFlowerFamily(T), f, N, draw(st.lists(gamma, min_size=1,
-                                                   max_size=12))
+    return T, f, N, draw(st.lists(gamma, min_size=1, max_size=12))
 
 
 class TestOneFlowerFamily:
     def test_doubling_endpoints(self):
-        assert FAM.right_endpoint(0.25) == pytest.approx(0.75, abs=1e-12)
-        assert FAM.gamma_with_right_endpoint(0.75) == \
-            pytest.approx(0.25, abs=1e-9)
-        assert FAM.gamma_with_right_endpoint(0.0) == \
-            pytest.approx(0.5, abs=1e-9)
+        assert right_end(T2, 0.25) == pytest.approx(0.75, abs=1e-12)
+        assert gamma_ending_at(T2, 0.75) == pytest.approx(0.25, abs=1e-9)
+        assert gamma_ending_at(T2, 0.0) == pytest.approx(0.5, abs=1e-9)
 
     def test_flower_is_valid(self):
-        F = FAM.flower(0.3)
+        F = one_flower(T2, 0.3)
         assert F.p == 1
         assert F.petals[0].left == pytest.approx(0.3)
 
     def test_uneven_map_inversion_round_trip(self):
-        fam = OneFlowerFamily(map_from_slopes([2.0, 4.0, 4.0]))
         for g in (0.07, 0.33, 0.81):
-            b = fam.right_endpoint(g)
-            assert fam.gamma_with_right_endpoint(b) == \
-                pytest.approx(g, abs=1e-9)
+            b = right_end(S244, g)
+            assert gamma_ending_at(S244, b) == pytest.approx(g, abs=1e-9)
 
     @pytest.mark.parametrize("T", [
         T2, T3, S244, map_from_slopes([4.0, 2.0, 4.0], fixed_point=0.3)])
     def test_endpoint_round_trips(self, T):
-        fam = OneFlowerFamily(T)
         rng = random.Random(8)
         points = [i / 512 for i in range(512)]
         points += [rng.random() for _ in range(512)]
         for x in points:
-            b = fam.right_endpoint(fam.gamma_with_right_endpoint(x))
+            b = right_end(T, gamma_ending_at(T, x))
             assert distance(b, x) <= 1e-15
-            g = fam.gamma_with_right_endpoint(fam.right_endpoint(x))
+            g = gamma_ending_at(T, right_end(T, x))
             assert distance(g, x) <= 1e-15
 
 
 class TestPhiOfGamma:
     def test_even_function_at_symmetric_flower(self):
-        v, err = phi_of_gamma(FAM, COS, 0.75, 40)
+        v, err = phi_of_gamma(T2, COS, 0.75, 40)
         assert abs(v) <= 1e-13
         assert err > 0
 
     def test_continuity_along_the_family(self):
-        rows = scan(FAM, COS, 256, 40)
+        rows = scan(T2, COS, 256, 40)
         phis = [r[1] for r in rows]
         diffs = [abs(phis[(i + 1) % 256] - phis[i]) for i in range(256)]
         assert max(diffs) < 0.2
 
     def test_scan_shape_and_certificates(self):
-        rows = scan(FAM, COS, 64, 30)
+        rows = scan(T2, COS, 64, 30)
         assert len(rows) == 64
         assert [r[0] for r in rows] == [i / 64 for i in range(64)]
         bounds = [r[2] for r in rows]
@@ -160,9 +164,9 @@ class TestPhiOfGammas:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(_family_cases())
     def test_matches_reference_walk(self, case):
-        family, f, N, gammas = case
-        values, bounds = phi_of_gammas(family, f, gammas, N)
-        want = [reference_phi(family, f, g, N) for g in gammas]
+        T, f, N, gammas = case
+        values, bounds = phi_of_gammas(T, f, gammas, N)
+        want = [reference_phi(T, f, g, N) for g in gammas]
         assert values == pytest.approx([v for v, _ in want], abs=1e-11)
         assert bounds.tolist() == [e for _, e in want]
 
@@ -172,12 +176,11 @@ class TestPhiOfGammas:
     def test_orbit_of_a_petal_end_returns_to_the_discontinuity(self, T,
                                                               gamma):
         # there the value is set by the one-sided decision within EPS of d
-        family = OneFlowerFamily(T)
         for f in (TrigPolynomial([0.3, -0.7], [0.5]),
                   PiecewiseLinear.from_points([0.1, 0.45, 0.8],
                                               [0.3, -0.5, 0.9])):
-            assert phi_of_gamma(family, f, gamma, 18) == pytest.approx(
-                reference_phi(family, f, gamma, 18), abs=1e-11)
+            assert phi_of_gamma(T, f, gamma, 18) == pytest.approx(
+                reference_phi(T, f, gamma, 18), abs=1e-11)
 
     @pytest.mark.parametrize("T", [T2, T3, S244])
     def test_equals_the_functional_of_each_flower(self, T):
@@ -185,7 +188,7 @@ class TestPhiOfGammas:
         # flower's own selector take the same float operations
         gammas = np.random.default_rng(17).random(200)
         f = TrigPolynomial([0.3, -0.7], [0.5])
-        values, _ = phi_of_gammas(OneFlowerFamily(T), f, gammas, 40)
+        values, _ = phi_of_gammas(T, f, gammas, 40)
         for g, value in zip(gammas, values):
             sel = selector(one_flower(T, g))
             want, _ = functional(sel, sel.discontinuities()[0], f, 40)
@@ -198,14 +201,30 @@ class TestPhiOfGammas:
         N = 40
         want = sum(f.eval(0.5 + 3.0 ** -(n + 1)) - f.eval(0.5)
                    for n in range(N + 1))
-        value, _ = phi_of_gamma(OneFlowerFamily(T3), f, 0.5, N)
+        value, _ = phi_of_gamma(T3, f, 0.5, N)
         assert value == pytest.approx(want, abs=1e-13)
+
+
+    def test_no_gammas(self):
+        values, bounds = phi_of_gammas(T2, COS, [], 10)
+        assert values.shape == bounds.shape == (0,)
+        assert values.dtype == bounds.dtype == float
+        assert phi_of_gammas(T3, COS, np.empty(0), 0)[0].shape == (0,)
+
+    def test_negative_depth_rejected(self):
+        for call in (lambda: phi_of_gammas(T2, COS, [0.1, 0.3], -1),
+                     lambda: phi_of_gammas(T2, COS, [], -1),
+                     lambda: phi_of_gamma(T2, COS, 0.1, -1),
+                     lambda: scan(T2, COS, 16, -1),
+                     lambda: solve_pre_sturmian(T2, COS, -2, grid_size=16)):
+            with pytest.raises(ValueError, match="N must be >= 0"):
+                call()
 
 
 class TestSolvePreSturmian:
     def test_cosine_roots(self):
         N = default_depth(COS.lipschitz_constant(), 2.0, 1e-12)
-        intervals = solve_pre_sturmian(FAM, COS, N, resolution=1e-12,
+        intervals = solve_pre_sturmian(T2, COS, N, resolution=1e-12,
                                        grid_size=512)
         assert len(intervals) == 2
         mids = sorted(zi.midpoint for zi in intervals)
@@ -216,13 +235,13 @@ class TestSolvePreSturmian:
         g = 0.1
         f = demo_function(g)
         N = default_depth(f.lipschitz_constant(), 2.0, 1e-11)
-        intervals = solve_pre_sturmian(FAM, f, N, resolution=1e-10,
+        intervals = solve_pre_sturmian(T2, f, N, resolution=1e-10,
                                        grid_size=512)
         assert any(zi.gamma_low - 1e-8 <= g <= zi.gamma_high + 1e-8
                    for zi in intervals)
 
     def test_constant_function_full_plateau(self):
-        intervals = solve_pre_sturmian(FAM, TrigPolynomial(), 10,
+        intervals = solve_pre_sturmian(T2, TrigPolynomial(), 10,
                                        resolution=1e-9, grid_size=64)
         assert len(intervals) == 1
         assert intervals[0].is_plateau
@@ -231,10 +250,10 @@ class TestSolvePreSturmian:
 
     def test_no_sign_change_raised(self, monkeypatch):
         monkeypatch.setattr(solve_mod, "phi_of_gammas",
-                            lambda family, f, gs, N: (np.ones(len(gs)),
+                            lambda T, f, gs, N: (np.ones(len(gs)),
                                                       np.full(len(gs), 1e-12)))
         with pytest.raises(NoSignChange) as info:
-            solve_pre_sturmian(FAM, COS, 10, resolution=1e-9, grid_size=32)
+            solve_pre_sturmian(T2, COS, 10, resolution=1e-9, grid_size=32)
         assert info.value.phi_min == 1.0
         assert info.value.phi_max == 1.0
 
@@ -242,12 +261,12 @@ class TestSolvePreSturmian:
     def test_exact_zero_on_the_grid_reported(self, monkeypatch):
         # grid values +, +, 0, -, ..., - with an exact zero at 1/8, and a
         # sign change between 3/4 and 13/16 at 0.78
-        def phi(family, f, gammas, N):
+        def phi(T, f, gammas, N):
             gammas = np.asarray(gammas)
             return (np.where(gammas < 0.5, 0.125 - gammas, gammas - 0.78),
                     np.full(len(gammas), 1e-12))
         monkeypatch.setattr(solve_mod, "phi_of_gammas", phi)
-        intervals = solve_pre_sturmian(FAM, COS, 10, resolution=1e-10,
+        intervals = solve_pre_sturmian(T2, COS, 10, resolution=1e-10,
                                        grid_size=16)
         assert len(intervals) == 2
         assert intervals[0] == ZeroInterval(0.125, 0.125, 0.0, 0.0, 1e-10)
@@ -263,7 +282,7 @@ class TestSolvePreSturmian:
     @pytest.mark.parametrize("resolution", [0.0, -1e-10, math.nan, math.inf])
     def test_resolution_must_be_finite_and_positive(self, resolution):
         with pytest.raises(ValueError, match="resolution"):
-            solve_pre_sturmian(FAM, COS, 10, resolution=resolution,
+            solve_pre_sturmian(T2, COS, 10, resolution=resolution,
                                grid_size=16)
 
 
@@ -296,6 +315,23 @@ class TestSturmianEstimate:
         exact = (f.eval(1 / 3) + f.eval(2 / 3)) / 2
         assert est.integral_of_f == pytest.approx(exact, abs=1e-12)
 
+    @pytest.mark.parametrize("gamma", [0.1, 0.37, 0.62, 0.9])
+    def test_non_linear_map(self, gamma):
+        # no cycle of S244 is certified: the snap to j/(k^q - 1) is for
+        # the linear maps only, so the estimate walks the whole orbit
+        f = TrigPolynomial([0.3, -0.7], [0.5])
+        length = 1000
+        est = sturmian_estimate(one_flower(S244, gamma), f, 200, length)
+        assert est.periodic is None
+        assert est.period is None
+        counts = [c * length for c in est.coding_frequencies]
+        assert len(counts) == 3
+        assert counts == [round(c) for c in counts]
+        assert sum(counts) == length
+        ends = [f.eval(x) for arc in est.support_arcs
+                for x in (arc.left, arc.midpoint(), arc.right)]
+        assert min(ends) - 1e-9 <= est.integral_of_f <= max(ends) + 1e-9
+
     def test_multi_petal_rejected(self):
         rng = random.Random(9)
         F = random_flower(make_linear_map(3), 2, rng)
@@ -306,23 +342,24 @@ class TestSturmianEstimate:
 class TestSignConditions:
     def test_cosine_bracket(self):
         N = default_depth(COS.lipschitz_constant(), 2.0, 1e-12)
-        est = sturmian_estimate(FAM.flower(0.75), COS, 200, 2000, depth=N)
-        phi_minus, phi_plus, consistent = sign_conditions(FAM, COS, est, N)
+        est = sturmian_estimate(one_flower(T2, 0.75), COS, 200, 2000,
+                                depth=N)
+        phi_minus, phi_plus, consistent = sign_conditions(T2, COS, est, N)
         assert consistent
 
     def test_demo_function_brackets_strict(self):
         g = 0.1
         f = demo_function(g)
         N = default_depth(f.lipschitz_constant(), 2.0, 1e-11)
-        intervals = solve_pre_sturmian(FAM, f, N, resolution=1e-10,
+        intervals = solve_pre_sturmian(T2, f, N, resolution=1e-10,
                                        grid_size=512)
         best = None
         for zi in intervals:
-            est = sturmian_estimate(FAM.flower(zi.midpoint), f, 200, 2000,
+            est = sturmian_estimate(one_flower(T2, zi.midpoint), f, 200, 2000,
                                     depth=N)
             if best is None or est.integral_of_f > best.integral_of_f:
                 best = est
-        phi_minus, phi_plus, consistent = sign_conditions(FAM, f, best, N)
+        phi_minus, phi_plus, consistent = sign_conditions(T2, f, best, N)
         assert consistent
         assert phi_minus > 0
         assert phi_plus < 0
