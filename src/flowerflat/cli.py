@@ -50,9 +50,9 @@ MAX_DEPTH = 1000
 #: cos at MAX_GRID x MAX_DEPTH takes 4.9 s and 471 MB peak RSS (at grid
 #: 2048, 1.3 s and 141 MB; Python 3.11, numpy 2.4, 2 CPUs)
 MAX_GRID = 8192
-#: largest ``burn_in`` and ``length`` of a Sturmian estimate, each one
-#: scalar selector step; an orbit that is not certified periodic takes
-#: about 4.4 us a step, 45 s for 10^7 steps (same machine)
+#: largest ``burn_in`` and ``length`` of a Sturmian estimate, an input
+#: check: an orbit that never settles on a float cycle costs about 11 us
+#: a step of burn_in + length, 110 s at 10^7 (same machine)
 MAX_ORBIT_STEPS = 10 ** 7
 
 #: the rule of each setting name, the same in every command that reads

@@ -95,6 +95,12 @@ class ExpandingMap:
         u = a0 + reduce(x - a0)
         return reduce(a0 + self.slopes[i] * (u - self._lifted[i]))
 
+    def branch_many(self, xs) -> np.ndarray:
+        """``branch_index`` on an array of points."""
+        lifted = self._lifted_array
+        u = lifted[0] + reduce_many(np.asarray(xs, dtype=float) - lifted[0])
+        return lifted[1:].searchsorted(u, "right")
+
     def apply_many(self, xs) -> np.ndarray:
         """``apply`` on an array of points."""
         lifted, slopes = self._lifted_array, self._slope_array

@@ -17,7 +17,6 @@ constructor.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -164,31 +163,20 @@ class PreImageSelector:
         self._owner = order
         self._end_owner = order[-1:] + order[:-1]
         self._table = None
-        self._row = None
 
     @property
     def discontinuity_points(self) -> List[float]:
         return list(self._disc)
 
     def tau(self, x: float) -> float:
-        """The selected preimage of x.  Within EPS of a discontinuity point
-        tau takes its right limit, the petal left endpoint there.
-        Elsewhere it is ``tau_many`` of the one-row table, on the row's
-        pieces as Python lists: one step of a sequential orbit costs less
-        than a numpy call."""
+        """The selected preimage of x: within EPS of a discontinuity point
+        its right limit, the petal left endpoint there, and ``tau_many``
+        of the one-row table elsewhere."""
         x = reduce(x)
         for i, d in enumerate(self._disc):
             if distance(x, d) <= EPS:
                 return self.flower.petals[self._owner[i]].left
-        if self._row is None:
-            self._row = [col.tolist() for col in self.table._row]
-        starts, bases, slopes, lengths = self._row
-        j = bisect.bisect_right(starts, x) - 1
-        off = x - starts[j]
-        if off < 0.0:
-            off += 1.0
-        y = bases[j] + min(off / slopes[j], lengths[j])
-        return y - 1.0 if y >= 1.0 else y
+        return float(self.table.tau_many(np.array(x)))
 
     def discontinuities(self) -> List[Discontinuity]:
         """The p discontinuities with their I/J arcs and A-membership."""

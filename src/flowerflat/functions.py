@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -18,6 +18,21 @@ from .circle import EPS, reduce, reduce_many
 from .dynamics import ExpandingMap
 
 _CLOSURE_TOL = 1e-9
+
+
+def _merged_pieces(points, slope_at) -> Tuple[List[float], List[float]]:
+    """The sorted points, less each one within EPS of the one before and
+    a last one within EPS of the first a turn on, and ``slope_at`` the
+    midpoint of each gap from one to the next."""
+    bps: List[float] = []
+    for b in sorted(points):
+        if not bps or b - bps[-1] > EPS:
+            bps.append(b)
+    if len(bps) > 1 and (bps[0] + 1.0) - bps[-1] <= EPS:
+        bps.pop()
+    gaps = [(bps[(i + 1) % len(bps)] - b) % 1.0 or 1.0
+            for i, b in enumerate(bps)]
+    return bps, [slope_at(reduce(b + g / 2.0)) for b, g in zip(bps, gaps)]
 
 
 class PiecewiseLinear:
@@ -104,18 +119,9 @@ class PiecewiseLinear:
     def add(self, other: "PiecewiseLinear",
             sign: float = 1.0) -> "PiecewiseLinear":
         """self + sign*other as a new piecewise-linear function."""
-        bps: List[float] = []
-        for b in sorted(self.breakpoints + other.breakpoints):
-            if not bps or b - bps[-1] > EPS:
-                bps.append(b)
-        if len(bps) > 1 and (bps[0] + 1.0) - bps[-1] <= EPS:
-            bps.pop()
-        m = len(bps)
-        slopes = []
-        for i in range(m):
-            gap = (bps[(i + 1) % m] - bps[i]) % 1.0 or 1.0
-            mid = reduce(bps[i] + gap / 2.0)
-            slopes.append(self.slope_at(mid) + sign * other.slope_at(mid))
+        bps, slopes = _merged_pieces(
+            self.breakpoints + other.breakpoints,
+            lambda x: self.slope_at(x) + sign * other.slope_at(x))
         anchor = self.eval(bps[0]) + sign * other.eval(bps[0])
         return PiecewiseLinear(bps, slopes, anchor)
 
@@ -168,24 +174,11 @@ def compose_with_map(psi: PiecewiseLinear,
                      T: ExpandingMap) -> PiecewiseLinear:
     """psi o T as a piecewise-linear function (breakpoints at the branch
     breaks and at all preimages of psi's breakpoints)."""
-    pts = set()
-    for b in T.breaks:
-        pts.add(reduce(b))
-    for s in psi.breakpoints:
-        for i in range(T.degree):
-            pts.add(T.inverse_branch(i, s))
-    bps: List[float] = []
-    for b in sorted(pts):
-        if not bps or b - bps[-1] > EPS:
-            bps.append(b)
-    if len(bps) > 1 and (bps[0] + 1.0) - bps[-1] <= EPS:
-        bps.pop()
-    m = len(bps)
-    slopes = []
-    for i in range(m):
-        gap = (bps[(i + 1) % m] - bps[i]) % 1.0 or 1.0
-        mid = reduce(bps[i] + gap / 2.0)
-        slopes.append(psi.slope_at(T.apply(mid)) * T.slope_at(mid))
+    pts = [reduce(b) for b in T.breaks] + [
+        T.inverse_branch(i, s) for s in psi.breakpoints
+        for i in range(T.degree)]
+    bps, slopes = _merged_pieces(
+        pts, lambda x: psi.slope_at(T.apply(x)) * T.slope_at(x))
     return PiecewiseLinear(bps, slopes, psi.eval(T.apply(bps[0])))
 
 

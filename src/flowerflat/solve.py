@@ -22,6 +22,10 @@ grid plus a multisection of every sign change, all brackets in one batch
 per round; plateaus of (near-)zeros signal periodic Sturmian measures.
 A brute-force periodic-orbit oracle provides the independent cross-check
 on maximizing measures.
+
+The selector orbits of ``sturmian_estimate`` and of the staircase run in
+one loop, ``_orbit_blocks``, which stops each at its first exact float
+cycle; the estimate certifies that cycle as a T-cycle in ``Fraction``s.
 """
 from __future__ import annotations
 
@@ -33,24 +37,17 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circle import (Arc, cells, distance, distance_many, lift, reduce,
-                     reduce_many)
+from .circle import Arc, cells, distance_many, lift, reduce, reduce_many
 from .dynamics import ExpandingMap, periodic_orbits
 # ``functional`` is re-exported for callers of ``solve.functional``, such as
 # the span recorder in perfbench/spans.py, which patches it here
 from .flatten import escape_counts, functional, tail_bound, transfer
-from .flower import (Flower, PreImageSelector, SelectorTable, arc_end,
-                     selector)
+from .flower import Flower, SelectorTable, arc_end, selector
 
 #: interior points per bracket and round of the root multisection
 MULTISECTION_POINTS = 63
-#: ``_detect_cycle`` takes an iterate within CYCLE_TOL of one of the
-#: CYCLE_MAX_PERIOD before it to close a cycle
-CYCLE_TOL, CYCLE_MAX_PERIOD = 1e-9, 256
-#: largest distance of a cycle point from its snap to j/(k^q - 1)
-SNAP_TOL = 1e-6
-#: steps per block of ``branch_one_frequency_scan``, which looks for a
-#: repeated state, and so a cycle of at most this length, at block ends
+#: steps per block of ``_orbit_blocks``, which looks for a repeated
+#: state, and so a cycle of at most this length, at block ends
 FREQUENCY_BLOCK = 64
 
 
@@ -250,100 +247,94 @@ class SturmianEstimate:
     period: Optional[int] = None
 
 
-def _detect_cycle(sel: PreImageSelector, x: float, max_steps: int):
-    """Follow the selector orbit and report (period, last point) as soon as
-    some iterate returns within CYCLE_TOL of an earlier one, else None.
+def _exact_cycle(F: Flower, pts: List[float]) -> Optional[List[Fraction]]:
+    """The exact T-cycle that the float selector cycle ``pts`` (each point
+    tau of the one before, cyclically) follows, from its smallest point,
+    if it lies in the closed petal within 1e-9, else None.  It is the
+    fixed point of the inverse branches that ``pts`` takes, composed, and
+    its images, on the map's exact data: the breaks i/k of a linear map,
+    else the stored floats.  On the lifted circle [a_0, a_0 + 1) inverse
+    branch b is u -> a_b + (u - a_0) / s_b, so the composition is affine."""
+    T, k = F.map, F.map.degree
+    if T.is_linear():
+        a, s = [Fraction(i, k) for i in range(k)], [Fraction(k)] * k
+    else:
+        a0 = Fraction(T.fixed_point)
+        a = [a0 + (Fraction(b) - a0) % 1 for b in T.breaks]
+        s = [Fraction(v) for v in T.slopes]
+    branches = [T.branch_index(x) for x in pts[1:] + pts[:1]]
+    scale, u = Fraction(1), Fraction(0)
+    for b in branches:
+        scale, u = scale / s[b], a[b] + (u - a[0]) / s[b]
+    u /= 1 - scale
+    cycle = []
+    for b in branches:
+        u = a[b] + (u - a[0]) / s[b]
+        cycle.append(u % 1)
 
-    Detection runs online, without a burn-in: orbits attracted to a cycle
-    on the petal boundary can be knocked off it by rounding after ~50
-    steps, so the cycle must be caught while the contraction is still in
-    progress.
-    """
-    history = [x]
-    for _ in range(max_steps):
-        x = sel.tau(x)
-        history.append(x)
-        limit = min(len(history) - 1, CYCLE_MAX_PERIOD)
-        for q in range(1, limit + 1):
-            if distance(history[-1], history[-1 - q]) <= CYCLE_TOL:
-                return q, history[-q:]
-    return None
+    def image(z):
+        u = a[0] + (z - a[0]) % 1
+        b = sum(x <= u for x in a[1:])
+        return (a[0] + s[b] * (u - a[b])) % 1
 
-
-def _verify_rational_cycle(F: Flower, pts: Sequence[float]
-                           ) -> Optional[List[Fraction]]:
-    """Snap a floating cycle of a linear map to j/(k^q - 1) and certify it:
-    exact dynamics must cycle through the snapped points in order and every
-    point must lie in the (closed) flower.  Returns None when the snap or
-    the certificate fails."""
-    T = F.map
-    if not T.is_linear():
-        return None
-    k, q = T.degree, len(pts)
-    den = k ** q - 1
-    exact = []
-    for p in pts:
-        frac = Fraction(round(p * den), den) % 1
-        if distance(float(frac), p) > SNAP_TOL:
-            return None
-        exact.append(frac)
-    petal = F.petals[0]
-    # the selector orbit runs backwards in time: T maps each point to the
-    # previous one
-    for i, fr in enumerate(exact):
-        if (k * fr) % 1 != exact[i - 1]:
-            return None
-        if not petal.contains(float(fr), tol=1e-9):
-            return None
-    return exact
+    i = cycle.index(min(cycle))
+    return cycle[i:] + cycle[:i] if all(
+        image(z) == cycle[j - 1] and F.petals[0].contains(float(z), tol=1e-9)
+        for j, z in enumerate(cycle)) else None
 
 
 def sturmian_estimate(F: Flower, f, burn_in: int = 1000,
                       length: int = 100000, depth: int = 40
                       ) -> SturmianEstimate:
-    """Estimate the Sturmian measure of a 1-flower.
+    """Estimate the Sturmian measure of a 1-flower, its one invariant
+    measure (Bullett and Sentenac 1994).
 
-    The support is approximated by the iterated selector images of the
-    flower; the integral of f and the branch-coding frequencies come from
-    a selector orbit, replaced by the exact rational cycle whenever the
-    orbit is detected to be periodic.
+    The right-limit and the left-limit selector orbits of the petal
+    midpoint run in ``_orbit_blocks`` for at most burn_in + length steps.
+    At the first block end where one has settled, the shorter cycle (the
+    right-limit one on a tie) goes to ``_exact_cycle``; a certified cycle
+    is the measure.  Else the integral of f and the branch-coding
+    frequencies are averages over the `length` steps after the first
+    `burn_in` of the right-limit orbit.  The support is the iterated
+    selector images of the flower.  Raises ValueError unless F is a
+    1-flower and burn_in and length are integers >= 1.
     """
     if F.p != 1:
         raise ValueError("Sturmian estimation needs a 1-flower")
-    if burn_in < 1 or length < 1:
-        raise ValueError("burn_in and length must be >= 1")
+    if not (_integers(burn_in, length) and burn_in >= 1 and length >= 1):
+        raise ValueError("burn_in and length must be integers >= 1")
     sel = selector(F)
-    T = F.map
+    T, table, total = F.map, sel.table, burn_in + length
     k = T.degree
     support = sel.push_arc(F.petals[0], depth)
-    x = F.petals[0].midpoint()
-    cycle = _detect_cycle(sel, x, max_steps=min(burn_in + length, 4096))
-    if cycle is not None:
-        q, pts = cycle
-        exact = _verify_rational_cycle(F, pts)
-        if exact is not None:
-            pts = [float(fr) for fr in exact]
-            branches = [T.branch_index(p) for p in pts]
-            counts = [branches.count(b) for b in range(k)]
-            integral = sum(f.eval(p) for p in pts) / q
-            return SturmianEstimate(
-                flower=F, support_arcs=support, integral_of_f=integral,
-                coding_frequencies=[c / q for c in counts],
-                periodic=exact, period=q)
-        x = pts[-1]
-    else:
-        for _ in range(burn_in):
-            x = sel.tau(x)
-    counts = [0] * k
-    total = 0.0
-    for _ in range(length):
-        x = sel.tau(x)
-        counts[T.branch_index(x)] += 1
-        total += f.eval(x)
-    return SturmianEstimate(
-        flower=F, support_arcs=support, integral_of_f=total / length,
-        coding_frequencies=[c / length for c in counts],
-        periodic=None, period=None)
+
+    def step(x, sides):
+        # Python floats and strings: tau_many is fastest on scalars
+        return [table.tau_many(y, side)
+                for y, side in zip(x.tolist(), sides)], None
+
+    mid, exact = np.full(2, F.petals[0].midpoint()), None
+    for _, _, states, _, lam in _orbit_blocks(
+            step, mid, np.array(["right", "left"], dtype=object), total):
+        if lam.any():
+            r = np.argmin(np.where(lam > 0, lam, total + 1))
+            exact = _exact_cycle(F, states[-1 - lam[r]:-1, r].tolist())
+            break
+    if exact is not None:
+        pts = [float(z) for z in exact]
+        branches = [T.branch_index(p) for p in pts]
+        return SturmianEstimate(
+            F, support, sum(f.eval(p) for p in pts) / len(pts),
+            [branches.count(b) / len(pts) for b in range(k)], exact, len(pts))
+    sums = np.zeros(k + 1)
+    for start, _, states, _, lam in _orbit_blocks(
+            step, mid[:1], np.array(["right"], dtype=object), total):
+        y = states[1:]
+        weights = np.concatenate([T.branch_many(y)[..., None] == np.arange(k),
+                                  f.eval_many(y)[..., None]], axis=2)
+        sums += _window_sums(weights, start, lam, burn_in, total)[0]
+    return SturmianEstimate(F, support, float(sums[k] / length),
+                            (sums[:k] / length).tolist())
 
 
 def support_extremes(est: SturmianEstimate) -> Tuple[float, float]:
@@ -435,13 +426,62 @@ def rank_test(F: Flower, N: int = 15, grid: int = 512) -> Tuple[int, int]:
     return integer_rank(np.vstack([counts, np.ones_like(mids, int)])), F.p
 
 
-def _cycle_hits(cum: np.ndarray, s: np.ndarray, lam: np.ndarray,
-                n) -> np.ndarray:
-    """Branch-1 steps among the first n steps of each column's cycle: block
-    steps s .. s + lam - 1 repeated, with cum[i] the hits before step i."""
-    col = np.arange(len(s))
-    return ((n // lam) * (cum[s + lam, col] - cum[s, col])
-            + cum[s + n % lam, col] - cum[s, col])
+def _integers(*ns) -> bool:
+    return all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+               for n in ns)
+
+
+def _orbit_blocks(step, X: np.ndarray, P: np.ndarray, total: int):
+    """Follow the orbits of rows with states X and parameters P for
+    ``total`` steps, in blocks of FREQUENCY_BLOCK steps; ``step(x, p)``
+    gives the next states of the running rows and a mark of the step.
+    After each block of m steps yield (start, rows, states, marks, lam):
+    its first step, the rows that ran, their states at block steps 0 .. m,
+    the m marks, and per row the length lam of the cycle it closed, or 0.
+    The next state depends only on the state, so a row whose state at the
+    block end bitwise repeats one of the block repeats its last lam states
+    and marks for ever: it settles and leaves the batch."""
+    rows, start = np.arange(len(X)), 0
+    while start < total and len(rows):
+        m = min(FREQUENCY_BLOCK, total - start)
+        p = P[rows]
+        states = np.empty((m + 1, len(rows)))
+        states[0] = X
+        marks = []
+        for i in range(m):
+            states[i + 1], mark = step(states[i], p)
+            marks.append(mark)
+        # the latest s < m with states[s] == states[m] closes a cycle of
+        # lam = m - s steps
+        same = states[:m] == states[m]
+        lam = np.where(same.any(axis=0), 1 + np.argmax(same[::-1], axis=0), 0)
+        yield start, rows, states, marks, lam
+        start += m
+        rows, X = rows[lam == 0], states[m, lam == 0]
+
+
+def _window_sums(W: np.ndarray, start: int, lam: np.ndarray, burn_in: int,
+                 total: int) -> np.ndarray:
+    """The weights W (m, rows, d) of the steps start .. start + m - 1 of a
+    block of ``_orbit_blocks``, summed per row over the window steps
+    burn_in .. total - 1.  A row that settled (lam > 0) repeats the block's
+    last lam weights for ever, so it adds every later window step too."""
+    m, end = len(W), start + len(W)
+    sums = W[max(burn_in - start, 0):].sum(axis=0)
+    done = np.flatnonzero(lam)
+    if not len(done):
+        return sums
+    lam, col = lam[done], np.arange(len(done))
+    cum = np.zeros((m + 1, len(done), W.shape[2]), dtype=sums.dtype)
+    np.cumsum(W[:, done], axis=0, out=cum[1:])
+
+    def cycle(n):  # the first n weights from block step m - lam on
+        return ((n // lam)[:, None] * (cum[m, col] - cum[m - lam, col])
+                + cum[m - lam + n % lam, col] - cum[m - lam, col])
+
+    sums[done] += (cycle(total - end + lam)
+                   - cycle(max(end, burn_in) - end + lam))
+    return sums
 
 
 def branch_one_frequency_scan(k: int, gammas: Sequence[float],
@@ -452,52 +492,24 @@ def branch_one_frequency_scan(k: int, gammas: Sequence[float],
     `length` steps after the first `burn_in`, vectorized over the whole
     gamma grid at once.
 
-    The next state depends only on the state, so once a row's float state
-    equals one it held lam steps before, its branches repeat with period
-    lam for ever, and the rest of its count is read off that cycle.  The
-    rows run in blocks of FREQUENCY_BLOCK steps; at each block end a row
-    whose state repeats one of the block settles and leaves the batch.
-    The result is bitwise that of following every orbit to the end.
-    Raises ValueError unless k >= 2, burn_in >= 0 and length >= 1 are
-    integers."""
-    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
-               for n in (k, burn_in, length)):
-        raise ValueError("k, burn_in and length must be integers")
-    if k < 2 or burn_in < 0 or length < 1:
-        raise ValueError("need k >= 2, burn_in >= 0 and length >= 1")
+    The rows run in ``_orbit_blocks``, and once a row settles the rest of
+    its count is read off its cycle, so the result is bitwise that of
+    following every orbit to the end.  Raises ValueError unless k >= 2,
+    burn_in >= 0 and length >= 1 are integers."""
+    if not (_integers(k, burn_in, length)
+            and k >= 2 and burn_in >= 0 and length >= 1):
+        raise ValueError("need integers k >= 2, burn_in >= 0, length >= 1")
     G = np.asarray([reduce(g) for g in gammas])
-    X = (G + 1.0 / (2 * k)) % 1.0
+
+    def step(x, g):
+        h = x / k
+        j = np.ceil(k * ((g - h) % 1.0) - 1e-9) % k
+        return h + j / k, j == 1
+
     total = burn_in + length
     counts = np.zeros(len(G), dtype=np.int64)
-    rows = np.arange(len(G))
-    start = 0
-    while start < total and len(rows):
-        m = min(FREQUENCY_BLOCK, total - start)
-        g = G[rows]
-        # states[i] is the state after start + i steps, and hits[i] marks
-        # branch 1 on the step from states[i] to states[i + 1]
-        states = np.empty((m + 1, len(rows)))
-        hits = np.empty((m, len(rows)), dtype=bool)
-        states[0] = X
-        for i in range(m):
-            h = states[i] / k
-            o = (g - h) % 1.0
-            j = np.ceil(k * o - 1e-9) % k
-            states[i + 1] = h + j / k
-            hits[i] = j == 1
-        counts[rows] += hits[max(burn_in - start, 0):].sum(axis=0)
-        start += m
-        # the latest s < m with states[s] == states[m] closes a cycle of
-        # lam = m - s steps that starts at global step start - lam
-        same = states[:m] == states[m]
-        settled = same.any(axis=0)
-        s = m - 1 - np.argmax(same[::-1, settled], axis=0)
-        lam = m - s
-        cum = np.zeros((m + 1, len(s)), dtype=np.int64)
-        np.cumsum(hits[:, settled], axis=0, out=cum[1:])
-        counts[rows[settled]] += (
-            _cycle_hits(cum, s, lam, total - start + lam)
-            - _cycle_hits(cum, s, lam, max(start, burn_in) - start + lam))
-        rows = rows[~settled]
-        X = states[m, ~settled]
+    for start, rows, _, hits, lam in _orbit_blocks(
+            step, (G + 1.0 / (2 * k)) % 1.0, G, total):
+        counts[rows] += _window_sums(np.array(hits)[..., None], start, lam,
+                                     burn_in, total)[:, 0]
     return counts / length

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 import flowerflat.solve as solve_mod
 from flowerflat.circle import Arc, distance, reduce
-from flowerflat.dynamics import make_linear_map, map_from_slopes
+from flowerflat.dynamics import (make_linear_map, map_from_slopes,
+                                 periodic_orbits)
 from flowerflat.flatten import default_depth, functional, tail_bound
-from flowerflat.flower import (arc_end, one_flower, random_flower, selector,
-                               validate_flower)
+from flowerflat.flower import (SelectorTable, arc_end, one_flower,
+                               random_flower, selector, validate_flower)
 from flowerflat.functions import PiecewiseLinear, TrigPolynomial, demo_function
 from flowerflat.solve import (NoSignChange, ZeroInterval,
                               branch_one_frequency_scan, orbit_oracle,
@@ -29,6 +30,14 @@ T2 = make_linear_map(2)
 T3 = make_linear_map(3)
 S244 = map_from_slopes([2.0, 4.0, 4.0])
 COS = TrigPolynomial(cos_coeffs=[1.0])
+
+
+def s244_exact(z):
+    """S244 on an exact rational point of [0, 1): its branches are
+    [0, 1/2), [1/2, 3/4) and [3/4, 1), with slopes 2, 4 and 4."""
+    if z < Fraction(1, 2):
+        return 2 * z % 1
+    return 4 * (z - Fraction(1, 2)) % 1 if z < Fraction(3, 4) else 4 * z % 1
 
 
 def right_end(T, gamma):
@@ -317,20 +326,95 @@ class TestSturmianEstimate:
 
     @pytest.mark.parametrize("gamma", [0.1, 0.37, 0.62, 0.9])
     def test_non_linear_map(self, gamma):
-        # no cycle of S244 is certified: the snap to j/(k^q - 1) is for
-        # the linear maps only, so the estimate walks the whole orbit
+        """S244's cycles are certified too: the reported points form a
+        cycle of S244's exact branches, in the closed petal."""
         f = TrigPolynomial([0.3, -0.7], [0.5])
-        length = 1000
-        est = sturmian_estimate(one_flower(S244, gamma), f, 200, length)
-        assert est.periodic is None
-        assert est.period is None
-        counts = [c * length for c in est.coding_frequencies]
-        assert len(counts) == 3
-        assert counts == [round(c) for c in counts]
-        assert sum(counts) == length
-        ends = [f.eval(x) for arc in est.support_arcs
-                for x in (arc.left, arc.midpoint(), arc.right)]
-        assert min(ends) - 1e-9 <= est.integral_of_f <= max(ends) + 1e-9
+        F = one_flower(S244, gamma)
+        est = sturmian_estimate(F, f, 200, 1000)
+        pts = est.periodic
+        assert pts is not None and est.period == len(pts)
+        assert pts[0] == min(pts)
+        for i, z in enumerate(pts):
+            assert s244_exact(z) == pts[i - 1]
+            assert F.petals[0].contains(float(z), tol=1e-9)
+        branches = [S244.branch_index(float(z)) for z in pts]
+        assert est.coding_frequencies == [branches.count(b) / len(pts)
+                                          for b in range(3)]
+        assert est.integral_of_f == pytest.approx(
+            sum(f.eval(float(z)) for z in pts) / len(pts), abs=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_sturmian_orbits_on_their_plateaus(self, k):
+        """Every periodic orbit of T_k of period <= 8 that lies in a closed
+        arc [x_min, x_max] of length at most 1/k lies in every 1-flower
+        [gamma, gamma + 1/k] with gamma on its plateau [x_max - 1/k,
+        x_min], and is that flower's one invariant measure: the estimate
+        at the plateau midpoint returns it, smallest point first, in
+        selector order (each point the preimage of the one before)."""
+        T = make_linear_map(k)
+        checked = 0
+        for orbit in periodic_orbits(T, 8):
+            pts = sorted(orbit)
+            gaps = [(pts[(i + 1) % len(pts)] - x) % 1 or 1
+                    for i, x in enumerate(pts)]
+            i = gaps.index(max(gaps))
+            x_min, span = pts[(i + 1) % len(pts)], 1 - gaps[i]
+            if span > Fraction(1, k):
+                continue
+            gamma = float(x_min - (Fraction(1, k) - span) / 2)
+            est = sturmian_estimate(one_flower(T, gamma), COS, 200, 1000)
+            assert est.periodic == orbit[:1] + orbit[:0:-1]
+            assert est.period == len(orbit)
+            checked += 1
+        assert checked >= 10
+
+    def test_uncertified_window(self, monkeypatch):
+        """With blocks of 2 steps the period-3 orbit of T2 at gamma 0.1
+        never settles, so the estimate is the window of the right-limit
+        orbit: its counts are those of a step-by-step walk."""
+        monkeypatch.setattr(solve_mod, "FREQUENCY_BLOCK", 2)
+        f = demo_function(0.1)
+        F = one_flower(T2, 0.1)
+        burn_in, length = 200, 1000
+        est = sturmian_estimate(F, f, burn_in, length)
+        assert est.periodic is None and est.period is None
+        table = selector(F).table
+        x = F.petals[0].midpoint()
+        counts, total = [0, 0], 0.0
+        for i in range(burn_in + length):
+            x = float(table.tau_many(np.array(x), "right"))
+            if i >= burn_in:
+                counts[T2.branch_index(x)] += 1
+                total += f.eval(x)
+        assert est.coding_frequencies == [c / length for c in counts]
+        assert est.integral_of_f == pytest.approx(total / length, abs=1e-12)
+
+    def test_settled_walk_does_not_grow_with_length(self, monkeypatch):
+        """A settled estimate stops its orbits at their cycle: it maps as
+        many points at length 10^6 as at 10^3."""
+        calls = []
+        tau_many = SelectorTable.tau_many
+
+        def counted(self, xs, side="right"):
+            calls.append(1)
+            return tau_many(self, xs, side)
+
+        monkeypatch.setattr(SelectorTable, "tau_many", counted)
+        F = one_flower(T2, 0.1)
+        made = []
+        for length in (10 ** 3, 10 ** 6):
+            calls.clear()
+            est = sturmian_estimate(F, COS, 200, length)
+            assert est.period == 3
+            made.append(len(calls))
+        assert made[0] == made[1]
+
+    @pytest.mark.parametrize("burn_in, length", [
+        (200, 10.0), (2.5, 1000), (True, 1000), (200, True), (200, "10"),
+        (0, 1000), (200, 0), (-1, 1000)])
+    def test_invalid_lengths_rejected(self, burn_in, length):
+        with pytest.raises(ValueError):
+            sturmian_estimate(one_flower(T2, 0.1), COS, burn_in, length)
 
     def test_multi_petal_rejected(self):
         rng = random.Random(9)
