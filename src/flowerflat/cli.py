@@ -42,17 +42,16 @@ EXIT_NO_SOLUTION = 4
 #: largest degree k of a linear map spec; building T_k takes O(k) time and
 #: memory, so larger k is rejected before anything is allocated
 MAX_LINEAR_DEGREE = 1000
-#: largest truncation depth N; the selector tables of ``scan`` and
-#: ``solve`` keep the orbits and ledger chains of every scanned flower to
-#: depth N, so their memory grows with grid * depth (see MAX_GRID)
+#: largest truncation depth N; ``scan`` and ``solve`` keep the ledger
+#: chains of every flower to depth N, so memory grows with grid * depth
 MAX_DEPTH = 1000
 #: largest grid of ``scan``, ``solve`` and ``rank``; ``scan`` on T2 with
-#: cos at MAX_GRID x MAX_DEPTH takes 4.9 s and 471 MB peak RSS (at grid
-#: 2048, 1.3 s and 141 MB; Python 3.11, numpy 2.4, 2 CPUs)
+#: cos at MAX_GRID x MAX_DEPTH takes 3.1 s and 103 MB peak RSS (at grid
+#: 2048, 0.8 s and 49 MB; Python 3.11, numpy 2.4, 2 CPUs)
 MAX_GRID = 8192
 #: largest ``burn_in`` and ``length`` of a Sturmian estimate, an input
-#: check: an orbit that never settles on a float cycle costs about 11 us
-#: a step of burn_in + length, 110 s at 10^7 (same machine)
+#: check: an orbit that never settles on a float cycle costs about 14 us
+#: a step of burn_in + length, 140 s at 10^7 (same machine)
 MAX_ORBIT_STEPS = 10 ** 7
 
 #: the rule of each setting name, the same in every command that reads

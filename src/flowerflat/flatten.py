@@ -164,17 +164,34 @@ def transfer(table: SelectorTable, f, N: int, u, v) -> np.ndarray:
     contradict by rounding errors that grow like K^m.  Its later orbit is
     the exact one-sided orbit of d, so it takes that tail and stops:
     iterating on could round onto d again where that orbit returns to it.
+
+    Each level is one ``tau_many`` step.  Unless the table keeps the tails
+    of f and N (``SelectorTable.sums``), the right and the left orbit of
+    the discontinuity points ride along as 2p more columns, whose running
+    sums of f give each ledger entry its tails at level N - m.  A point
+    takes at most one tail, and adds only +0.0 after it, so the tails are
+    added after the loop.
     """
     v, u = np.asarray(v, dtype=float), np.asarray(u, dtype=float)
-    M = v.shape[1]
-    points = np.concatenate([v, u], axis=1)
+    M, W = v.shape[1], v.shape[1] + u.shape[1]
+    g, j, m, c = table.ledger(N)
+    K, p = len(g), table.disc.shape[1]
+    cols = [v, u]
+    kept_f, kept_n, tails = table.sums
+    fused = kept_f is not f or kept_n != N
+    if fused:
+        # the right tails, the left tails and 0.0, the tail of no jump
+        tails = np.zeros(2 * K + 1)
+        cols += [table.disc, table.disc]
+    points = np.concatenate(cols, axis=1)
+    left = np.arange(points.shape[1]) >= W + p if fused else False
     total = np.zeros(points.shape)
     alive = np.ones(points.shape, dtype=bool)
-    g, j, m, c = table.ledger(N)
-    tail_right, tail_left = (sums[N - m, g, j] for sums in table.sums(f, N))
-    past = c[:, None] <= points[g]
-    # one-sided decisions only at the (level, discontinuity) of some jump:
-    # the ledger sorted by level and then discontinuity, cut into slices
+    pick = np.full((len(v), W), 2 * K)
+    past = c[:, None] <= points[g, :W]
+    # one-sided decisions only at the (level, discontinuity) of some jump,
+    # and tails read at the level N - m of each: the ledger sorted by
+    # level and then discontinuity, cut into slices
     order = np.lexsort((j, m))
     mo, jo = m[order], j[order]
     heads = np.flatnonzero((np.diff(mo, prepend=-1) != 0)
@@ -185,21 +202,26 @@ def transfer(table: SelectorTable, f, N: int, u, v) -> np.ndarray:
     for n in range(N):
         for jj, k in jumps.get(n, ()):
             at = g[k]
-            near, side = one_sided(points[at], table.disc[at, jj, None])
-            near &= alive[at]
+            near, side = one_sided(points[at, :W], table.disc[at, jj, None])
+            near &= alive[at, :W]
             past[k] = np.where(near, side, past[k])
-            total[at] += np.where(
-                near, np.where(side, tail_right[k, None], tail_left[k, None]),
-                0.0)
-            alive[at] &= ~near
-        points = table.tau_many(points)
+            pick[at] = np.where(near, np.where(side, k[:, None],
+                                               K + k[:, None]), pick[at])
+            alive[at, :W] &= ~near
+        points = table.tau_many(points, left)
         total += np.where(alive, f.eval_many(points), 0.0)
+        if fused:
+            for jj, k in jumps.get(N - 1 - n, ()):
+                tails[[k, K + k]] = total[g[k], [[W + jj], [W + p + jj]]]
+    if fused:
+        table.sums = (f, N, tails)
+    total[:, :W] += tails[pick]
     after_anchor, past = ~past[:, M:], past[:, :M]
     inside = np.where(v[g] >= u[g], after_anchor & past,
                       after_anchor | past)
     drop = np.zeros(v.shape)
-    np.add.at(drop, g, (tail_right - tail_left)[:, None] * inside)
-    return total[:, :M] - total[:, M:] - drop
+    np.add.at(drop, g, (tails[:K] - tails[K:2 * K])[:, None] * inside)
+    return total[:, :M] - total[:, M:W] - drop
 
 
 class Coboundary:

@@ -17,6 +17,7 @@ constructor.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -27,6 +28,7 @@ from .circle import (EPS, Arc, arc_indicator, cells, distance, in_closed_arcs,
 from .dynamics import ExpandingMap
 
 _IMAGE_TOL = 1e-9
+_LEAST = math.ulp(0.0)
 
 
 class FlowerError(ValueError):
@@ -235,8 +237,8 @@ class PreImageSelector:
             ends = [l, *cuts, r]
             us += ends[:-1]
             vs += ends[1:]
-        lefts = self.table.tau_many(np.array(us), "right").tolist()
-        rights = self.table.tau_many(np.array(vs), "left").tolist()
+        lefts, rights = self.table.tau_many(
+            np.array([us, vs]), np.array([[False], [True]])).tolist()
         return [(y, y if u == v or reduce(z - y) > reduce(v - u) else z)
                 for u, v, y, z in zip(us, vs, lefts, rights)]
 
@@ -292,10 +294,9 @@ class SelectorTable:
     points) have that shape too.  The affine pieces of each tau are
     arrays (start, preimage of the start, slope, preimage length) of
     shape (G, P) sorted by start in each row; a row with fewer pieces is
-    padded with start +inf, never selected.  The data of the closed form
-    in ``flatten.transfer`` (``orbits``, ``chains`` and their ``ledger``,
-    and the ``sums`` of the last f) is built on first use, once for the
-    last depth asked for.
+    padded with start +inf, never selected.  The forward data of the
+    closed form in ``flatten.transfer``, the ``chains`` and their
+    ``ledger``, is built on first use and kept for the last depth asked.
     """
 
     def __init__(self, T: ExpandingMap, left: np.ndarray, right: np.ndarray):
@@ -330,11 +331,17 @@ class SelectorTable:
         self._pieces = pieces[:, rows, np.argsort(pieces[0], axis=1,
                                                   kind="stable")]
         self._last = (self._pieces[0] < np.inf).sum(axis=1) - 1
-        # a one-row table keeps its row unpacked, without the padding, for
-        # ``searchsorted``
+        # many rows gather the four columns at once, by the flat index
+        # row * P + j; a one-row table keeps its row unpacked, without the
+        # padding, for ``searchsorted``
+        self._flat = self._pieces.reshape(4, -1)
+        self._base = rows * self._pieces.shape[2]
         self._row = (tuple(self._pieces[:, 0, :self._last[0] + 1])
                      if len(left) == 1 else None)
-        self._depth, self._sums = (None, None, None), (None, None, None)
+        self._ledger = (None, None)
+        #: (f, n, jump tails) that ``flatten.transfer`` keeps for the last
+        #: f and depth, so a selector's functionals and coboundary share them
+        self.sums = (None, None, None)
 
     @classmethod
     def one_flowers(cls, T: ExpandingMap, lefts) -> "SelectorTable":
@@ -345,57 +352,36 @@ class SelectorTable:
         a = reduce_many(lefts)[:, None]
         return cls(T, a, arc_end(T, a, 1.0))
 
-    def tau_many(self, xs: np.ndarray, side: str = "right") -> np.ndarray:
+    def tau_many(self, xs: np.ndarray, left=False) -> np.ndarray:
         """tau of flower g on the reduced points xs[g] (any shape for a
-        one-row table), with its right limit (the petal left endpoint) at
-        a discontinuity point, or its left limit (the petal right endpoint)
-        with ``side='left'``; no endpoint tolerance is applied.  One row
-        finds the piece with one ``searchsorted``, many rows by counting
-        the row's starts below each point (or at it, for the right limit).
+        one-row table): its right limit (the petal left endpoint) at a
+        discontinuity point, or its left limit (the petal right endpoint)
+        where ``left``, a bool or a bool mask broadcasting against xs, is
+        set; no endpoint tolerance is applied.  The left limit at x takes
+        the piece of the right limit at nextafter(x, -inf), as #starts < x
+        = #starts <= nextafter(x, -inf), so one search serves both: one
+        ``searchsorted`` for one row, a count of the row's starts for many.
         A point below every start takes the last piece, which wraps."""
-        left = side == "left"
+        q = (xs if left is False else np.nextafter(xs, -np.inf) if left is True
+             else np.where(left, np.nextafter(xs, -np.inf), xs))
         if self._row is not None:
             starts, bases, slopes, lengths = self._row
-            j = starts.searchsorted(xs, side) - 1
+            j = starts.searchsorted(q, "right") - 1
             starts, bases, slopes, lengths = (starts[j], bases[j], slopes[j],
                                               lengths[j])
         else:
-            x = xs.reshape(len(self._last), -1)
-            row_starts = self._pieces[0][:, None, :]
-            below = (row_starts < x[..., None] if left
-                     else row_starts <= x[..., None])
-            j = below.sum(axis=2) - 1
-            j = np.where(j < 0, self._last[:, None], j)
-            rows = np.arange(len(j))[:, None]
-            starts, bases, slopes, lengths = (col[rows, j].reshape(xs.shape)
-                                              for col in self._pieces)
+            x = q.reshape(len(self._last), -1)
+            j = (self._pieces[0][:, None, :] <= x[..., None]).sum(axis=2) - 1
+            j = np.where(j < 0, self._last[:, None], j) + self._base
+            starts, bases, slopes, lengths = self._flat.take(
+                j.reshape(q.shape), axis=1)
         off = xs - starts
-        # the left limit at a piece's own start is the end of the piece
-        # before it, a full turn on for the last one
-        off += (off <= 0.0) if left else (off < 0.0)
+        # a point below every start wraps a full turn, and so does the left
+        # limit at the start of a row's one piece: off <= 0 there, which on
+        # floats is off < the least positive float
+        off += off < left * _LEAST
         y = bases + np.minimum(off / slopes, lengths)
         return y - (y >= 1.0)
-
-    def _at_depth(self, n: int) -> tuple:
-        """(n, orbits, ledger) at depth n; the last depth asked for is
-        kept."""
-        if self._depth[0] != n:
-            shape = (n + 1,) + self.disc.shape
-            orbits = np.empty(shape), np.empty(shape)
-            for orbit, side in zip(orbits, ("right", "left")):
-                orbit[0] = self.disc
-                for i in range(1, n + 1):
-                    orbit[i] = self.tau_many(orbit[i - 1], side)
-            c, live = self.chains(n)
-            g, j, m = np.nonzero(live.transpose(1, 2, 0))
-            self._depth = (n, orbits, (g, j, m, c[m, g, j]))
-        return self._depth
-
-    def orbits(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The right and the left orbit of the discontinuity points to
-        depth n: arrays of shape (n + 1, G, p) with rows tau_R^i d and
-        tau_L^i d."""
-        return self._at_depth(n)[1]
 
     def chains(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """The jump-ledger chains to depth n: arrays (c, live) of shape
@@ -429,21 +415,12 @@ class SelectorTable:
     def ledger(self, n: int) -> Tuple[np.ndarray, ...]:
         """The live entries of ``chains(n)``: arrays (g, j, m, c) of the
         flower, the discontinuity, the level and the chain point, by g, j
-        and m."""
-        return self._at_depth(n)[2]
-
-    def sums(self, f, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The sums of f over levels 1..i of the right and of the left
-        orbit of the discontinuity points, i = 0..n: arrays of shape
-        (n + 1, G, p).  The last f and n asked for are kept, so the
-        functionals and the coboundary of one selector share them."""
-        if self._sums[0] is not f or self._sums[1] != n:
-            sums = tuple(f.eval_many(orbit) for orbit in self.orbits(n))
-            for s in sums:
-                s[0] = 0.0
-                np.cumsum(s, axis=0, out=s)
-            self._sums = (f, n, sums)
-        return self._sums[2]
+        and m.  The ledger of the last depth asked for is kept."""
+        if self._ledger[0] != n:
+            c, live = self.chains(n)
+            g, j, m = np.nonzero(live.transpose(1, 2, 0))
+            self._ledger = (n, (g, j, m, c[m, g, j]))
+        return self._ledger[1]
 
 
 def random_flower(T: ExpandingMap, p: int, rng) -> Flower:

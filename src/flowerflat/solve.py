@@ -295,9 +295,9 @@ def sturmian_estimate(F: Flower, f, burn_in: int = 1000,
     right-limit one on a tie) goes to ``_exact_cycle``; a certified cycle
     is the measure.  Else the integral of f and the branch-coding
     frequencies are averages over the `length` steps after the first
-    `burn_in` of the right-limit orbit.  The support is the iterated
-    selector images of the flower.  Raises ValueError unless F is a
-    1-flower and burn_in and length are integers >= 1.
+    `burn_in` of the right-limit orbit, summed as it runs.  The support is
+    the iterated selector images of the flower.  Raises ValueError unless
+    F is a 1-flower and burn_in and length are integers >= 1.
     """
     if F.p != 1:
         raise ValueError("Sturmian estimation needs a 1-flower")
@@ -308,31 +308,34 @@ def sturmian_estimate(F: Flower, f, burn_in: int = 1000,
     k = T.degree
     support = sel.push_arc(F.petals[0], depth)
 
-    def step(x, sides):
-        # Python floats and strings: tau_many is fastest on scalars
+    def step(x, left):
+        # Python floats and bools: tau_many is fastest on scalars
         return [table.tau_many(y, side)
-                for y, side in zip(x.tolist(), sides)], None
+                for y, side in zip(x.tolist(), left.tolist())], None
 
     mid, exact = np.full(2, F.petals[0].midpoint()), None
-    for _, _, states, _, lam in _orbit_blocks(
-            step, mid, np.array(["right", "left"], dtype=object), total):
-        if lam.any():
+    sums = np.zeros(k + 1)
+    for start, rows, states, _, lam in _orbit_blocks(
+            step, mid, np.array([False, True]), total):
+        # the first cycle to settle, while both rows run, is the one tried
+        if lam.any() and len(rows) == 2:
             r = np.argmin(np.where(lam > 0, lam, total + 1))
             exact = _exact_cycle(F, states[-1 - lam[r]:-1, r].tolist())
+            if exact is not None:
+                break
+        if rows[0]:
             break
+        # the window of the right-limit orbit, row 0, until it settles
+        y = states[1:, :1]
+        weights = np.concatenate([T.branch_many(y)[..., None] == np.arange(k),
+                                  f.eval_many(y)[..., None]], axis=2)
+        sums += _window_sums(weights, start, lam[:1], burn_in, total)[0]
     if exact is not None:
         pts = [float(z) for z in exact]
         branches = [T.branch_index(p) for p in pts]
         return SturmianEstimate(
             F, support, sum(f.eval(p) for p in pts) / len(pts),
             [branches.count(b) / len(pts) for b in range(k)], exact, len(pts))
-    sums = np.zeros(k + 1)
-    for start, _, states, _, lam in _orbit_blocks(
-            step, mid[:1], np.array(["right"], dtype=object), total):
-        y = states[1:]
-        weights = np.concatenate([T.branch_many(y)[..., None] == np.arange(k),
-                                  f.eval_many(y)[..., None]], axis=2)
-        sums += _window_sums(weights, start, lam, burn_in, total)[0]
     return SturmianEstimate(F, support, float(sums[k] / length),
                             (sums[:k] / length).tolist())
 
@@ -416,11 +419,10 @@ def rank_test(F: Flower, N: int = 15, grid: int = 512) -> Tuple[int, int]:
     sel = selector(F)
     ends = np.array(F.boundary())
     cuts = [ends, np.arange(grid) / grid]
-    right = left = ends
+    orbits, left = np.array([ends, ends]), np.array([[False], [True]])
     for _ in range(N):
-        right = sel.table.tau_many(right, "right")
-        left = sel.table.tau_many(left, "left")
-        cuts += [right, left]
+        orbits = sel.table.tau_many(orbits, left)
+        cuts.extend(orbits)
     _, mids = cells(np.concatenate(cuts))
     counts = escape_counts(F, [d.I for d in sel.discontinuities()], mids, N)
     return integer_rank(np.vstack([counts, np.ones_like(mids, int)])), F.p

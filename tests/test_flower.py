@@ -7,10 +7,12 @@ import pytest
 
 from flowerflat.circle import EPS, Arc, cells
 from flowerflat.dynamics import make_linear_map, map_from_slopes
+from flowerflat.flatten import transfer
 from flowerflat.flower import (BoundaryAtBranchBreak, DegeneratePetal,
                                FlowerError, OverlappingPetals, SamplingFailed,
                                SelectorTable, one_flower, random_flower,
                                selector, validate_flower)
+from flowerflat.functions import PiecewiseLinear, TrigPolynomial
 
 T2 = make_linear_map(2)
 
@@ -129,9 +131,9 @@ class TestSelector:
         d = self.sel.discontinuities()[0]
         assert self.sel.tau(d.x) == pytest.approx(0.25, abs=1e-9)
         table = self.sel.table
-        assert table.tau_many(np.array([d.x]), "left") == \
+        assert table.tau_many(np.array([d.x]), left=True) == \
             pytest.approx([0.75], abs=1e-9)
-        assert table.tau_many(np.array([d.x]), "right") == \
+        assert table.tau_many(np.array([d.x])) == \
             pytest.approx([0.25], abs=1e-9)
 
     def test_push_arc_one_step(self):
@@ -188,19 +190,19 @@ class TestSelector:
             ds = np.array(sel.discontinuity_points)
             far = np.abs((xs[:, None] - ds + 0.5) % 1.0 - 0.5) > EPS
             xs = xs[far.all(axis=1)]
-            for side in ("right", "left"):
-                assert table.tau_many(xs, side).tolist() == \
+            for left in (False, True):
+                assert table.tau_many(xs, left).tolist() == \
                     [sel.tau(x) for x in xs]
-            assert table.tau_many(ds, "right") == pytest.approx(
+            assert table.tau_many(ds) == pytest.approx(
                 [sel.tau(d) for d in ds], abs=1e-13)
-            assert table.tau_many(ds, "left") == pytest.approx(
+            assert table.tau_many(ds, left=True) == pytest.approx(
                 [d.y_prime for d in sel.discontinuities()], abs=1e-13)
 
     def test_tau_many_left_limit_of_a_single_piece(self):
         # one petal inside one branch: its image wraps the whole circle
         table = selector(one_flower(make_linear_map(3), 0.0)).table
-        assert table.tau_many(np.array([0.0]), "right").tolist() == [0.0]
-        assert table.tau_many(np.array([0.0]), "left") == \
+        assert table.tau_many(np.array([0.0])).tolist() == [0.0]
+        assert table.tau_many(np.array([0.0]), left=True) == \
             pytest.approx([1 / 3], abs=1e-15)
 
     def test_characteristic_identity(self):
@@ -211,7 +213,39 @@ class TestSelector:
         assert lhs.tolist() == rhs.tolist() == [1, 1, 1, 0]
 
 
+TRIG = TrigPolynomial([0.3, -0.7], [0.5])
+PWL = PiecewiseLinear([0.1, 0.45, 0.8], [1.0, -2.0, 7.0 / 6.0])
+MAPS = [T2, make_linear_map(3), make_linear_map(4),
+        map_from_slopes([2.0, 4.0, 4.0]),
+        map_from_slopes([4.0, 2.0, 4.0], fixed_point=0.3)]
+
+
 class TestSelectorTable:
+    @staticmethod
+    def _assert_rows_bitwise(table, rows, xs, N):
+        """tau_many on both sides, the chains, the ledger and the transfer
+        from the first petal's left end of every row of the table equal
+        those of the row's own one-row table, bitwise."""
+        taus = {left: table.tau_many(xs, left) for left in (False, True)}
+        chains = table.chains(N)
+        ledger = table.ledger(N)
+        u, v = table.left[:, :1], np.column_stack([table.right, xs])
+        phis = {f: transfer(table, f, N, u, v) for f in (TRIG, PWL)}
+        for g, row in enumerate(rows):
+            for name in ("disc", "left", "right", "length"):
+                assert np.array_equal(getattr(table, name)[g],
+                                      getattr(row, name)[0])
+            for left, tau in taus.items():
+                assert np.array_equal(tau[g], row.tau_many(xs[g], left))
+            for got, want in zip(chains, row.chains(N)):
+                assert np.array_equal(got[:, g], want[:, 0])
+            at = ledger[0] == g
+            for got, want in zip(ledger[1:], row.ledger(N)[1:]):
+                assert np.array_equal(got[at], want)
+            for f, phi in phis.items():
+                assert phi[g].tobytes() == transfer(
+                    row, f, N, u[g:g + 1], v[g:g + 1])[0].tobytes()
+
     @pytest.mark.parametrize("T", [
         T2, make_linear_map(3), map_from_slopes([2.0, 4.0, 4.0]),
         map_from_slopes([4.0, 2.0, 4.0], fixed_point=0.3)])
@@ -221,24 +255,19 @@ class TestSelectorTable:
         gammas = np.concatenate([
             np.arange(64) / 64, rng.random(64),
             np.nextafter(breaks, 1.0), np.nextafter(breaks, 0.0)]) % 1.0
-        N = 40
         table = SelectorTable.one_flowers(T, gammas)
-        xs = np.column_stack([table.disc, table.left, table.right,
-                              rng.random((len(gammas), 3))])
-        taus = {side: table.tau_many(xs, side) for side in ("right", "left")}
-        ledger = (*table.orbits(N), *table.chains(N))
+        rows = []
         for g, gamma in enumerate(gammas):
             F = one_flower(T, gamma)
             sel = selector(F)
-            row = sel.table
             assert (table.left[g, 0], table.right[g, 0],
                     table.length[g, 0]) == \
                 (F.petals[0].left, F.petals[0].right, F.petals[0].length)
             assert table.disc[g, 0] == sel.discontinuity_points[0]
-            for side, tau in taus.items():
-                assert np.array_equal(tau[g], row.tau_many(xs[g], side))
-            for got, want in zip(ledger, (*row.orbits(N), *row.chains(N))):
-                assert np.array_equal(got[:, g], want[:, 0])
+            rows.append(sel.table)
+        xs = np.column_stack([table.disc, table.left, table.right,
+                              rng.random((len(gammas), 3))])
+        self._assert_rows_bitwise(table, rows, xs, 40)
 
     @pytest.mark.parametrize("T", [
         make_linear_map(3), make_linear_map(4),
@@ -252,37 +281,113 @@ class TestSelectorTable:
         table = SelectorTable(
             T, np.array([[q.left for q in F.petals] for F in flowers]),
             np.array([[q.right for q in F.petals] for F in flowers]))
-        N = 30
         xs = np.column_stack([table.disc, table.left, table.right,
                               np.random.default_rng(2).random((6, 20))])
-        taus = {side: table.tau_many(xs, side) for side in ("right", "left")}
-        ledger = (*table.orbits(N), *table.chains(N))
-        for g, F in enumerate(flowers):
-            row = selector(F).table
-            for name in ("disc", "left", "right", "length"):
-                assert np.array_equal(getattr(table, name)[g],
-                                      getattr(row, name)[0])
-            for side, tau in taus.items():
-                assert np.array_equal(tau[g], row.tau_many(xs[g], side))
-            for got, want in zip(ledger, (*row.orbits(N), *row.chains(N))):
-                assert np.array_equal(got[:, g], want[:, 0])
+        rows = [selector(F).table for F in flowers]
+        self._assert_rows_bitwise(table, rows, xs, 30)
+        for F, row in zip(flowers, rows):
             # the one petal whose image passes the fixed point is cut at
             # its branch break, the others are not cut
             assert len(row._row[0]) <= F.p + 1
 
-
     def test_depths_asked_in_turn_equal_fresh_tables(self):
-        # the table keeps the data of the last depth asked for only
+        # the table keeps the ledger of the last depth asked for only
         T = make_linear_map(3)
         gammas = np.arange(16) / 16
         table = SelectorTable.one_flowers(T, gammas)
         for N in (40, 18, 40, 0):
             fresh = SelectorTable.one_flowers(T, gammas)
-            got = (*table.orbits(N), *table.chains(N), *table.ledger(N))
-            want = (*fresh.orbits(N), *fresh.chains(N), *fresh.ledger(N))
+            got = (*table.chains(N), *table.ledger(N))
+            want = (*fresh.chains(N), *fresh.ledger(N))
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
-            assert table.orbits(N)[0] is table.orbits(N)[0]
+            assert table.ledger(N)[0] is table.ledger(N)[0]
+
+    @pytest.mark.parametrize("T", MAPS)
+    def test_kept_tails_give_the_transfer_of_a_fresh_table(self, T):
+        # a table that keeps the tails of f and N pushes only the points,
+        # and its transfer equals, bitwise, that of a fresh table, which
+        # pushes the orbits of the discontinuity points along; another f
+        # or depth in between replaces the tails
+        gammas = np.random.default_rng(8).random(24)
+        table = SelectorTable.one_flowers(T, gammas)
+        u = table.left
+        v = np.column_stack([table.right, np.random.default_rng(9).random(
+            (len(gammas), 5))])
+        widths = []
+
+        def counted(xs, left=False):
+            widths.append(xs.shape[1])
+            return SelectorTable.tau_many(table, xs, left)
+
+        table.tau_many = counted
+        for f, N, kept in ((TRIG, 30, False), (TRIG, 30, True),
+                           (PWL, 30, False), (TRIG, 18, False),
+                           (TRIG, 30, False), (TRIG, 30, True)):
+            widths.clear()
+            got = transfer(table, f, N, u, v)
+            assert widths == [v.shape[1] + 1 + 2 * (not kept)] * N
+            assert table.sums[:2] == (f, N)
+            fresh = SelectorTable.one_flowers(T, gammas)
+            assert got.tobytes() == transfer(fresh, f, N, u, v).tobytes()
+
+
+def _points_at_the_pieces(row):
+    """Every piece start and discontinuity point of a one-row table, and
+    the floats next to them on either side, reduced."""
+    pts = np.concatenate([row._row[0], row.disc[0]])
+    pts = np.concatenate([pts, np.nextafter(pts, 2.0), np.nextafter(pts, -1.0)])
+    return pts[(pts >= 0.0) & (pts < 1.0)]
+
+
+class TestTauManyMask:
+    @staticmethod
+    def _assert_mask(table, xs, seed):
+        """tau_many with a random mask equals, elementwise and bitwise,
+        the right limit where it is off and the left limit where it is
+        on; a mask that is all off or all on equals the bool."""
+        mask = np.random.default_rng(seed).random(xs.shape) < 0.5
+        right, left = table.tau_many(xs), table.tau_many(xs, left=True)
+        got = table.tau_many(xs, mask)
+        assert got.tobytes() == np.where(mask, left, right).tobytes()
+        for flag, want in ((False, right), (True, left)):
+            assert table.tau_many(xs, np.full(xs.shape, flag)).tobytes() == \
+                want.tobytes()
+        return right, left
+
+    @pytest.mark.parametrize("T", MAPS)
+    def test_one_row_and_many_rows(self, T):
+        rng = random.Random(21)
+        flowers = [random_flower(T, 3, rng) for _ in range(4)] + [
+            one_flower(T, g) for g in (0.0, 0.3, rng.random())]
+        rows = [selector(F).table for F in flowers]
+        pts = [_points_at_the_pieces(row) for row in rows]
+        width = max(len(x) for x in pts)
+        xs = np.array([np.pad(x, (0, width - len(x)), constant_values=0.5)
+                       for x in pts])
+        for g, row in enumerate(rows):
+            self._assert_mask(row, pts[g], g)
+        for part in (slice(0, 4), slice(4, 7)):
+            Fs = flowers[part]
+            table = SelectorTable(
+                T, np.array([[q.left for q in F.petals] for F in Fs]),
+                np.array([[q.right for q in F.petals] for F in Fs]))
+            right, left = self._assert_mask(table, xs[part], 99)
+            for g, row in enumerate(rows[part]):
+                assert right[g].tobytes() == row.tau_many(xs[part][g]).tobytes()
+                assert left[g].tobytes() == \
+                    row.tau_many(xs[part][g], left=True).tobytes()
+
+    def test_single_piece_wraps_on_both_row_paths(self):
+        # one petal inside one branch: its image wraps the whole circle,
+        # so the left limit at the piece's start is its end, a turn on
+        T = make_linear_map(3)
+        for table in (selector(one_flower(T, 0.0)).table,
+                      SelectorTable.one_flowers(T, [0.0, 0.0])):
+            xs = np.zeros((len(table.left), 2))
+            got = table.tau_many(xs, np.array([False, True]))
+            assert got[:, 0].tolist() == [0.0] * len(xs)
+            assert got[:, 1] == pytest.approx([1 / 3] * len(xs), abs=1e-15)
 
 
 class TestCharacteristicIdentityRandom:

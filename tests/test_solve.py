@@ -214,6 +214,17 @@ class TestPhiOfGammas:
         assert value == pytest.approx(want, abs=1e-13)
 
 
+    @pytest.mark.parametrize("T", [T2, T3, S244])
+    def test_depth_zero_is_the_difference_of_the_ends(self, T):
+        gammas = np.random.default_rng(4).random(100)
+        b = arc_end(T, gammas, 1.0)
+        for f in (TrigPolynomial([0.3, -0.7], [0.5]),
+                  PiecewiseLinear.from_points([0.1, 0.45, 0.8],
+                                              [0.3, -0.5, 0.9])):
+            values, _ = phi_of_gammas(T, f, gammas, 0)
+            assert values.tobytes() == \
+                (f.eval_many(b) - f.eval_many(gammas)).tobytes()
+
     def test_no_gammas(self):
         values, bounds = phi_of_gammas(T2, COS, [], 10)
         assert values.shape == bounds.shape == (0,)
@@ -382,24 +393,29 @@ class TestSturmianEstimate:
         x = F.petals[0].midpoint()
         counts, total = [0, 0], 0.0
         for i in range(burn_in + length):
-            x = float(table.tau_many(np.array(x), "right"))
+            x = float(table.tau_many(np.array(x)))
             if i >= burn_in:
                 counts[T2.branch_index(x)] += 1
                 total += f.eval(x)
         assert est.coding_frequencies == [c / length for c in counts]
         assert est.integral_of_f == pytest.approx(total / length, abs=1e-12)
 
-    def test_settled_walk_does_not_grow_with_length(self, monkeypatch):
-        """A settled estimate stops its orbits at their cycle: it maps as
-        many points at length 10^6 as at 10^3."""
+    @staticmethod
+    def _count_tau_many(monkeypatch):
         calls = []
         tau_many = SelectorTable.tau_many
 
-        def counted(self, xs, side="right"):
+        def counted(self, xs, left=False):
             calls.append(1)
-            return tau_many(self, xs, side)
+            return tau_many(self, xs, left)
 
         monkeypatch.setattr(SelectorTable, "tau_many", counted)
+        return calls
+
+    def test_settled_walk_does_not_grow_with_length(self, monkeypatch):
+        """A settled estimate stops its orbits at their cycle: it maps as
+        many points at length 10^6 as at 10^3."""
+        calls = self._count_tau_many(monkeypatch)
         F = one_flower(T2, 0.1)
         made = []
         for length in (10 ** 3, 10 ** 6):
@@ -407,6 +423,56 @@ class TestSturmianEstimate:
             est = sturmian_estimate(F, COS, 200, length)
             assert est.period == 3
             made.append(len(calls))
+        assert made[0] == made[1]
+
+    def test_unsettled_walk_maps_each_orbit_once(self, monkeypatch):
+        """An estimate that never settles walks the right-limit and the
+        left-limit orbit once each, one ``tau_many`` call a step, and
+        pushes its support with one call a level."""
+        monkeypatch.setattr(solve_mod, "FREQUENCY_BLOCK", 2)
+        calls = self._count_tau_many(monkeypatch)
+        burn_in, length, depth = 200, 1000, 40
+        est = sturmian_estimate(one_flower(T2, 0.1), demo_function(0.1),
+                                burn_in, length, depth)
+        assert est.periodic is None
+        assert len(calls) <= 2 * (burn_in + length) + depth
+
+    @pytest.mark.parametrize("gamma", [0.2, 1 / 8])
+    def test_rejected_cycle_gives_the_window(self, monkeypatch, gamma):
+        """When the first cycle to settle is not certified, the estimate is
+        the window of the right-limit orbit, summed as the orbit runs and
+        read off its float cycle once it settles: the counts of a
+        step-by-step walk, with as many points mapped at length 10^4 as
+        at 10^3.  A cycle that settles later is not tried: on T3 at 1/8
+        the exact solver would certify the 33-cycle that the right-limit
+        orbit settles on after the left-limit one's 2-cycle."""
+        exact_cycle, tried = solve_mod._exact_cycle, []
+
+        def first_rejected(F, pts):
+            tried.append(len(pts))
+            return None if len(tried) == 1 else exact_cycle(F, pts)
+
+        monkeypatch.setattr(solve_mod, "_exact_cycle", first_rejected)
+        calls = self._count_tau_many(monkeypatch)
+        f = TrigPolynomial([0.3, -0.7], [0.5])
+        F = one_flower(T3, gamma)
+        table, made = selector(F).table, []
+        for length in (10 ** 3, 10 ** 4):
+            calls.clear()
+            tried.clear()
+            est = sturmian_estimate(F, f, 1, length)
+            made.append(len(calls))
+            assert len(tried) == 1
+            assert est.periodic is None and est.period is None
+            x, counts, total = F.petals[0].midpoint(), [0, 0, 0], 0.0
+            for i in range(1 + length):
+                x = float(table.tau_many(np.array(x)))
+                if i >= 1:
+                    counts[T3.branch_index(x)] += 1
+                    total += f.eval(x)
+            assert est.coding_frequencies == [c / length for c in counts]
+            assert est.integral_of_f == pytest.approx(total / length,
+                                                      abs=1e-12)
         assert made[0] == made[1]
 
     @pytest.mark.parametrize("burn_in, length", [
