@@ -201,27 +201,28 @@ def check_periodic_orbits(T: ExpandingMap, max_period: int) -> None:
                          f"of {MAX_ORBIT_WORK}")
 
 
-def periodic_orbits(T: ExpandingMap, max_period: int) -> List[List[Fraction]]:
-    """All periodic orbits of period <= max_period, as exact rationals.
-
-    Only available for the linear maps T_k, whose period-n points are the
-    fractions j/(k^n - 1).  Each numerator j is walked through
-    j -> k j mod (k^n - 1); it starts an orbit of period n when the walk
-    returns to j after exactly n steps without dropping below j, so every
-    orbit is listed once, from its smallest point, by period and then by
-    that point.  Raises ValueError where ``check_periodic_orbits`` does.
-    """
+def orbit_walks(T: ExpandingMap, max_period: int):
+    """Per period n <= max_period, den = k^n - 1 and the numerators of its
+    orbits, one int64 column per orbit and a row per step.  The period-n
+    points of T_k are the j/(k^n - 1), walked through j -> k j mod den; j
+    starts an orbit when every later point is larger and the walk closes
+    after n steps, so each orbit comes once, from its smallest point, in
+    order of that point.  Raises ValueError where
+    ``check_periodic_orbits`` does."""
     check_periodic_orbits(T, max_period)
     k = T.degree
-    orbits: List[List[Fraction]] = []
     for n in range(1, max_period + 1):
         den = k ** n - 1
-        for j in range(den):
-            walk = [j]
-            y = k * j % den
-            while y > j:
-                walk.append(y)
-                y = k * y % den
-            if y == j and len(walk) == n:
-                orbits.append([Fraction(y, den) for y in walk])
-    return orbits
+        walk = [np.arange(den)]
+        for _ in range(n):
+            walk.append(k * walk[-1] % den)
+        start = np.all([y > walk[0] for y in walk[1:n]]
+                       + [walk[n] == walk[0]], axis=0)
+        yield den, np.array([y[start] for y in walk[:n]])
+
+
+def periodic_orbits(T: ExpandingMap, max_period: int) -> List[List[Fraction]]:
+    """All periodic orbits of period <= max_period of the linear map T_k,
+    as exact rationals: the columns of ``orbit_walks``, raising as it does."""
+    return [[Fraction(y, den) for y in orbit.tolist()]
+            for den, walk in orbit_walks(T, max_period) for orbit in walk.T]

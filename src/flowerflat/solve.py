@@ -38,13 +38,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .circle import Arc, cells, distance_many, lift, reduce, reduce_many
-from .dynamics import ExpandingMap, periodic_orbits
+from .dynamics import ExpandingMap, orbit_walks
 # ``functional`` is re-exported for callers of ``solve.functional``, such as
 # the span recorder in perfbench/spans.py, which patches it here
 from .flatten import escape_counts, functional, tail_bound, transfer
 from .flower import Flower, SelectorTable, arc_end, selector
 
-#: interior points per bracket and round of the root multisection
+#: most interior points per bracket and round of ``_multisect_roots``
 MULTISECTION_POINTS = 63
 #: steps per block of ``_orbit_blocks``, which looks for a repeated
 #: state, and so a cycle of at most this length, at block ends
@@ -119,8 +119,8 @@ def scan(T: ExpandingMap, f, grid_size: int,
 class ZeroInterval:
     """A maximal parameter interval on which Phi crosses or sits at zero.
 
-    Plateau intervals (gamma_low < gamma_high beyond the resolution)
-    signal periodic Sturmian measures.
+    Plateau intervals (wider than twice the resolution, and than two ulps
+    of gamma_high) signal periodic Sturmian measures.
     """
 
     gamma_low: float
@@ -136,26 +136,38 @@ class ZeroInterval:
 
     @property
     def is_plateau(self) -> bool:
-        return reduce(self.gamma_high - self.gamma_low) > 2.0 * self.resolution
+        return reduce(self.gamma_high - self.gamma_low) > 2.0 * max(
+            self.resolution, math.ulp(self.gamma_high))
 
 
 def _multisect_roots(T: ExpandingMap, f, N: int, lo, flo, hi, fhi,
                      resolution: float) -> Tuple[np.ndarray, ...]:
     """Shrink sign-change brackets [lo, hi] (lifted, hi may exceed 1) to
-    width <= resolution, all brackets together.
+    width <= resolution, or to no float inside, all brackets together.
 
-    Each round evaluates Phi at MULTISECTION_POINTS equally spaced interior
-    points of every open bracket in one ``phi_of_gammas`` call.  A bracket
-    keeps its leftmost sub-bracket that ends on an exact zero, which closes
-    it to that point, or that has a sign change.
+    Each round cuts every open bracket into s equal sub-brackets, with Phi
+    at their s - 1 inner ends in one ``phi_of_gammas`` call, and keeps the
+    leftmost that ends on an exact zero (closing to that point) or has a
+    sign change.  A round costs about as much for 28 points as for 63, so
+    R is the fewest rounds of at most MULTISECTION_POINTS + 1 that take
+    the widest open bracket to the resolution (or one ulp of hi), and s
+    the fewest with s^R >= r, r aimed two ulps short for the rounding.
     """
     lo, flo, hi, fhi = (np.array(v, dtype=float) for v in (lo, flo, hi, fhi))
-    steps = np.arange(MULTISECTION_POINTS + 2) / (MULTISECTION_POINTS + 1)
+    n = MULTISECTION_POINTS + 1
     while True:
-        open_ = np.nonzero(hi - lo > resolution)[0]
+        open_ = np.nonzero((hi - lo > resolution)
+                           & (np.nextafter(lo, np.inf) < hi))[0]
         if len(open_) == 0:
             return lo, flo, hi, fhi
-        xs = lo[open_, None] + (hi - lo)[open_, None] * steps
+        w, ulp = (hi - lo)[open_], np.spacing(hi[open_])
+        r = (w / np.maximum(resolution + 2 * ulp, ulp)).max()
+        rounds = 1
+        while n ** rounds < r:
+            rounds += 1
+        r = (w / np.maximum(resolution - 2 * ulp, ulp)).max()
+        s = min(n, max(2, math.ceil(r ** (1 / rounds))))
+        xs = lo[open_, None] + w[:, None] * (np.arange(s + 1) / s)
         xs[:, -1] = hi[open_]
         values, _ = phi_of_gammas(T, f, reduce_many(xs[:, 1:-1]).ravel(), N)
         ys = np.hstack([flo[open_, None],
@@ -325,7 +337,10 @@ def sturmian_estimate(F: Flower, f, burn_in: int = 1000,
                 break
         if rows[0]:
             break
-        # the window of the right-limit orbit, row 0, until it settles
+        # the window of the right-limit orbit, row 0, until it settles; a
+        # block that ends by burn_in adds nothing unless row 0 settled in it
+        if start + len(states) - 1 <= burn_in and not lam[0]:
+            continue
         y = states[1:, :1]
         weights = np.concatenate([T.branch_many(y)[..., None] == np.arange(k),
                                   f.eval_many(y)[..., None]], axis=2)
@@ -370,15 +385,23 @@ def sign_conditions(T: ExpandingMap, f, est: SturmianEstimate,
 def orbit_oracle(T: ExpandingMap, f, max_period: int
                  ) -> Tuple[float, List[Fraction]]:
     """Best periodic-orbit average of f: a lower bound for the maximum
-    ergodic average, exact over all orbits of period <= max_period."""
-    best = -math.inf
-    best_orbit: List[Fraction] = []
-    for orbit in periodic_orbits(T, max_period):
-        avg = sum(f.eval(float(p)) for p in orbit) / len(orbit)
-        if avg > best:
-            best = avg
-            best_orbit = orbit
-    return best, best_orbit
+    ergodic average, exact over all orbits of period <= max_period; the
+    first of ``periodic_orbits`` with the largest.  f is evaluated on the
+    ``orbit_walks`` numerators over den, each exact in float64, so the
+    quotient is float(Fraction(y, den)); an orbit is summed point by
+    point from 0.0, as ``sum`` sums from int 0."""
+    averages, orbits = [], []
+    for den, walk in orbit_walks(T, max_period):
+        sums = np.zeros(walk.shape[1])
+        for values in f.eval_many(walk / den):
+            sums += values
+        averages.extend((sums / len(walk)).tolist())
+        orbits.extend((den, orbit) for orbit in walk.T)
+    if not orbits:
+        return -math.inf, []
+    i = int(np.argmax(averages))
+    den, orbit = orbits[i]
+    return averages[i], [Fraction(y, den) for y in orbit.tolist()]
 
 
 def integer_rank(M) -> int:

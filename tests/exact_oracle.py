@@ -7,8 +7,30 @@ limit a.  An arc [l, l + L] without d inside maps to [tau(l), tau(l) + L/k]
 tau^n [a, a + 1/k] are pushed here in exact ``Fraction`` arithmetic,
 splitting only at d.  Any float gamma is an exact rational, so the
 reference takes any float gamma, however close to a periodic parameter.
+
+``walked_orbits``, the reference for ``dynamics.orbit_walks``, lists the
+periodic orbits of T_k one numerator at a time in Python ints.
 """
 from fractions import Fraction
+
+
+def walked_orbits(k, max_period):
+    """The orbits of T_k of period <= max_period, by period and then by
+    smallest point, each from that point: j/(k^n - 1) starts one when
+    its walk j -> k j mod (k^n - 1) stays above j and returns after n
+    steps."""
+    orbits = []
+    for n in range(1, max_period + 1):
+        den = k ** n - 1
+        for j in range(den):
+            walk = [j]
+            y = k * j % den
+            while y > j:
+                walk.append(y)
+                y = k * y % den
+            if y == j and len(walk) == n:
+                orbits.append([Fraction(y, den) for y in walk])
+    return orbits
 
 
 def exact_phi(k, gamma, fs, depths):

@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from flowerflat import cli, solve
+from flowerflat import cli, dynamics, solve
 from flowerflat.cli import (EXIT_INVALID, EXIT_NOT_FLAT, EXIT_NO_SOLUTION,
                             EXIT_OK, build_parser, main)
-from flowerflat.dynamics import make_linear_map, periodic_orbits
+from flowerflat.dynamics import make_linear_map, orbit_walks, periodic_orbits
 from flowerflat.functions import TrigPolynomial
 from flowerflat.solve import orbit_oracle
 
@@ -199,6 +199,16 @@ class TestSolve:
         assert report["oracle"]["best_orbit"] == ["0"]
         assert best["gamma_low"] - 1e-6 <= 0.75 <= best["gamma_high"] + 1e-6
 
+    def test_tol_below_the_ulp_at_the_root(self, tmp_path):
+        """No float lies inside a bracket one ulp of 3/4 wide, so it
+        closes there, short of tol = 1e-16."""
+        cfg = _write_config(tmp_path, dict(COS_CONFIG, grid=64,
+                                           length=2000))
+        code, report = _run_json(tmp_path, ["solve", "--config", cfg,
+                                            "--tol", "1e-16"])
+        assert code == EXIT_OK
+        assert [zi["gamma_low"] <= 0.75 <= zi["gamma_high"]
+                for zi in report["zero_intervals"]] == [False, True]
 
     @pytest.mark.parametrize("function", [
         {"type": "trig", "cos": [1.0]},
@@ -286,9 +296,9 @@ class TestOrbits:
 
         def counted(*args):
             calls.append(args)
-            return periodic_orbits(*args)
-        monkeypatch.setattr(cli, "periodic_orbits", counted)
-        monkeypatch.setattr(solve, "periodic_orbits", counted)
+            return orbit_walks(*args)
+        monkeypatch.setattr(dynamics, "orbit_walks", counted)
+        monkeypatch.setattr(solve, "orbit_walks", counted)
         cfg = _write_config(tmp_path, dict(COS_CONFIG, max_period=6))
         assert main(["orbits", "--config", cfg]) == EXIT_OK
         assert len(calls) == 1

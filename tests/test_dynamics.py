@@ -8,6 +8,8 @@ import pytest
 from flowerflat.dynamics import (ExpandingMap, make_linear_map,
                                  map_from_slopes, periodic_orbits)
 
+from exact_oracle import walked_orbits
+
 
 class TestLinearMaps:
     def test_doubling_values(self):
@@ -188,6 +190,14 @@ class TestPeriodicOrbits:
     def test_matches_fraction_enumeration(self, k, max_period):
         assert periodic_orbits(make_linear_map(k), max_period) == \
             _fraction_orbits(k, max_period)
+
+    @pytest.mark.parametrize("k, max_period", [(2, 16), (3, 8), (4, 6),
+                                               (10, 3), (2, 0)])
+    def test_matches_the_walk_one_numerator_at_a_time(self, k, max_period):
+        """Up to MAX_PERIOD on T2: the numpy walk lists the orbits of the
+        Python loop, in its order, point for point."""
+        assert periodic_orbits(make_linear_map(k), max_period) == \
+            walked_orbits(k, max_period)
 
     @pytest.mark.parametrize("k, max_period", [(3, 13), (1000, 2)])
     def test_work_guard(self, k, max_period):

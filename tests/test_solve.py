@@ -25,6 +25,7 @@ from flowerflat.solve import (NoSignChange, ZeroInterval,
                               support_extremes)
 
 from arc_walk import walk_functional
+from exact_oracle import walked_orbits
 
 T2 = make_linear_map(2)
 T3 = make_linear_map(3)
@@ -299,6 +300,64 @@ class TestSolvePreSturmian:
                                       zi.phi_low, zi.phi_high)} == {float}
             assert type(zi.is_plateau) is bool
 
+    @pytest.mark.parametrize("resolution, rows", [
+        (1e-10, [56, 56, 56, 56, 54]), (1e-12, [70, 70, 70, 68, 68, 68])])
+    def test_rounds_sized_to_the_bracket(self, monkeypatch, resolution,
+                                         rows):
+        """After the 512-row scan, the two sign changes of cos on T2 at
+        depth 37 close in as many rounds as 64 sub-brackets a round need
+        (5 to 1e-10, 6 to 1e-12), with the fewest points per bracket that
+        do (28, then 27; 35, then 34) instead of 63.  Each bracket ends
+        at most the resolution wide, on a sign change or an exact zero."""
+        calls = []
+
+        def counted(T, f, gammas, N):
+            calls.append(len(gammas))
+            return phi_of_gammas(T, f, gammas, N)
+
+        monkeypatch.setattr(solve_mod, "phi_of_gammas", counted)
+        intervals = solve_pre_sturmian(T2, COS, 37, resolution=resolution,
+                                       grid_size=512)
+        assert calls == [512] + rows
+        assert all(n <= 2 * solve_mod.MULTISECTION_POINTS for n in calls[1:])
+        assert len(intervals) == 2
+        for zi in intervals:
+            assert 0.0 <= zi.gamma_high - zi.gamma_low <= resolution
+            assert (0.0 in (zi.phi_low, zi.phi_high)
+                    or (zi.phi_low < 0) != (zi.phi_high < 0))
+
+    def test_one_round_when_one_is_enough(self, monkeypatch):
+        """Brackets that s <= 63 sub-brackets take to the resolution close
+        in one round, whatever the rounding of the points: the rounds aim
+        two ulps short of it."""
+        calls = []
+
+        def phi(T, f, gammas, N):
+            calls.append(len(gammas))
+            gammas = np.asarray(gammas)
+            return ((gammas - 0.1) * (gammas - 0.78),
+                    np.full(len(gammas), 1e-12))
+
+        monkeypatch.setattr(solve_mod, "phi_of_gammas", phi)
+        for grid in (512, 16, 10, 7, 3):
+            for s in range(2, 64):
+                calls.clear()
+                solve_pre_sturmian(T2, COS, 10, resolution=1 / grid / s,
+                                   grid_size=grid)
+                assert len(calls) == 2 and calls[1] <= 2 * s
+
+    @pytest.mark.parametrize("resolution", [1e-16, 1e-17, math.ulp(0.0)])
+    def test_resolution_below_the_ulp(self, resolution):
+        """A bracket closes when no float lies inside it: one ulp of 3/4
+        is 1.1e-16, and the multisection ends there, on no plateau."""
+        intervals = solve_pre_sturmian(T2, COS, 20, resolution=resolution,
+                                       grid_size=64)
+        assert [zi.gamma_low <= root <= zi.gamma_high
+                for zi, root in zip(intervals, (0.25, 0.75))] == [True, True]
+        for zi in intervals:
+            assert np.nextafter(zi.gamma_low, 1.0) >= zi.gamma_high
+            assert not zi.is_plateau
+
     @pytest.mark.parametrize("resolution", [0.0, -1e-10, math.nan, math.inf])
     def test_resolution_must_be_finite_and_positive(self, resolution):
         with pytest.raises(ValueError, match="resolution"):
@@ -475,6 +534,58 @@ class TestSturmianEstimate:
                                                       abs=1e-12)
         assert made[0] == made[1]
 
+    @pytest.mark.parametrize("T, gamma, block, integral, calls", [
+        (T2, 0.8, 64, "-0x1.999999999998ap-4", 13),
+        (T2, 0.9, 64, "-0x1.999999999998ap-4", 13),
+        (S244, 0.1, 2, "-0x1.c6a7ef9db2278p-6", 500)],
+        ids=["T2-0.8", "T2-0.9", "S244-0.1"])
+    def test_no_window_sums_before_burn_in(self, monkeypatch, T, gamma,
+                                           block, integral, calls):
+        """While the right-limit orbit runs, f is evaluated on no block
+        that ends by burn_in (T2 at 0.8 and 0.9 settle on 0 after 16
+        blocks of 64, 3 of them before the window; S244 at 0.1 never
+        settles in blocks of 2), and the estimates are bitwise those of
+        summing every block."""
+        monkeypatch.setattr(solve_mod, "FREQUENCY_BLOCK", block)
+        sizes = []
+        eval_many = PiecewiseLinear.eval_many
+
+        def counted(self, xs):
+            sizes.append(len(xs))
+            return eval_many(self, xs)
+
+        monkeypatch.setattr(PiecewiseLinear, "eval_many", counted)
+        est = sturmian_estimate(one_flower(T, gamma), demo_function(0.1),
+                                200, 1000)
+        assert len(sizes) == calls
+        assert est.integral_of_f.hex() == integral
+        if T is T2:
+            assert est.periodic == [Fraction(0)]
+        else:
+            assert est.periodic is None
+            assert est.coding_frequencies == [0.667, 0.333, 0.0]
+
+    def test_window_of_a_cycle_settled_before_burn_in(self, monkeypatch):
+        """A block that ends by burn_in still gives the window when the
+        right-limit orbit settles in it: on T2 at 0.1 both orbits settle
+        on the 3-cycle in the first block, and with that cycle rejected
+        the window from step 1000 is read off it, phase included."""
+        monkeypatch.setattr(solve_mod, "_exact_cycle", lambda F, pts: None)
+        calls = self._count_tau_many(monkeypatch)
+        f, F = demo_function(0.1), one_flower(T2, 0.1)
+        burn_in, length, depth = 1000, 998, 40
+        est = sturmian_estimate(F, f, burn_in, length, depth)
+        assert len(calls) == 2 * solve_mod.FREQUENCY_BLOCK + depth
+        table = selector(F).table
+        x, counts, total = F.petals[0].midpoint(), [0, 0], 0.0
+        for i in range(burn_in + length):
+            x = float(table.tau_many(np.array(x)))
+            if i >= burn_in:
+                counts[T2.branch_index(x)] += 1
+                total += f.eval(x)
+        assert est.coding_frequencies == [c / length for c in counts]
+        assert est.integral_of_f == pytest.approx(total / length, abs=1e-12)
+
     @pytest.mark.parametrize("burn_in, length", [
         (200, 10.0), (2.5, 1000), (True, 1000), (200, True), (200, "10"),
         (0, 1000), (200, 0), (-1, 1000)])
@@ -515,7 +626,33 @@ class TestSignConditions:
         assert phi_plus < 0
 
 
+def _scalar_oracle(orbits, f):
+    """The first orbit with the strictly largest average, each average a
+    Python sum of scalar ``f.eval`` calls from int 0."""
+    best, best_orbit = -math.inf, []
+    for orbit in orbits:
+        average = sum(f.eval(float(p)) for p in orbit) / len(orbit)
+        if average > best:
+            best, best_orbit = average, orbit
+    return best, best_orbit
+
+
 class TestOrbitOracle:
+    @pytest.mark.parametrize("k, max_period", [(2, 12), (3, 8), (4, 6),
+                                               (10, 5), (2, 1), (2, 0)])
+    def test_bitwise_the_scalar_loop(self, k, max_period):
+        """Averages and best orbit equal the scalar loop's bitwise, up to
+        the MAX_ORBIT_WORK cap (T10 to period 5).  For the trig functions
+        this needs numpy's cos and sin to round as math's do.  Constants
+        tie every orbit, and -0.0 sums to 0.0 as from int 0."""
+        orbits = walked_orbits(k, max_period)
+        for f in (COS, TrigPolynomial([0.3, -0.7], [0.5, 0.2], 0.1),
+                  demo_function(0.1), TrigPolynomial(constant=0.3),
+                  TrigPolynomial(constant=-0.0)):
+            alpha, orbit = orbit_oracle(make_linear_map(k), f, max_period)
+            want, want_orbit = _scalar_oracle(orbits, f)
+            assert (alpha.hex(), orbit) == (want.hex(), want_orbit)
+
     def test_cosine(self):
         alpha, orbit = orbit_oracle(T2, COS, 8)
         assert alpha == 1.0
