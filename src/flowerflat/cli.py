@@ -5,7 +5,11 @@ settings table ``SETTINGS`` lists the settings each command reads, with
 their defaults; a command registers an option only for those of its
 settings that are options (``OPTIONS``), and ``_load`` reads every
 setting from its option or else its config key and checks it by the one
-rule ``RULES`` gives its name, before any computation.  All numeric
+rule ``RULES`` gives its name, before any computation.  ``solve``
+reports for each zero interval the exact Sturmian cycle of the flower at
+its midpoint, which ``sturmian_estimate`` finds by an exact descent that
+walks no orbit, so no setting bounds its cost.  ``orbits`` and the
+oracle of ``solve`` average f by ``orbit_averages``.  All numeric
 output is emitted with 17 significant digits in a fixed order, so
 identical configs produce byte-identical CSV/JSON.  Exit codes: 0 ok,
 2 invalid spec, 3 not flattenable (for ``demo``: its flatness or
@@ -18,8 +22,11 @@ import json
 import math
 import random
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import List, Optional
+
+import numpy as np
 
 from .circle import Arc, reduce
 from .dynamics import (MAX_PERIOD, ExpandingMap, check_periodic_orbits,
@@ -30,8 +37,8 @@ from .flower import (Flower, FlowerError, one_flower, random_flower, selector,
                      validate_flower)
 from .functions import (PiecewiseLinear, TrigPolynomial, compose_with_map,
                         demo_function, demo_potential)
-from .solve import (NoSignChange, orbit_oracle, rank_test, scan,
-                    solve_pre_sturmian, sturmian_estimate)
+from .solve import (NoSignChange, orbit_averages, orbit_oracle, rank_test,
+                    scan, solve_pre_sturmian, sturmian_estimate)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -49,10 +56,6 @@ MAX_DEPTH = 1000
 #: cos at MAX_GRID x MAX_DEPTH takes 3.1 s and 103 MB peak RSS (at grid
 #: 2048, 0.8 s and 49 MB; Python 3.11, numpy 2.4, 2 CPUs)
 MAX_GRID = 8192
-#: largest ``burn_in`` and ``length`` of a Sturmian estimate, an input
-#: check: an orbit that never settles on a float cycle costs about 14 us
-#: a step of burn_in + length, 140 s at 10^7 (same machine)
-MAX_ORBIT_STEPS = 10 ** 7
 
 #: the rule of each setting name, the same in every command that reads
 #: it, and of the linear map degree: (type, least value, greatest value,
@@ -65,10 +68,6 @@ RULES = {
     "grid": (int, 2, MAX_GRID, f"an integer in [2, {MAX_GRID}]"),
     "tol": (float, math.ulp(0.0), sys.float_info.max, "finite and > 0"),
     "seed": (int, -math.inf, math.inf, "an integer"),
-    "burn_in": (int, 1, MAX_ORBIT_STEPS,
-                f"an integer in [1, {MAX_ORBIT_STEPS}]"),
-    "length": (int, 1, MAX_ORBIT_STEPS,
-               f"an integer in [1, {MAX_ORBIT_STEPS}]"),
     "max_period": (int, 1, MAX_PERIOD, f"an integer in [1, {MAX_PERIOD}]"),
     "p": (int, 1, math.inf, "an integer >= 1"),
 }
@@ -80,8 +79,7 @@ SETTINGS = {
     "validate": {},
     "scan": {"depth": None, "grid": 512},
     "flatten": {"depth": None, "tol": 1e-8},
-    "solve": {"depth": None, "grid": 512, "tol": 1e-10, "burn_in": 1000,
-              "length": 100000, "max_period": 10},
+    "solve": {"depth": None, "grid": 512, "tol": 1e-10, "max_period": 10},
     "rank": {"depth": 15, "grid": 512, "seed": 0, "p": 2},
     "orbits": {"max_period": 10},
     "demo": {},
@@ -305,8 +303,7 @@ def cmd_solve(args) -> int:
     report = {"zero_intervals": [], "depth": s.depth}
     best = None
     for zi in intervals:
-        est = sturmian_estimate(one_flower(T, zi.midpoint), f,
-                                burn_in=s.burn_in, length=s.length)
+        est = sturmian_estimate(one_flower(T, zi.midpoint), f)
         entry = {
             "gamma_low": zi.gamma_low, "gamma_high": zi.gamma_high,
             "phi_low": zi.phi_low, "phi_high": zi.phi_high,
@@ -315,8 +312,7 @@ def cmd_solve(args) -> int:
                 "support": [[a.left, a.right] for a in est.support_arcs],
                 "integral": est.integral_of_f,
                 "coding": est.coding_frequencies,
-                "periodic": ([str(fr) for fr in est.periodic]
-                             if est.periodic else None),
+                "periodic": [str(fr) for fr in est.periodic],
                 "period": est.period,
             },
         }
@@ -344,22 +340,19 @@ def cmd_rank(args) -> int:
 
 def cmd_orbits(args) -> int:
     s, T, f, _ = _load(args)
-    out = []
-    # the first orbit with the strictly largest average, as orbit_oracle
-    # picks it
-    best, best_orbit = -math.inf, []
-    for orbit in periodic_orbits(T, s.max_period):
-        entry = {"period": len(orbit), "points": [str(p) for p in orbit]}
-        if f is not None:
-            entry["average"] = sum(f.eval(float(p))
-                                   for p in orbit) / len(orbit)
-            if entry["average"] > best:
-                best, best_orbit = entry["average"], entry["points"]
-        out.append(entry)
-    report = {"orbits": out}
-    if f is not None:
-        report["best_average"] = best
-        report["best_orbit"] = best_orbit
+    if f is None:
+        report = {"orbits": [
+            {"period": len(o), "points": [str(p) for p in o]}
+            for o in periodic_orbits(T, s.max_period)]}
+    else:
+        orbits, averages = orbit_averages(T, f, s.max_period)
+        out = [{"period": len(o), "average": v,
+                "points": [str(Fraction(y, den)) for y in o.tolist()]}
+               for (den, o), v in zip(orbits, averages)]
+        # the first orbit with the largest average, as orbit_oracle picks it
+        best = int(np.argmax(averages))
+        report = {"orbits": out, "best_average": averages[best],
+                  "best_orbit": out[best]["points"]}
     _emit_json(report, args.out)
     return EXIT_OK
 

@@ -23,9 +23,11 @@ per round; plateaus of (near-)zeros signal periodic Sturmian measures.
 A brute-force periodic-orbit oracle provides the independent cross-check
 on maximizing measures.
 
-The selector orbits of ``sturmian_estimate`` and of the staircase run in
-one loop, ``_orbit_blocks``, which stops each at its first exact float
-cycle; the estimate certifies that cycle as a T-cycle in ``Fraction``s.
+The one invariant measure of a 1-flower is a T-cycle whose coding is a
+mechanical word.  ``sturmian_estimate`` and the staircase find it by an
+exact Stern-Brocot descent over its rotation number, ``_plateau``, in
+``Fraction``s on the map's exact data: the construction is the
+certificate.
 """
 from __future__ import annotations
 
@@ -33,12 +35,12 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .circle import Arc, cells, distance_many, lift, reduce, reduce_many
-from .dynamics import ExpandingMap, orbit_walks
+from .dynamics import ExpandingMap, make_linear_map, orbit_walks
 # ``functional`` is re-exported for callers of ``solve.functional``, such as
 # the span recorder in perfbench/spans.py, which patches it here
 from .flatten import escape_counts, functional, tail_bound, transfer
@@ -46,9 +48,6 @@ from .flower import Flower, SelectorTable, arc_end, selector
 
 #: most interior points per bracket and round of ``_multisect_roots``
 MULTISECTION_POINTS = 63
-#: steps per block of ``_orbit_blocks``, which looks for a repeated
-#: state, and so a cycle of at most this length, at block ends
-FREQUENCY_BLOCK = 64
 
 
 class NoSignChange(RuntimeError):
@@ -249,110 +248,162 @@ def solve_pre_sturmian(T: ExpandingMap, f, N: int,
 
 @dataclass
 class SturmianEstimate:
-    """Numerical description of the unique invariant measure on a 1-flower."""
+    """The unique invariant measure on a 1-flower, an exact T-cycle."""
 
     flower: Flower
     support_arcs: List[Arc]
     integral_of_f: float
     coding_frequencies: List[float]
-    periodic: Optional[List[Fraction]] = None
-    period: Optional[int] = None
+    periodic: List[Fraction]
+    period: int
 
 
-def _exact_cycle(F: Flower, pts: List[float]) -> Optional[List[Fraction]]:
-    """The exact T-cycle that the float selector cycle ``pts`` (each point
-    tau of the one before, cyclically) follows, from its smallest point,
-    if it lies in the closed petal within 1e-9, else None.  It is the
-    fixed point of the inverse branches that ``pts`` takes, composed, and
-    its images, on the map's exact data: the breaks i/k of a linear map,
-    else the stored floats.  On the lifted circle [a_0, a_0 + 1) inverse
-    branch b is u -> a_b + (u - a_0) / s_b, so the composition is affine."""
-    T, k = F.map, F.map.degree
+def _exact_map(T: ExpandingMap):
+    """The breaks a_0 < ... < a_{k-1} of T lifted into [a_0, a_0 + 1) and
+    the slopes, as exact rationals: i/k and k for a linear map, else the
+    stored floats, which are exact rationals."""
+    k = T.degree
     if T.is_linear():
-        a, s = [Fraction(i, k) for i in range(k)], [Fraction(k)] * k
-    else:
-        a0 = Fraction(T.fixed_point)
-        a = [a0 + (Fraction(b) - a0) % 1 for b in T.breaks]
-        s = [Fraction(v) for v in T.slopes]
-    branches = [T.branch_index(x) for x in pts[1:] + pts[:1]]
-    scale, u = Fraction(1), Fraction(0)
-    for b in branches:
-        scale, u = scale / s[b], a[b] + (u - a[0]) / s[b]
-    u /= 1 - scale
-    cycle = []
-    for b in branches:
-        u = a[b] + (u - a[0]) / s[b]
-        cycle.append(u % 1)
-
-    def image(z):
-        u = a[0] + (z - a[0]) % 1
-        b = sum(x <= u for x in a[1:])
-        return (a[0] + s[b] * (u - a[b])) % 1
-
-    i = cycle.index(min(cycle))
-    return cycle[i:] + cycle[:i] if all(
-        image(z) == cycle[j - 1] and F.petals[0].contains(float(z), tol=1e-9)
-        for j, z in enumerate(cycle)) else None
+        return [Fraction(i, k) for i in range(k)], [Fraction(k)] * k
+    a0 = Fraction(T.fixed_point)
+    return ([a0 + (Fraction(b) - a0) % 1 for b in T.breaks],
+            [Fraction(v) for v in T.slopes])
 
 
-def sturmian_estimate(F: Flower, f, burn_in: int = 1000,
-                      length: int = 100000, depth: int = 40
-                      ) -> SturmianEstimate:
-    """Estimate the Sturmian measure of a 1-flower, its one invariant
-    measure (Bullett and Sentenac 1994).
+def _compose(m, n):
+    """The affine map u -> A u + B of m after n, each an (A, B) pair."""
+    return m[0] * n[0], m[0] * n[1] + m[1]
 
-    The right-limit and the left-limit selector orbits of the petal
-    midpoint run in ``_orbit_blocks`` for at most burn_in + length steps.
-    At the first block end where one has settled, the shorter cycle (the
-    right-limit one on a tie) goes to ``_exact_cycle``; a certified cycle
-    is the measure.  Else the integral of f and the branch-coding
-    frequencies are averages over the `length` steps after the first
-    `burn_in` of the right-limit orbit, summed as it runs.  The support is
-    the iterated selector images of the flower.  Raises ValueError unless
-    F is a 1-flower and burn_in and length are integers >= 1.
-    """
+
+def _power(m, n: int):
+    """The affine map m composed n times, in closed form."""
+    A, B = m
+    An = A ** n
+    return An, B * (1 - An) / (1 - A)
+
+
+def _plateau(a, s, gamma: float, nodes: dict
+             ) -> Tuple[int, int, int, Fraction]:
+    """The Sturmian cycle O of the 1-flower from gamma, as (i, p, q, z), on
+    the exact lifted breaks a and slopes s of ``_exact_map``.
+
+    The flower [gamma, F^-1(F(gamma) + 1)] meets branches i and i + 1
+    (mod k), the letters 0 and 1.  The cycle of rotation number p/q is
+    coded by the mechanical word of p/q, and the flower carries it exactly
+    when gamma lies in its plateau: gamma <= min O and F(gamma) + 1 >=
+    F(max O) (Bullett and Sentenac 1994; Lothaire 2002, ch. 2).  min O is
+    coded by the lower Christoffel word and max O by the upper one, so
+    each is the fixed point of the composed inverse branches u -> a_b +
+    (u - a_0) / s_b of its word, an affine map of [a_0, a_0 + 1].  The
+    plateaus are ordered as p/q, so the search descends the Stern-Brocot
+    tree from 0/1 and 1/1.  The lower word of a mediant is that of its
+    left parent and then that of its right one (the upper words in the
+    other order), and a run of n steps one way, to L R^n or L^n R, is a
+    power of an affine map; n is found by an exponential search and a
+    bisection.  ``nodes`` keeps for the next call the maps and plateau
+    ends of each node (i, p, q), and under i the (p, q) found last, which
+    is tried first.  z is min O as a point of [a_0, a_0 + 1]."""
+    k, a0 = len(a), a[0]
+    g = a0 + (Fraction(gamma) - a0) % 1
+    i = sum(x <= g for x in a[1:])
+    top = i + 1 + s[i] * (g - a[i])  # F(gamma) + 1
+
+    def side(pq, maps) -> int:
+        """-1, 0 or 1 as gamma lies left of, on or right of the plateau of
+        pq = (p, q), whose (lower, upper) word maps ``maps()`` gives."""
+        key = (i,) + pq
+        if key not in nodes:
+            lower, upper = maps()
+            c = int(pq[0] > 0)  # the letter of max O
+            b = (i + c) % k
+            nodes[key] = (lower, upper, lower[1] / (1 - lower[0]),
+                          i + c + s[b] * (upper[1] / (1 - upper[0]) - a[b]))
+        _, _, z, f_max = nodes[key]
+        if pq == (1, 1) and i == k - 1:
+            z += 1  # the fixed point of the word 1 on branch 0, a turn up
+        return (g > z) - (top < f_max)
+
+    def step(L, R, n: int, right: bool):
+        """The node L^u R^v, (u, v) = (1, n) (right) or (n, 1), and its
+        maps."""
+        u, v = (1, n) if right else (n, 1)
+        (lower_l, upper_l), (lower_r, upper_r) = (nodes[(i,) + L][:2],
+                                                  nodes[(i,) + R][:2])
+        return (u * L[0] + v * R[0], u * L[1] + v * R[1]), lambda: (
+            _compose(_power(lower_l, u), _power(lower_r, v)),
+            _compose(_power(upper_r, v), _power(upper_l, u)))
+
+    def descend():
+        L, R = (0, 1), (1, 1)
+        for pq in (L, R):
+            b = (i + pq[0]) % k
+            m = (1 / s[b], a[b] - a0 / s[b])
+            if side(pq, lambda: (m, m)) == 0:
+                return pq
+        while True:
+            # gamma lies between the plateaus of L and R: the run from
+            # their mediant ends at the first node it does not lie beyond
+            pq, maps = step(L, R, 1, True)
+            t = side(pq, maps)
+            if t == 0:
+                return pq
+            right, n = t > 0, 2
+            while side(*step(L, R, n, right)) == t:
+                n *= 2
+            low = n // 2
+            while n - low > 1:
+                mid = (low + n) // 2
+                if side(*step(L, R, mid, right)) == t:
+                    low = mid
+                else:
+                    n = mid
+            pq = step(L, R, n, right)[0]
+            if side(pq, None) == 0:
+                return pq
+            prev = step(L, R, n - 1, right)[0]
+            L, R = (prev, pq) if right else (pq, prev)
+
+    pq = nodes.get(i)  # the plateau the last call found on branches i, i + 1
+    if pq is None or side(pq, None):
+        pq = nodes[i] = descend()
+    return (i,) + pq + (nodes[(i,) + pq][2],)
+
+
+def _cycle(a, s, i: int, p: int, q: int, z: Fraction) -> List[Fraction]:
+    """The points of the cycle of ``_plateau``, reduced to [0, 1), from
+    the smallest, in selector order (each point the preimage of the one
+    before): the T-orbit of min O, whose branches are the letters of the
+    lower mechanical word of p/q, in reverse."""
+    k, a0 = len(a), a[0]
+    orbit = []
+    for j in range(q):
+        b = (i + (j + 1) * p // q - j * p // q) % k
+        orbit.append(z % 1)
+        z = a0 + s[b] * (z - a[b])
+    orbit.reverse()
+    j = orbit.index(min(orbit))
+    return orbit[j:] + orbit[:j]
+
+
+def sturmian_estimate(F: Flower, f, depth: int = 40) -> SturmianEstimate:
+    """The Sturmian measure of a 1-flower, its one invariant measure
+    (Bullett and Sentenac 1994): the exact T-cycle that ``_plateau``
+    finds, from its smallest point, in selector order, with the average
+    of f and the branch-coding frequencies on its points rounded to
+    floats.  The support is tau^depth of the petal.  Raises ValueError
+    unless F is a 1-flower."""
     if F.p != 1:
         raise ValueError("Sturmian estimation needs a 1-flower")
-    if not (_integers(burn_in, length) and burn_in >= 1 and length >= 1):
-        raise ValueError("burn_in and length must be integers >= 1")
-    sel = selector(F)
-    T, table, total = F.map, sel.table, burn_in + length
-    k = T.degree
-    support = sel.push_arc(F.petals[0], depth)
-
-    def step(x, left):
-        # Python floats and bools: tau_many is fastest on scalars
-        return [table.tau_many(y, side)
-                for y, side in zip(x.tolist(), left.tolist())], None
-
-    mid, exact = np.full(2, F.petals[0].midpoint()), None
-    sums = np.zeros(k + 1)
-    for start, rows, states, _, lam in _orbit_blocks(
-            step, mid, np.array([False, True]), total):
-        # the first cycle to settle, while both rows run, is the one tried
-        if lam.any() and len(rows) == 2:
-            r = np.argmin(np.where(lam > 0, lam, total + 1))
-            exact = _exact_cycle(F, states[-1 - lam[r]:-1, r].tolist())
-            if exact is not None:
-                break
-        if rows[0]:
-            break
-        # the window of the right-limit orbit, row 0, until it settles; a
-        # block that ends by burn_in adds nothing unless row 0 settled in it
-        if start + len(states) - 1 <= burn_in and not lam[0]:
-            continue
-        y = states[1:, :1]
-        weights = np.concatenate([T.branch_many(y)[..., None] == np.arange(k),
-                                  f.eval_many(y)[..., None]], axis=2)
-        sums += _window_sums(weights, start, lam[:1], burn_in, total)[0]
-    if exact is not None:
-        pts = [float(z) for z in exact]
-        branches = [T.branch_index(p) for p in pts]
-        return SturmianEstimate(
-            F, support, sum(f.eval(p) for p in pts) / len(pts),
-            [branches.count(b) / len(pts) for b in range(k)], exact, len(pts))
-    return SturmianEstimate(F, support, float(sums[k] / length),
-                            (sums[:k] / length).tolist())
+    T = F.map
+    a, s = _exact_map(T)
+    exact = _cycle(a, s, *_plateau(a, s, F.petals[0].left, {}))
+    pts = [float(z) for z in exact]
+    branches = [T.branch_index(p) for p in pts]
+    return SturmianEstimate(
+        F, selector(F).push_arc(F.petals[0], depth),
+        sum(f.eval(p) for p in pts) / len(pts),
+        [branches.count(b) / len(pts) for b in range(T.degree)], exact,
+        len(pts))
 
 
 def support_extremes(est: SturmianEstimate) -> Tuple[float, float]:
@@ -382,21 +433,29 @@ def sign_conditions(T: ExpandingMap, f, est: SturmianEstimate,
     return phi_minus, phi_plus, consistent
 
 
-def orbit_oracle(T: ExpandingMap, f, max_period: int
-                 ) -> Tuple[float, List[Fraction]]:
-    """Best periodic-orbit average of f: a lower bound for the maximum
-    ergodic average, exact over all orbits of period <= max_period; the
-    first of ``periodic_orbits`` with the largest.  f is evaluated on the
-    ``orbit_walks`` numerators over den, each exact in float64, so the
-    quotient is float(Fraction(y, den)); an orbit is summed point by
-    point from 0.0, as ``sum`` sums from int 0."""
-    averages, orbits = [], []
+def orbit_averages(T: ExpandingMap, f, max_period: int
+                   ) -> Tuple[List[Tuple[int, np.ndarray]], List[float]]:
+    """Every orbit of ``orbit_walks`` of period <= max_period, as den and
+    its numerators, with the average of f on it.  f is evaluated on the
+    numerators over den, each exact in float64, so the quotient is
+    float(Fraction(y, den)); an orbit is summed point by point from 0.0,
+    as ``sum`` sums from int 0."""
+    orbits, averages = [], []
     for den, walk in orbit_walks(T, max_period):
         sums = np.zeros(walk.shape[1])
         for values in f.eval_many(walk / den):
             sums += values
         averages.extend((sums / len(walk)).tolist())
         orbits.extend((den, orbit) for orbit in walk.T)
+    return orbits, averages
+
+
+def orbit_oracle(T: ExpandingMap, f, max_period: int
+                 ) -> Tuple[float, List[Fraction]]:
+    """Best periodic-orbit average of f: a lower bound for the maximum
+    ergodic average, exact over all orbits of period <= max_period; the
+    first of ``orbit_averages`` with the largest."""
+    orbits, averages = orbit_averages(T, f, max_period)
     if not orbits:
         return -math.inf, []
     i = int(np.argmax(averages))
@@ -456,85 +515,29 @@ def _integers(*ns) -> bool:
                for n in ns)
 
 
-def _orbit_blocks(step, X: np.ndarray, P: np.ndarray, total: int):
-    """Follow the orbits of rows with states X and parameters P for
-    ``total`` steps, in blocks of FREQUENCY_BLOCK steps; ``step(x, p)``
-    gives the next states of the running rows and a mark of the step.
-    After each block of m steps yield (start, rows, states, marks, lam):
-    its first step, the rows that ran, their states at block steps 0 .. m,
-    the m marks, and per row the length lam of the cycle it closed, or 0.
-    The next state depends only on the state, so a row whose state at the
-    block end bitwise repeats one of the block repeats its last lam states
-    and marks for ever: it settles and leaves the batch."""
-    rows, start = np.arange(len(X)), 0
-    while start < total and len(rows):
-        m = min(FREQUENCY_BLOCK, total - start)
-        p = P[rows]
-        states = np.empty((m + 1, len(rows)))
-        states[0] = X
-        marks = []
-        for i in range(m):
-            states[i + 1], mark = step(states[i], p)
-            marks.append(mark)
-        # the latest s < m with states[s] == states[m] closes a cycle of
-        # lam = m - s steps
-        same = states[:m] == states[m]
-        lam = np.where(same.any(axis=0), 1 + np.argmax(same[::-1], axis=0), 0)
-        yield start, rows, states, marks, lam
-        start += m
-        rows, X = rows[lam == 0], states[m, lam == 0]
-
-
-def _window_sums(W: np.ndarray, start: int, lam: np.ndarray, burn_in: int,
-                 total: int) -> np.ndarray:
-    """The weights W (m, rows, d) of the steps start .. start + m - 1 of a
-    block of ``_orbit_blocks``, summed per row over the window steps
-    burn_in .. total - 1.  A row that settled (lam > 0) repeats the block's
-    last lam weights for ever, so it adds every later window step too."""
-    m, end = len(W), start + len(W)
-    sums = W[max(burn_in - start, 0):].sum(axis=0)
-    done = np.flatnonzero(lam)
-    if not len(done):
-        return sums
-    lam, col = lam[done], np.arange(len(done))
-    cum = np.zeros((m + 1, len(done), W.shape[2]), dtype=sums.dtype)
-    np.cumsum(W[:, done], axis=0, out=cum[1:])
-
-    def cycle(n):  # the first n weights from block step m - lam on
-        return ((n // lam)[:, None] * (cum[m, col] - cum[m - lam, col])
-                + cum[m - lam + n % lam, col] - cum[m - lam, col])
-
-    sums[done] += (cycle(total - end + lam)
-                   - cycle(max(end, burn_in) - end + lam))
-    return sums
-
-
 def branch_one_frequency_scan(k: int, gammas: Sequence[float],
                               burn_in: int = 1000, length: int = 100000
                               ) -> np.ndarray:
-    """Frequency of inverse-branch 1 along the selector orbit of the
-    1-flower [gamma, gamma+1/k] of the linear degree-k map, over the
-    `length` steps after the first `burn_in`, vectorized over the whole
-    gamma grid at once.
-
-    The rows run in ``_orbit_blocks``, and once a row settles the rest of
-    its count is read off its cycle, so the result is bitwise that of
-    following every orbit to the end.  Raises ValueError unless k >= 2,
-    burn_in >= 0 and length >= 1 are integers."""
+    """Frequency of branch 1 on the Sturmian cycle of the 1-flower [gamma,
+    gamma + 1/k] of the linear degree-k map, the devil's staircase over
+    the family: p/q, (q - p)/q or 0 by the branches of the ``_plateau`` of
+    each gamma, one node cache for the whole grid.  On the plateau of the
+    fixed point 0, gamma in [(k-1)/k, 1), the cycle sits on the break
+    between branches k - 1 and 0; it is coded by the branch of the petal
+    midpoint gamma + 1/(2k).  burn_in and length, the window of the orbit
+    walk this replaced, no longer change the value; they stay, checked,
+    until the benchmark that passes them stops doing so.  Raises
+    ValueError unless k >= 2, burn_in >= 0 and length >= 1 are
+    integers."""
     if not (_integers(k, burn_in, length)
             and k >= 2 and burn_in >= 0 and length >= 1):
         raise ValueError("need integers k >= 2, burn_in >= 0, length >= 1")
-    G = np.asarray([reduce(g) for g in gammas])
-
-    def step(x, g):
-        h = x / k
-        j = np.ceil(k * ((g - h) % 1.0) - 1e-9) % k
-        return h + j / k, j == 1
-
-    total = burn_in + length
-    counts = np.zeros(len(G), dtype=np.int64)
-    for start, rows, _, hits, lam in _orbit_blocks(
-            step, (G + 1.0 / (2 * k)) % 1.0, G, total):
-        counts[rows] += _window_sums(np.array(hits)[..., None], start, lam,
-                                     burn_in, total)[:, 0]
-    return counts / length
+    a, s = _exact_map(make_linear_map(k))
+    nodes, freqs = {}, []
+    for gamma in gammas:
+        g = reduce(gamma)
+        i, p, q, _ = _plateau(a, s, g, nodes)
+        if i == k - 1 and p == 0 and g >= 1 - Fraction(1, 2 * k):
+            p = 1  # the midpoint is on branch 0, the letter 1
+        freqs.append(((q - p) * (i == 1) + p * ((i + 1) % k == 1)) / q)
+    return np.array(freqs)

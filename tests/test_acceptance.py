@@ -46,8 +46,7 @@ def _random_map(rng):
 def _best_estimate(T, f, intervals, N):
     best = None
     for zi in intervals:
-        est = sturmian_estimate(one_flower(T, zi.midpoint), f, 200, 2000,
-                                depth=N)
+        est = sturmian_estimate(one_flower(T, zi.midpoint), f, depth=N)
         if best is None or est.integral_of_f > best.integral_of_f:
             best = est
     return best

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, report schemas, determinism."""
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -187,8 +189,7 @@ class TestFlatten:
 
 class TestSolve:
     def test_cosine_solution(self, tmp_path):
-        cfg = _write_config(tmp_path, dict(COS_CONFIG, grid=256,
-                                           length=20000))
+        cfg = _write_config(tmp_path, dict(COS_CONFIG, grid=256))
         code, report = _run_json(tmp_path, ["solve", "--config", cfg])
         assert code == EXIT_OK
         assert len(report["zero_intervals"]) == 2
@@ -202,8 +203,7 @@ class TestSolve:
     def test_tol_below_the_ulp_at_the_root(self, tmp_path):
         """No float lies inside a bracket one ulp of 3/4 wide, so it
         closes there, short of tol = 1e-16."""
-        cfg = _write_config(tmp_path, dict(COS_CONFIG, grid=64,
-                                           length=2000))
+        cfg = _write_config(tmp_path, dict(COS_CONFIG, grid=64))
         code, report = _run_json(tmp_path, ["solve", "--config", cfg,
                                             "--tol", "1e-16"])
         assert code == EXIT_OK
@@ -218,8 +218,7 @@ class TestSolve:
         def reject(name):
             raise ValueError(f"non-finite number {name} in the report")
         cfg = _write_config(tmp_path, {"map": {"type": "linear", "k": 2},
-                                       "function": function, "grid": 64,
-                                       "length": 2000})
+                                       "function": function, "grid": 64})
         out = tmp_path / "out.json"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
         report = json.loads(out.read_text(), parse_constant=reject)
@@ -404,8 +403,7 @@ SETTING_OPTIONS = {"--depth", "--grid", "--tol", "--seed"}
 SETTINGS = {
     "scan": (("depth", "grid"), "scan"),
     "flatten": (("depth", "tol"), "functional"),
-    "solve": (("depth", "grid", "tol", "burn_in", "length", "max_period"),
-              "solve_pre_sturmian"),
+    "solve": (("depth", "grid", "tol", "max_period"), "solve_pre_sturmian"),
     "rank": (("depth", "grid", "seed", "p"), "rank_test"),
     "orbits": (("max_period",), "periodic_orbits"),
 }
@@ -416,8 +414,6 @@ OUT_OF_RULE = {
     "grid": [2.5, 1, 8193],
     "tol": [NAN, INF, 0, -1e-3],
     "seed": [2.5],
-    "burn_in": [2.5, 0, 10 ** 7 + 1],
-    "length": [2.5, 0, 10 ** 7 + 1],
     "max_period": [2.5, 0, 17],
     "p": [2.5, 0],
 }
@@ -529,8 +525,7 @@ class TestDefects:
         assert main([command, "--config", cfg]) == EXIT_INVALID
         assert f"'{section}' section" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, name", [("scan", "grid"),
-                                               ("solve", "burn_in")])
+    @pytest.mark.parametrize("command, name", [("scan", "grid")])
     def test_null_setting(self, tmp_path, capsys, command, name):
         cfg = _write_config(tmp_path, dict(COS_CONFIG, **{name: None}))
         assert main([command, "--config", cfg]) == EXIT_INVALID
@@ -578,3 +573,39 @@ class TestSolveOracleFirst:
         code, report = _run_json(tmp_path, ["solve", "--config", cfg])
         assert code == EXIT_INVALID and report is None
         assert message in capsys.readouterr().err
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_table(header):
+    """The cells of each row of the README table whose first header cell
+    is ``header``."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index(next(line for line in lines
+                             if line.startswith(f"| {header} |")))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+class TestReadme:
+    """README's command and settings tables list exactly the commands,
+    options, settings and rules of the CLI, so a removed setting cannot
+    linger there."""
+
+    def test_command_table(self):
+        rows = {row[0].strip("`"): row for row in _readme_table("Command")}
+        assert set(rows) == set(cli.SETTINGS)
+        for command, (_, _, options, keys) in rows.items():
+            assert set(options.strip("`").split()) == _registered(command)
+            assert set(re.findall(r"`(\w+)` \(", keys)) == set(
+                cli.SETTINGS[command])
+
+    def test_settings_table(self):
+        names = [name for row in _readme_table("Setting")
+                 for name in re.findall(r"`([\w.]+)`", row[0])]
+        assert sorted(names) == sorted(cli.RULES)

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 import flowerflat.solve as solve_mod
 from flowerflat.circle import Arc, distance, reduce
-from flowerflat.dynamics import (make_linear_map, map_from_slopes,
-                                 periodic_orbits)
+from flowerflat.dynamics import (ExpandingMap, make_linear_map,
+                                 map_from_slopes, periodic_orbits)
 from flowerflat.flatten import default_depth, functional, tail_bound
-from flowerflat.flower import (SelectorTable, arc_end, one_flower,
-                               random_flower, selector, validate_flower)
+from flowerflat.flower import (arc_end, one_flower, random_flower, selector,
+                               validate_flower)
 from flowerflat.functions import PiecewiseLinear, TrigPolynomial, demo_function
 from flowerflat.solve import (NoSignChange, ZeroInterval,
                               branch_one_frequency_scan, orbit_oracle,
@@ -365,32 +365,75 @@ class TestSolvePreSturmian:
                                grid_size=16)
 
 
+#: exact lifted breaks and slopes of T2, T3 and S244, whose fixed point is 0
+EXACT_MAPS = {2: ([Fraction(0), Fraction(1, 2)], [2, 2]),
+              3: ([Fraction(0), Fraction(1, 3), Fraction(2, 3)], [3, 3, 3]),
+              "S244": ([Fraction(0), Fraction(1, 2), Fraction(3, 4)],
+                       [2, 4, 4])}
+
+
+def exact_lift(breaks, slopes, u):
+    """F(u) on an exact real u, with F(breaks[i]) = i, F(u + 1) = F(u) + k."""
+    turns = math.floor(u)
+    v = u - turns
+    i = max(j for j, b in enumerate(breaks) if b <= v)
+    return i + len(breaks) * turns + slopes[i] * (v - breaks[i])
+
+
+def exact_lift_inverse(breaks, slopes, y):
+    n = math.floor(y)
+    turns, i = divmod(n, len(breaks))
+    return breaks[i] + (y - n) / slopes[i] + turns
+
+
+def assert_carried(name, gamma, cycle):
+    """The 1-flower from gamma carries ``cycle`` and so has it as its one
+    invariant measure, checked in Fractions with no call to the library:
+    the points, from the smallest, each T of the next (selector order),
+    lie in [gamma, F^-1(F(gamma) + 1)], and the branches they take along
+    the orbit spell a rotation of the lower mechanical word of p/q, with p
+    of the q points on the upper of the flower's two branches."""
+    breaks, slopes = EXACT_MAPS[name]
+    g = Fraction(gamma)
+    width = exact_lift_inverse(breaks, slopes,
+                               exact_lift(breaks, slopes, g) + 1) - g
+    assert cycle[0] == min(cycle)
+    for j, z in enumerate(cycle):
+        assert exact_lift(breaks, slopes, z) % 1 == cycle[j - 1]
+        assert (z - g) % 1 <= width
+    lower = math.floor(exact_lift(breaks, slopes, g))
+    letters = "".join(
+        str(int(exact_lift(breaks, slopes, g + (z - g) % 1) >= lower + 1))
+        for z in cycle[:1] + cycle[:0:-1])
+    p, q = letters.count("1"), len(letters)
+    word = "".join(str((j + 1) * p // q - j * p // q) for j in range(q))
+    assert word in letters + letters
+
+
 class TestSturmianEstimate:
     def test_fixed_point_support(self):
-        est = sturmian_estimate(one_flower(T2, 0.5), demo_function(0.1),
-                                200, 1000)
+        est = sturmian_estimate(one_flower(T2, 0.5), demo_function(0.1))
         assert est.periodic == [Fraction(0)]
         assert est.period == 1
         assert est.coding_frequencies == [1.0, 0.0]
 
     def test_period_two_support(self):
-        est = sturmian_estimate(validate_flower([Arc(1 / 6, 2 / 3)], T2),
-                                demo_function(0.1), 200, 1000)
+        est = sturmian_estimate(validate_flower([Arc(0.2, 0.7)], T2),
+                                demo_function(0.1))
         assert est.periodic == [Fraction(1, 3), Fraction(2, 3)]
         assert est.period == 2
         assert est.coding_frequencies == [0.5, 0.5]
 
     def test_support_extremes(self):
-        est = sturmian_estimate(validate_flower([Arc(1 / 6, 2 / 3)], T2),
-                                demo_function(0.1), 200, 1000)
+        est = sturmian_estimate(validate_flower([Arc(0.2, 0.7)], T2),
+                                demo_function(0.1))
         lo, hi = support_extremes(est)
         assert lo == pytest.approx(1 / 3, abs=1e-6)
         assert hi == pytest.approx(2 / 3, abs=1e-6)
 
     def test_integral_matches_exact_orbit_average(self):
         f = demo_function(0.1)
-        est = sturmian_estimate(validate_flower([Arc(1 / 6, 2 / 3)], T2), f,
-                                200, 1000)
+        est = sturmian_estimate(validate_flower([Arc(0.2, 0.7)], T2), f)
         exact = (f.eval(1 / 3) + f.eval(2 / 3)) / 2
         assert est.integral_of_f == pytest.approx(exact, abs=1e-12)
 
@@ -400,7 +443,7 @@ class TestSturmianEstimate:
         cycle of S244's exact branches, in the closed petal."""
         f = TrigPolynomial([0.3, -0.7], [0.5])
         F = one_flower(S244, gamma)
-        est = sturmian_estimate(F, f, 200, 1000)
+        est = sturmian_estimate(F, f)
         pts = est.periodic
         assert pts is not None and est.period == len(pts)
         assert pts[0] == min(pts)
@@ -432,179 +475,69 @@ class TestSturmianEstimate:
             if span > Fraction(1, k):
                 continue
             gamma = float(x_min - (Fraction(1, k) - span) / 2)
-            est = sturmian_estimate(one_flower(T, gamma), COS, 200, 1000)
+            est = sturmian_estimate(one_flower(T, gamma), COS)
             assert est.periodic == orbit[:1] + orbit[:0:-1]
             assert est.period == len(orbit)
             checked += 1
         assert checked >= 10
 
-    def test_uncertified_window(self, monkeypatch):
-        """With blocks of 2 steps the period-3 orbit of T2 at gamma 0.1
-        never settles, so the estimate is the window of the right-limit
-        orbit: its counts are those of a step-by-step walk."""
-        monkeypatch.setattr(solve_mod, "FREQUENCY_BLOCK", 2)
-        f = demo_function(0.1)
-        F = one_flower(T2, 0.1)
-        burn_in, length = 200, 1000
-        est = sturmian_estimate(F, f, burn_in, length)
-        assert est.periodic is None and est.period is None
-        table = selector(F).table
-        x = F.petals[0].midpoint()
-        counts, total = [0, 0], 0.0
-        for i in range(burn_in + length):
-            x = float(table.tau_many(np.array(x)))
-            if i >= burn_in:
-                counts[T2.branch_index(x)] += 1
-                total += f.eval(x)
-        assert est.coding_frequencies == [c / length for c in counts]
-        assert est.integral_of_f == pytest.approx(total / length, abs=1e-12)
+    @pytest.mark.parametrize("gamma", [2.0 ** -60, 1e-30, 1e-300, 5e-324])
+    def test_flowers_at_the_fixed_point(self, gamma):
+        """Near 0 the flower [gamma, gamma + 1/2] of T2 carries the cycle
+        of 1/(2^q - 1), which fits in it exactly when 2^q - 1 <= 1/gamma
+        <= 2 (2^q - 1).  A walk of float orbits found a 59-cycle at 2^-60
+        that lies 1.5e-36 outside the flower, and no cycle at 1e-30."""
+        q = 1
+        while 2 * (2 ** q - 1) < 1 / Fraction(gamma):
+            q += 1
+        est = sturmian_estimate(one_flower(T2, gamma), COS)
+        assert est.period == q == len(est.periodic)
+        assert est.periodic[0] == Fraction(1, 2 ** q - 1)
+        assert_carried(2, gamma, est.periodic)
 
-    @staticmethod
-    def _count_tau_many(monkeypatch):
-        calls = []
-        tau_many = SelectorTable.tau_many
+    @pytest.mark.parametrize("name, gamma, period", [
+        (2, 1 / 6, None), (3, 1 / 8, 2), (3, np.nextafter(1 / 8, 1), None),
+        (3, 0.5, 1), (3, np.nextafter(0.5, 1), None),
+        ("S244", 0.75, 1), ("S244", 0.0, 1),
+        ("S244", 2 / 3, 1), ("S244", np.nextafter(2 / 3, 1), None)])
+    def test_plateau_ends(self, name, gamma, period):
+        """At the ends of plateaus, and one float past them: the T2 cycle
+        {1/3, 2/3} has the plateau [1/6, 1/3], and float(1/6) lies just
+        below it; the T3 cycle {1/8, 3/8} has [1/24, 1/8], the T3 fixed
+        point 1/2 has [1/6, 1/2] and S244's fixed point 2/3 has [1/3, 2/3];
+        S244's fixed point 0 has [3/4, 1], on a break.  One float past a
+        plateau the cycle is a long one, certified the same way."""
+        T = {2: T2, 3: T3, "S244": S244}[name]
+        est = sturmian_estimate(one_flower(T, float(gamma)), COS)
+        assert est.period == len(est.periodic)
+        if period is not None:
+            assert est.period == period
+        assert_carried(name, float(gamma), est.periodic)
 
-        def counted(self, xs, left=False):
-            calls.append(1)
-            return tau_many(self, xs, left)
-
-        monkeypatch.setattr(SelectorTable, "tau_many", counted)
-        return calls
-
-    def test_settled_walk_does_not_grow_with_length(self, monkeypatch):
-        """A settled estimate stops its orbits at their cycle: it maps as
-        many points at length 10^6 as at 10^3."""
-        calls = self._count_tau_many(monkeypatch)
-        F = one_flower(T2, 0.1)
-        made = []
-        for length in (10 ** 3, 10 ** 6):
-            calls.clear()
-            est = sturmian_estimate(F, COS, 200, length)
-            assert est.period == 3
-            made.append(len(calls))
-        assert made[0] == made[1]
-
-    def test_unsettled_walk_maps_each_orbit_once(self, monkeypatch):
-        """An estimate that never settles walks the right-limit and the
-        left-limit orbit once each, one ``tau_many`` call a step, and
-        pushes its support with one call a level."""
-        monkeypatch.setattr(solve_mod, "FREQUENCY_BLOCK", 2)
-        calls = self._count_tau_many(monkeypatch)
-        burn_in, length, depth = 200, 1000, 40
-        est = sturmian_estimate(one_flower(T2, 0.1), demo_function(0.1),
-                                burn_in, length, depth)
-        assert est.periodic is None
-        assert len(calls) <= 2 * (burn_in + length) + depth
-
-    @pytest.mark.parametrize("gamma", [0.2, 1 / 8])
-    def test_rejected_cycle_gives_the_window(self, monkeypatch, gamma):
-        """When the first cycle to settle is not certified, the estimate is
-        the window of the right-limit orbit, summed as the orbit runs and
-        read off its float cycle once it settles: the counts of a
-        step-by-step walk, with as many points mapped at length 10^4 as
-        at 10^3.  A cycle that settles later is not tried: on T3 at 1/8
-        the exact solver would certify the 33-cycle that the right-limit
-        orbit settles on after the left-limit one's 2-cycle."""
-        exact_cycle, tried = solve_mod._exact_cycle, []
-
-        def first_rejected(F, pts):
-            tried.append(len(pts))
-            return None if len(tried) == 1 else exact_cycle(F, pts)
-
-        monkeypatch.setattr(solve_mod, "_exact_cycle", first_rejected)
-        calls = self._count_tau_many(monkeypatch)
-        f = TrigPolynomial([0.3, -0.7], [0.5])
-        F = one_flower(T3, gamma)
-        table, made = selector(F).table, []
-        for length in (10 ** 3, 10 ** 4):
-            calls.clear()
-            tried.clear()
-            est = sturmian_estimate(F, f, 1, length)
-            made.append(len(calls))
-            assert len(tried) == 1
-            assert est.periodic is None and est.period is None
-            x, counts, total = F.petals[0].midpoint(), [0, 0, 0], 0.0
-            for i in range(1 + length):
-                x = float(table.tau_many(np.array(x)))
-                if i >= 1:
-                    counts[T3.branch_index(x)] += 1
-                    total += f.eval(x)
-            assert est.coding_frequencies == [c / length for c in counts]
-            assert est.integral_of_f == pytest.approx(total / length,
-                                                      abs=1e-12)
-        assert made[0] == made[1]
-
-    @pytest.mark.parametrize("T, gamma, block, integral, calls", [
-        (T2, 0.8, 64, "-0x1.999999999998ap-4", 13),
-        (T2, 0.9, 64, "-0x1.999999999998ap-4", 13),
-        (S244, 0.1, 2, "-0x1.c6a7ef9db2278p-6", 500)],
-        ids=["T2-0.8", "T2-0.9", "S244-0.1"])
-    def test_no_window_sums_before_burn_in(self, monkeypatch, T, gamma,
-                                           block, integral, calls):
-        """While the right-limit orbit runs, f is evaluated on no block
-        that ends by burn_in (T2 at 0.8 and 0.9 settle on 0 after 16
-        blocks of 64, 3 of them before the window; S244 at 0.1 never
-        settles in blocks of 2), and the estimates are bitwise those of
-        summing every block."""
-        monkeypatch.setattr(solve_mod, "FREQUENCY_BLOCK", block)
-        sizes = []
-        eval_many = PiecewiseLinear.eval_many
-
-        def counted(self, xs):
-            sizes.append(len(xs))
-            return eval_many(self, xs)
-
-        monkeypatch.setattr(PiecewiseLinear, "eval_many", counted)
-        est = sturmian_estimate(one_flower(T, gamma), demo_function(0.1),
-                                200, 1000)
-        assert len(sizes) == calls
-        assert est.integral_of_f.hex() == integral
-        if T is T2:
-            assert est.periodic == [Fraction(0)]
-        else:
-            assert est.periodic is None
-            assert est.coding_frequencies == [0.667, 0.333, 0.0]
-
-    def test_window_of_a_cycle_settled_before_burn_in(self, monkeypatch):
-        """A block that ends by burn_in still gives the window when the
-        right-limit orbit settles in it: on T2 at 0.1 both orbits settle
-        on the 3-cycle in the first block, and with that cycle rejected
-        the window from step 1000 is read off it, phase included."""
-        monkeypatch.setattr(solve_mod, "_exact_cycle", lambda F, pts: None)
-        calls = self._count_tau_many(monkeypatch)
-        f, F = demo_function(0.1), one_flower(T2, 0.1)
-        burn_in, length, depth = 1000, 998, 40
-        est = sturmian_estimate(F, f, burn_in, length, depth)
-        assert len(calls) == 2 * solve_mod.FREQUENCY_BLOCK + depth
-        table = selector(F).table
-        x, counts, total = F.petals[0].midpoint(), [0, 0], 0.0
-        for i in range(burn_in + length):
-            x = float(table.tau_many(np.array(x)))
-            if i >= burn_in:
-                counts[T2.branch_index(x)] += 1
-                total += f.eval(x)
-        assert est.coding_frequencies == [c / length for c in counts]
-        assert est.integral_of_f == pytest.approx(total / length, abs=1e-12)
-
-    @pytest.mark.parametrize("burn_in, length", [
-        (200, 10.0), (2.5, 1000), (True, 1000), (200, True), (200, "10"),
-        (0, 1000), (200, 0), (-1, 1000)])
-    def test_invalid_lengths_rejected(self, burn_in, length):
-        with pytest.raises(ValueError):
-            sturmian_estimate(one_flower(T2, 0.1), COS, burn_in, length)
+    def test_branches_short_of_a_turn(self):
+        """Branch 1 of this map ends 4.75e-10 short of a whole turn, inside
+        the closure tolerance, so its fixed point z = 1/2 s / (s - 1) lies
+        below 1.  The flower from 3/4 carries z; the one from 1 - 1e-10
+        starts past z and carries the fixed point 0, a turn up from
+        branch 1."""
+        T = ExpandingMap((0.0, 0.5), (2.0, 2.0000000019))
+        slope = Fraction(2.0000000019)
+        z = Fraction(1, 2) * slope / (slope - 1)
+        assert sturmian_estimate(one_flower(T, 0.75), COS).periodic == [z]
+        assert sturmian_estimate(one_flower(T, 1 - 1e-10),
+                                 COS).periodic == [0]
 
     def test_multi_petal_rejected(self):
         rng = random.Random(9)
         F = random_flower(make_linear_map(3), 2, rng)
         with pytest.raises(ValueError):
-            sturmian_estimate(F, COS, 100, 1000)
+            sturmian_estimate(F, COS)
 
 
 class TestSignConditions:
     def test_cosine_bracket(self):
         N = default_depth(COS.lipschitz_constant(), 2.0, 1e-12)
-        est = sturmian_estimate(one_flower(T2, 0.75), COS, 200, 2000,
-                                depth=N)
+        est = sturmian_estimate(one_flower(T2, 0.75), COS, depth=N)
         phi_minus, phi_plus, consistent = sign_conditions(T2, COS, est, N)
         assert consistent
 
@@ -616,8 +549,7 @@ class TestSignConditions:
                                        grid_size=512)
         best = None
         for zi in intervals:
-            est = sturmian_estimate(one_flower(T2, zi.midpoint), f, 200, 2000,
-                                    depth=N)
+            est = sturmian_estimate(one_flower(T2, zi.midpoint), f, depth=N)
             if best is None or est.integral_of_f > best.integral_of_f:
                 best = est
         phi_minus, phi_plus, consistent = sign_conditions(T2, f, best, N)
@@ -759,59 +691,83 @@ class TestBranchOneFrequency:
             branch_one_frequency_scan(k, [0.1], burn_in, length)
 
 
+#: the rows of the grids below where the window of the reference
+#: recurrence is off the cycle by more than one count: at 0.5 the float
+#: orbit of the recurrence crosses the break at the fixed point 0, and
+#: within 1e-9 of the plateau ends 1/3 and 1/2 its branch tolerance picks
+#: another cycle
+OFF_THE_CYCLE = [0.5, 1 / 3 + 1e-12, 0.5 - 1e-12, 0.5 + 1e-12]
+
+
 class TestFrequencyCycleExit:
-    """``branch_one_frequency_scan`` stops each orbit at its first exact
-    float cycle; the frequencies are bitwise those of the full orbits."""
+    """``branch_one_frequency_scan`` gives the branch-1 share of each
+    flower's cycle.  A mechanical word is balanced, so the count of any
+    window of it is within one of its share: the independent reference,
+    which counts a window of the orbit of each petal midpoint, is within
+    1/length of it on every row but those of OFF_THE_CYCLE."""
 
     @staticmethod
-    def assert_bitwise(k, gammas, burn_in, length):
+    def assert_within_a_count(k, gammas, burn_in, length):
         got = branch_one_frequency_scan(k, gammas, burn_in, length)
         want = reference_frequency_scan(k, gammas, burn_in, length)
-        assert np.array_equal(got, want)
+        off = [g for g, x, y in zip(gammas, got, want)
+               if not abs(x - y) < 1 / length]
+        assert set(off) <= set(OFF_THE_CYCLE)
 
     def test_criterion_9_grid(self):
-        self.assert_bitwise(2, [(0.75 + i / 512) % 1.0 for i in range(512)],
-                            1000, 100000)
+        self.assert_within_a_count(
+            2, [(0.75 + i / 512) % 1.0 for i in range(512)], 1000, 100000)
 
     @pytest.mark.parametrize("seed", [3, 17, 40])
     def test_staircase_grids(self, seed):
-        self.assert_bitwise(2, staircase_grid(seed), 1000, 20000)
+        self.assert_within_a_count(2, staircase_grid(seed), 1000, 20000)
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_higher_degree(self, k):
         rng = random.Random(k)
         gammas = [i / 64 for i in range(64)] + [rng.random()
                                                 for _ in range(64)]
-        self.assert_bitwise(k, gammas, 500, 5000)
+        self.assert_within_a_count(k, gammas, 500, 5000)
 
     @pytest.mark.parametrize("burn_in, length", [
         (0, 3000), (1000, 5000), (2000, 1500), (5, 1), (0, 1), (3, 10),
         (1000, 40), (0, 63), (0, 64), (0, 65), (64, 64), (63, 129)])
     def test_special_parameters(self, burn_in, length):
         """Parameters on the fixed point 0 and its preimages, plateau
-        centres and ends, with burn-ins before and past the settling
-        step (up to about 1075 steps) and runs shorter than one block."""
+        centres and ends, with burn-ins before and past the step where
+        the reference reaches its cycle (up to about 1075 steps) and
+        short runs."""
         gammas = [0.0, 0.5, 0.75, 0.25, 1 / 3, 2 / 3, 1 / 7, 0.1]
         gammas += [c + e for c in (1 / 3, 2 / 3, 0.25, 0.5)
                    for e in (-1e-12, 1e-12)]
         gammas += staircase_grid(5, 32)
-        self.assert_bitwise(2, gammas, burn_in, length)
+        self.assert_within_a_count(2, gammas, burn_in, length)
 
     def test_rows_unsettled_at_the_end(self):
         """Rows drawn to 0 descend through the subnormals for about 1074
-        steps, so none of them settles in a run of 300."""
+        steps, so the reference counts a window before its orbits reach
+        their cycles."""
         gammas = [0.75 + i / 2048 for i in range(64)] + [0.1, 1 / 3]
-        self.assert_bitwise(2, gammas, 100, 200)
+        self.assert_within_a_count(2, gammas, 100, 200)
 
-    def test_cycles_longer_than_a_block(self, monkeypatch):
-        """With blocks of 4 steps only cycles of length <= 4 are seen, and
-        the other rows follow their orbits to the end."""
-        monkeypatch.setattr(solve_mod, "FREQUENCY_BLOCK", 4)
-        self.assert_bitwise(2, staircase_grid(8, 64), 30, 1500)
+    def test_rows_off_the_cycle(self):
+        """On the rows of OFF_THE_CYCLE the staircase is the branch-1
+        share of the cycle that lies in the flower [gamma, gamma + 1/2]
+        exactly, by the plateau rule of
+        ``test_sturmian_orbits_on_their_plateaus``, with the fixed point 0
+        coded by the branch of the petal midpoint gamma + 1/4."""
+        got = branch_one_frequency_scan(2, OFF_THE_CYCLE)
+        for gamma, freq in zip(OFF_THE_CYCLE, got):
+            cycle = sturmian_estimate(one_flower(T2, gamma), COS).periodic
+            assert_carried(2, gamma, cycle)
+            ones = [z >= Fraction(1, 2) for z in cycle]
+            if cycle == [0]:
+                ones = [T2.branch_index(gamma + 0.25) == 1]
+            assert freq == sum(ones) / len(cycle)
 
     def test_memory_does_not_grow_with_length(self):
-        """The criterion 9 scan keeps at most one block of states: its
-        traced peak stays below 2 MB and does not rise with the length."""
+        """No orbit is walked: the criterion 9 scan's traced peak stays
+        below 2 MB and does not rise with the length."""
         gammas = [(0.75 + i / 512) % 1.0 for i in range(512)]
         peaks = []
         for length in (100000, 1000000):
