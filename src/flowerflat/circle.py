@@ -69,14 +69,12 @@ class Arc:
     right: float
 
     def __post_init__(self):
-        object.__setattr__(self, "left", reduce(self.left))
-        object.__setattr__(self, "right", reduce(self.right))
-
-    @property
-    def length(self) -> float:
-        if self.left == self.right:
-            return 0.0
-        return reduce(self.right - self.left)
+        left, right = reduce(self.left), reduce(self.right)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        # not a field, so equality, hashing and repr stay on the two ends
+        object.__setattr__(self, "length",
+                           0.0 if left == right else reduce(right - left))
 
     def contains(self, x: float, tol: float = 0.0) -> bool:
         """True iff x lies in the closed arc, up to endpoint tolerance tol."""

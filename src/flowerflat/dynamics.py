@@ -90,10 +90,10 @@ class ExpandingMap:
         return self.slopes[self.branch_index(x)]
 
     def apply(self, x: float) -> float:
-        a0 = self._lifted[0]
-        i = self.branch_index(x)
-        u = a0 + reduce(x - a0)
-        return reduce(a0 + self.slopes[i] * (u - self._lifted[i]))
+        lifted = self._lifted
+        u = lifted[0] + reduce(x - lifted[0])
+        i = max(bisect.bisect_right(lifted, u) - 1, 0)
+        return reduce(lifted[0] + self.slopes[i] * (u - lifted[i]))
 
     def branch_many(self, xs) -> np.ndarray:
         """``branch_index`` on an array of points."""

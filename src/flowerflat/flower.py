@@ -71,7 +71,10 @@ class Flower:
         return len(self.petals)
 
     def contains(self, x: float) -> bool:
-        return any(petal.contains(x) for petal in self.petals)
+        for petal in self.petals:
+            if petal.contains(x):
+                return True
+        return False
 
     def boundary(self) -> List[float]:
         pts: List[float] = []

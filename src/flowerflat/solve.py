@@ -23,6 +23,49 @@ per round; plateaus of (near-)zeros signal periodic Sturmian measures.
 A brute-force periodic-orbit oracle provides the independent cross-check
 on maximizing measures.
 
+Outside the rows near a root or on a plateau, the solver reads only the
+sign of each scan row, so it scans at the shallow depth n =
+min(N, SHALLOW_DEPTH) and takes a row at depth N only where that sign is
+not certified.  Both truncations lie within their bounds of the full
+series, |Phi_n - Phi| <= err_n and |Phi_N - Phi| <= err_N, so in exact
+arithmetic |Phi_N - Phi_n| <= err_n + err_N.  A row keeps its shallow
+value when
+
+    |Phi_n| > err_n + err_N + plateau_tol + rho,
+
+with rho a bound on the rounding of both computed values: then Phi_N
+has the sign of Phi_n and |Phi_N| > plateau_tol, so the row is neither a
+zero nor a plateau row at depth N, and every sign the solver compares is
+the one a scan at depth N gives.  err_N is ``phi_of_gammas``'s own
+expression, so the plateau tolerance, twice err_N at gamma = 0, is the
+same float.  The other rows (every plateau row, every exact zero and
+every row near a root) are taken at depth N in one call, and a bracket
+end that no multisection round moved, and that still holds a shallow
+value, is taken at depth N after the rounds; so are min and max when no
+root is found.  The ``scan`` command keeps depth N.
+
+rho (Higham 2002, *Accuracy and Stability of Numerical Algorithms*,
+section 4.2).  One row of ``transfer`` at depth N adds and subtracts at
+most m_N = (N + 1)(N + 2) f-values: f(b) and f(a), N along each of the
+orbits of b and a (the tail a point takes when it stops fills its count
+up to N), and the two tails of N - j values of each ledger entry at
+level j < N, N(N + 1) in all.  Any order of summing m signed terms errs
+by at most gamma_{m-1} sum |terms|, gamma_k = k u / (1 - k u), u =
+2^-53, and every f-value lies within S = |f(0)| + Lip(f)/2 >= sup |f| of
+zero.  A computed f-value is f at a float orbit point: tau contracts, so
+each orbit point is within a few ulps of its exact value, and f is
+evaluated to a few ulps; both errors are below gamma_m S per term, as
+Lip(f) <= 2 S.  With m = m_n + m_N over both depths, the two values err
+by at most m gamma_m S (the terms) plus gamma_m m S (1 + gamma_m) (the
+sums), and
+
+    rho = m gamma_{2m} S >= 2 m gamma_m S (1 + gamma_m / 2).
+
+At N = 37 and n = 8, rho is about 5.5e-10 S.  The decisions at the
+selector's discontinuities are not rounding and are outside rho: where
+the closed form is off by O(1), near some periodic parameters, a
+certified sign may be wrong, as a scan at depth N would be.
+
 The one invariant measure of a 1-flower is a T-cycle whose coding is a
 mechanical word.  ``sturmian_estimate`` and the staircase find it by an
 exact Stern-Brocot descent over its rotation number, ``_plateau``, in
@@ -48,6 +91,9 @@ from .flower import Flower, SelectorTable, arc_end, selector
 
 #: most interior points per bracket and round of ``_multisect_roots``
 MULTISECTION_POINTS = 63
+#: depth of the scan of ``solve_pre_sturmian``, whose rows of uncertified
+#: sign are taken again at the full depth
+SHALLOW_DEPTH = 8
 
 
 class NoSignChange(RuntimeError):
@@ -95,6 +141,28 @@ def phi_of_gammas(T: ExpandingMap, f, gammas: Sequence[float],
     K = T.expansion_constant
     return value[:, 0], f.lipschitz_constant() * tail_bound(
         K, N, table.length[:, 0])
+
+
+def _truncation_bounds(T: ExpandingMap, f, gammas: Sequence[float],
+                       N: int) -> np.ndarray:
+    """The bounds ``phi_of_gammas`` returns at depth N, bitwise, with no
+    point pushed: the same expression on the lengths of the same nudged
+    flowers, as ``SelectorTable`` takes them."""
+    a = _off_degenerate(T, reduce_many(gammas))
+    length = arc_end(T, a, 1.0) - a
+    length += length < 0.0
+    return f.lipschitz_constant() * tail_bound(T.expansion_constant, N,
+                                               length)
+
+
+def _rounding_bound(f, n: int, N: int) -> float:
+    """rho of the module docstring: m gamma_2m S over the m = (n + 1)(n + 2)
+    + (N + 1)(N + 2) f-values of one row at depths n and N, with S =
+    |f(0)| + Lip(f)/2 >= sup |f|."""
+    m = (n + 1) * (n + 2) + (N + 1) * (N + 2)
+    u = 2.0 ** -53
+    sup = abs(f.eval(0.0)) + f.lipschitz_constant() / 2.0
+    return m * (2 * m * u / (1.0 - 2 * m * u)) * sup
 
 
 def phi_of_gamma(T: ExpandingMap, f, gamma: float,
@@ -181,21 +249,52 @@ def _multisect_roots(T: ExpandingMap, f, N: int, lo, flo, hi, fhi,
         fhi[open_] = ys[rows, j + 1]
 
 
+def _certified_scan(T: ExpandingMap, f, grid_size: int, N: int
+                    ) -> Tuple[List[float], List[float], np.ndarray, float]:
+    """The scan of ``solve_pre_sturmian``: the grid gammas, Phi at each,
+    the rows that keep their value at depth n = min(N, SHALLOW_DEPTH) and
+    the plateau tolerance.  A row keeps its shallow value where
+    |Phi_n| > err_n + err_N + plateau_tol + rho; then Phi_N has its sign
+    and is no plateau value (module docstring).  Every other row is taken
+    at depth N, in one ``phi_of_gammas`` call."""
+    rows = scan(T, f, grid_size, min(N, SHALLOW_DEPTH))
+    gammas = [g for g, _, _ in rows]
+    phis = [v for _, v, _ in rows]
+    if N <= SHALLOW_DEPTH:
+        return gammas, phis, np.zeros(len(rows), dtype=bool), max(
+            1e-9, 2.0 * rows[0][2])
+    bounds = _truncation_bounds(T, f, gammas, N)
+    plateau_tol = max(1e-9, 2.0 * float(bounds[0]))
+    shallow = np.abs(phis) > (np.array([e for *_, e in rows]) + bounds
+                              + plateau_tol
+                              + _rounding_bound(f, SHALLOW_DEPTH, N))
+    redo = np.flatnonzero(~shallow).tolist()
+    if redo:
+        values, _ = phi_of_gammas(T, f, [gammas[i] for i in redo], N)
+        for i, v in zip(redo, values.tolist()):
+            phis[i] = v
+    return gammas, phis, shallow, plateau_tol
+
+
 def solve_pre_sturmian(T: ExpandingMap, f, N: int,
                        resolution: float = 1e-10, grid_size: int = 512
                        ) -> List[ZeroInterval]:
     """All zero intervals of Phi: plateaus, exact zeros on the grid and
     multisected sign changes.
 
-    Raises NoSignChange when the scan shows none of them, and ValueError
-    unless the resolution is finite and positive.
+    The scan runs at depth n = min(N, SHALLOW_DEPTH) and keeps a row's
+    value where the certificate of the module docstring fixes its sign;
+    every other row is taken at depth N in one call, and so is a bracket
+    end that holds a shallow value after the multisection.
+
+    Raises NoSignChange when the scan shows none of them, with the least
+    and the greatest value of a scan at depth N, and ValueError unless the
+    resolution is finite and positive.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError("resolution must be finite and positive")
-    rows = scan(T, f, grid_size, N)
-    plateau_tol = max(1e-9, 2.0 * rows[0][2])
-    phis = [v for _, v, _ in rows]
-    m = len(rows)
+    gammas, phis, shallow, plateau_tol = _certified_scan(T, f, grid_size, N)
+    m = len(gammas)
     small = [abs(v) <= plateau_tol for v in phis]
     intervals: List[ZeroInterval] = []
 
@@ -218,7 +317,7 @@ def solve_pre_sturmian(T: ExpandingMap, f, N: int,
                 for t in range(i, i + run):
                     in_plateau[t % m] = True
                 intervals.append(ZeroInterval(
-                    rows[i][0], rows[(i + run - 1) % m][0],
+                    gammas[i], gammas[(i + run - 1) % m],
                     phis[i], phis[(i + run - 1) % m], resolution))
             i = (j - 1) % m
         if i == start or (i + 1) % m == start:
@@ -231,17 +330,32 @@ def solve_pre_sturmian(T: ExpandingMap, f, N: int,
              if not (in_plateau[i] or in_plateau[(i + 1) % m])
              and phis[i] != 0.0 and phis[(i + 1) % m] != 0.0
              and (phis[i] < 0) != (phis[(i + 1) % m] < 0)]
+    lo0 = [gammas[i] for i in cells]
+    hi0 = [gammas[i] + 1.0 / m for i in cells]
     lo, flo, hi, fhi = _multisect_roots(
-        T, f, N, [rows[i][0] for i in cells], [phis[i] for i in cells],
-        [rows[i][0] + 1.0 / m for i in cells],
+        T, f, N, lo0, [phis[i] for i in cells], hi0,
         [phis[(i + 1) % m] for i in cells], resolution)
-    found = [(i, 0, ZeroInterval(rows[i][0], rows[i][0], 0.0, 0.0,
+    # a bracket end that no round moved holds its scan value: the grid
+    # row's, shallow where the scan kept it, so it is taken at depth N
+    ends = [(flo, n, i) for n, i in enumerate(cells)
+            if shallow[i] and lo[n] == lo0[n]]
+    ends += [(fhi, n, (i + 1) % m) for n, i in enumerate(cells)
+             if shallow[(i + 1) % m] and hi[n] == hi0[n]]
+    if ends:
+        stale = sorted({i for *_, i in ends})
+        values, _ = phi_of_gammas(T, f, [gammas[i] for i in stale], N)
+        deep = dict(zip(stale, values.tolist()))
+        for side, n, i in ends:
+            side[n] = deep[i]
+    found = [(i, 0, ZeroInterval(gammas[i], gammas[i], 0.0, 0.0,
                                  resolution)) for i in zeros]
     found += [(i, 1, ZeroInterval(reduce(float(lo[n])), reduce(float(hi[n])),
                                   float(flo[n]), float(fhi[n]), resolution))
               for n, i in enumerate(cells)]
     intervals.extend(zi for _, _, zi in sorted(found, key=lambda t: t[:2]))
     if not intervals:
+        if shallow.any():
+            phis = [v for _, v, _ in scan(T, f, grid_size, N)]
         raise NoSignChange(min(phis), max(phis))
     return intervals
 

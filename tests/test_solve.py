@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowerflat.solve as solve_mod
-from flowerflat.circle import Arc, distance, reduce
+from flowerflat import cli
+from flowerflat.circle import Arc, distance, reduce, reduce_many
 from flowerflat.dynamics import (ExpandingMap, make_linear_map,
                                  map_from_slopes, periodic_orbits)
 from flowerflat.flatten import default_depth, functional, tail_bound
@@ -29,8 +30,45 @@ from exact_oracle import walked_orbits
 
 T2 = make_linear_map(2)
 T3 = make_linear_map(3)
+T4 = make_linear_map(4)
 S244 = map_from_slopes([2.0, 4.0, 4.0])
 COS = TrigPolynomial(cos_coeffs=[1.0])
+TRIG2 = TrigPolynomial(cos_coeffs=[0.3, -0.7], sin_coeffs=[0.5])
+PWL = PiecewiseLinear.from_points([0.1, 0.35, 0.6, 0.8], [0.4, -0.3, 0.2, 0.5])
+#: cos 2 pi x scaled so far down that around its roots on T2 its values
+#: lie below the plateau tolerance 1e-9: plateaus in ``solve_pre_sturmian``
+FAINT = TrigPolynomial(cos_coeffs=[3e-9])
+#: an f whose truncation bounds lie far below the plateau tolerance 1e-9,
+#: for the fakes of ``phi_of_gammas``, which ignore f
+TINY = TrigPolynomial(cos_coeffs=[1e-12])
+
+
+def fake_phi(monkeypatch, calls, N, phi, shift):
+    """Patch ``phi_of_gammas`` to give phi(gamma) at depth N, and phi(gamma)
+    + shift with the bound 2 |shift| at every other depth.  Each call is
+    logged in calls as (number of gammas, depth, made by a multisection
+    round); the list returned gets the gammas of each call."""
+    points, rounds = [], []
+    multisect = solve_mod._multisect_roots
+
+    def in_rounds(*args):
+        rounds.append(True)
+        try:
+            return multisect(*args)
+        finally:
+            rounds.pop()
+
+    def fake(T, f, gammas, depth):
+        g = np.asarray(gammas, dtype=float)
+        calls.append((len(g), depth, bool(rounds)))
+        points.append(g.tolist())
+        if depth == N:
+            return phi(g), np.full(len(g), 1e-12)
+        return phi(g) + shift, np.full(len(g), 2 * abs(shift))
+
+    monkeypatch.setattr(solve_mod, "_multisect_roots", in_rounds)
+    monkeypatch.setattr(solve_mod, "phi_of_gammas", fake)
+    return points
 
 
 def s244_exact(z):
@@ -91,21 +129,26 @@ def staircase_grid(seed, size=256):
 
 
 @st.composite
+def _functions(draw):
+    """A trig f of one or two terms or a pwl f of two to five points."""
+    unit = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        return TrigPolynomial(draw(st.lists(unit, min_size=1, max_size=2)),
+                              draw(st.lists(unit, max_size=2)))
+    pts = draw(st.lists(st.floats(0.0, 0.999), min_size=2, max_size=5,
+                        unique_by=lambda x: round(x, 2)))
+    return PiecewiseLinear.from_points(pts, draw(st.lists(
+        unit, min_size=len(pts), max_size=len(pts))))
+
+
+@st.composite
 def _family_cases(draw):
     """A map (T2, T3 or slopes (2,4,4)), a trig or pwl f, a depth, and
     gammas at grid points, within 1e-9 of branch breaks, at periodic
     points (1/2 is a fixed point of T3, 2/3 one of the (2,4,4) map) and
     at random."""
     T = draw(st.sampled_from([T2, T3, S244]))
-    unit = st.floats(-1.0, 1.0)
-    if draw(st.booleans()):
-        f = TrigPolynomial(draw(st.lists(unit, min_size=1, max_size=2)),
-                           draw(st.lists(unit, max_size=2)))
-    else:
-        pts = draw(st.lists(st.floats(0.0, 0.999), min_size=2, max_size=5,
-                            unique_by=lambda x: round(x, 2)))
-        f = PiecewiseLinear.from_points(pts, draw(st.lists(
-            unit, min_size=len(pts), max_size=len(pts))))
+    f = draw(_functions())
     # Up to depth 18 no arc of the walk gets shorter than EPS.  Deeper,
     # on flowers whose left end is periodic (T3 at 1/2), the walk's
     # endpoint tolerance puts the whole petal back into the sum; see
@@ -304,22 +347,25 @@ class TestSolvePreSturmian:
         (1e-10, [56, 56, 56, 56, 54]), (1e-12, [70, 70, 70, 68, 68, 68])])
     def test_rounds_sized_to_the_bracket(self, monkeypatch, resolution,
                                          rows):
-        """After the 512-row scan, the two sign changes of cos on T2 at
-        depth 37 close in as many rounds as 64 sub-brackets a round need
+        """After the 512-row scan at the shallow depth, and the rows at
+        the roots 1/4 and 3/4 taken at depth 37, the two sign changes of
+        cos on T2 close in as many rounds as 64 sub-brackets a round need
         (5 to 1e-10, 6 to 1e-12), with the fewest points per bracket that
         do (28, then 27; 35, then 34) instead of 63.  Each bracket ends
         at most the resolution wide, on a sign change or an exact zero."""
         calls = []
 
         def counted(T, f, gammas, N):
-            calls.append(len(gammas))
+            calls.append((len(gammas), N))
             return phi_of_gammas(T, f, gammas, N)
 
         monkeypatch.setattr(solve_mod, "phi_of_gammas", counted)
         intervals = solve_pre_sturmian(T2, COS, 37, resolution=resolution,
                                        grid_size=512)
-        assert calls == [512] + rows
-        assert all(n <= 2 * solve_mod.MULTISECTION_POINTS for n in calls[1:])
+        assert calls == [(512, solve_mod.SHALLOW_DEPTH), (2, 37)] + [
+            (n, 37) for n in rows]
+        assert all(n <= 2 * solve_mod.MULTISECTION_POINTS
+                   for n, _ in calls[2:])
         assert len(intervals) == 2
         for zi in intervals:
             assert 0.0 <= zi.gamma_high - zi.gamma_low <= resolution
@@ -329,22 +375,22 @@ class TestSolvePreSturmian:
     def test_one_round_when_one_is_enough(self, monkeypatch):
         """Brackets that s <= 63 sub-brackets take to the resolution close
         in one round, whatever the rounding of the points: the rounds aim
-        two ulps short of it."""
+        two ulps short of it.  Around the round come the shallow scan, at
+        most one call at depth N before it and at most one after it."""
         calls = []
-
-        def phi(T, f, gammas, N):
-            calls.append(len(gammas))
-            gammas = np.asarray(gammas)
-            return ((gammas - 0.1) * (gammas - 0.78),
-                    np.full(len(gammas), 1e-12))
-
-        monkeypatch.setattr(solve_mod, "phi_of_gammas", phi)
+        fake_phi(monkeypatch, calls, 10,
+                 lambda g: (g - 0.1) * (g - 0.78), shift=1e-4)
         for grid in (512, 16, 10, 7, 3):
             for s in range(2, 64):
                 calls.clear()
-                solve_pre_sturmian(T2, COS, 10, resolution=1 / grid / s,
+                solve_pre_sturmian(T2, TINY, 10, resolution=1 / grid / s,
                                    grid_size=grid)
-                assert len(calls) == 2 and calls[1] <= 2 * s
+                assert calls[0] == (grid, solve_mod.SHALLOW_DEPTH, False)
+                rounds = [n for n, _, inside in calls if inside]
+                assert len(rounds) == 1 and rounds[0] <= 2 * s
+                before = calls[1:calls.index((rounds[0], 10, True))]
+                assert len(before) <= 1 and len(calls) - len(before) <= 3
+                assert all(N == 10 for _, N, _ in calls[1:])
 
     @pytest.mark.parametrize("resolution", [1e-16, 1e-17, math.ulp(0.0)])
     def test_resolution_below_the_ulp(self, resolution):
@@ -363,6 +409,118 @@ class TestSolvePreSturmian:
         with pytest.raises(ValueError, match="resolution"):
             solve_pre_sturmian(T2, COS, 10, resolution=resolution,
                                grid_size=16)
+
+
+def _solved(T, f, N, resolution, grid):
+    """The repr of ``solve_pre_sturmian``'s intervals, or of the values
+    its NoSignChange reports, which tells -0.0 from 0.0."""
+    try:
+        return repr(solve_pre_sturmian(T, f, N, resolution, grid))
+    except NoSignChange as exc:
+        return repr((exc.phi_min, exc.phi_max))
+
+
+class TestCertifiedScan:
+    """The scan of ``solve_pre_sturmian`` at depth SHALLOW_DEPTH, whose
+    rows of uncertified sign are taken again at depth N."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(T=st.sampled_from([T2, T3, T4, S244]), f=_functions(),
+           N=st.integers(solve_mod.SHALLOW_DEPTH + 1, 40),
+           grid=st.sampled_from([64, 512]))
+    def test_certified_rows_keep_their_sign_at_depth_n(self, T, f, N, grid):
+        gammas, phis, shallow, tol = solve_mod._certified_scan(T, f, grid,
+                                                               N)
+        deep, bounds = phi_of_gammas(T, f, gammas, N)
+        phis = np.array(phis)
+        assert tol == max(1e-9, 2.0 * bounds[0])
+        assert (np.sign(phis[shallow]) == np.sign(deep[shallow])).all()
+        assert (np.abs(deep[shallow]) > tol).all()
+        assert phis[~shallow].tobytes() == deep[~shallow].tobytes()
+
+    @pytest.mark.parametrize("T", [T2, T3, S244])
+    def test_truncation_bounds_are_phi_of_gammas_bounds(self, T):
+        """Bitwise, on the grid, next to the breaks, where the flowers are
+        nudged, and at periodic points."""
+        gammas = np.concatenate([np.arange(512) / 512,
+                                 reduce_many(np.add.outer(
+                                     T.breaks, [-1e-9, 0.0, 1e-10])).ravel(),
+                                 [1 / 3, 2 / 3, 1 / 7]])
+        for f in (COS, PWL):
+            for N in (8, 37):
+                assert solve_mod._truncation_bounds(
+                    T, f, gammas, N).tobytes() == phi_of_gammas(
+                        T, f, gammas, N)[1].tobytes()
+
+    @pytest.mark.parametrize("T, f, N, resolution, grid", [
+        (T2, FAINT, 37, 1e-10, 512),
+        (T2, COS, 37, 1e-14, 512),
+        (T3, PWL, 23, 1e-10, 512),
+        (S244, TRIG2, 30, 1e-12, 128),
+        (T4, PWL, 20, 1e-14, 64)])
+    def test_reports_as_at_full_depth(self, monkeypatch, T, f, N,
+                                      resolution, grid):
+        shallow = _solved(T, f, N, resolution, grid)
+        monkeypatch.setattr(solve_mod, "SHALLOW_DEPTH", N)
+        assert shallow == _solved(T, f, N, resolution, grid)
+
+    def test_plateaus_at_full_depth(self):
+        """The first case above compares plateaus."""
+        assert [zi.is_plateau for zi in solve_pre_sturmian(
+            T2, FAINT, 37, 1e-10, 512)] == [True, True]
+
+    def test_exact_zero_on_the_grid(self, monkeypatch):
+        """0 at depth N and 1e-6 at the shallow depth: the row is not
+        certified, so it is taken at depth N and reported as a zero."""
+        calls = []
+        fake_phi(monkeypatch, calls, 10, lambda g: g - 0.125, 1e-6)
+        intervals = solve_pre_sturmian(T2, TINY, 10, 1e-10, 16)
+        assert intervals[0] == ZeroInterval(0.125, 0.125, 0.0, 0.0, 1e-10)
+        assert calls[:2] == [(16, solve_mod.SHALLOW_DEPTH, False),
+                             (1, 10, False)]
+
+    def test_ends_that_never_move(self, monkeypatch):
+        """The root 1e-14 past the grid point 1/4 leaves the low end of its
+        bracket there, and the jump of the fake at 0 the high end of the
+        last bracket: both ends held their shallow values, and report
+        their values at depth N, from one call after the rounds."""
+        calls = []
+
+        def phi(g):
+            return 1e6 * (g - 0.25) - 1e-8
+
+        points = fake_phi(monkeypatch, calls, 10, phi, 1e-12)
+        first, last = solve_pre_sturmian(T2, TINY, 10, 1e-10, 16)
+        assert first.gamma_low == 0.25 and first.phi_low == phi(0.25)
+        assert first.phi_low != phi(0.25) + 1e-12
+        assert last.gamma_high == 0.0 and last.phi_high == phi(0.0)
+        assert calls[0] == (16, solve_mod.SHALLOW_DEPTH, False)
+        assert all(inside for _, _, inside in calls[1:-1])
+        assert calls[-1] == (2, 10, False) and points[-1] == [0.0, 0.25]
+
+    def test_no_sign_change_reports_depth_n(self, monkeypatch):
+        calls = []
+        fake_phi(monkeypatch, calls, 10, lambda g: 1.0 + g, 1e-3)
+        with pytest.raises(NoSignChange) as info:
+            solve_pre_sturmian(T2, TINY, 10, 1e-10, 16)
+        assert (info.value.phi_min, info.value.phi_max) == (1.0, 1.9375)
+        assert calls == [(16, solve_mod.SHALLOW_DEPTH, False),
+                         (16, 10, False)]
+
+    def test_scan_command_keeps_depth_n(self, monkeypatch, tmp_path):
+        depths = []
+
+        def counted(T, f, gammas, N):
+            depths.append(N)
+            return phi_of_gammas(T, f, gammas, N)
+
+        monkeypatch.setattr(solve_mod, "phi_of_gammas", counted)
+        config = tmp_path / "config.json"
+        config.write_text('{"function": {"type": "trig", "cos": [1.0]}}')
+        assert cli.main(["scan", "--config", str(config), "--depth", "20",
+                         "--grid", "16", "--out",
+                         str(tmp_path / "scan.csv")]) == 0
+        assert depths == [20]
 
 
 #: exact lifted breaks and slopes of T2, T3 and S244, whose fixed point is 0
