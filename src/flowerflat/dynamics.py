@@ -17,6 +17,7 @@ break wherever (F(u), F(v)) contains an integer.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
@@ -25,7 +26,14 @@ import numpy as np
 
 from .circle import EPS, reduce, reduce_many
 
-_CLOSURE_TOL = 1e-9
+
+def _rational(x: float) -> Fraction:
+    """x as ``ExpandingMap.exact`` reads it; ValueError unless finite."""
+    if not math.isfinite(x):
+        raise ValueError(f"map data must be finite, got {x!r}")
+    binary = Fraction(x)
+    r = binary.limit_denominator(2 ** 20)
+    return r if float(r) == x else binary
 
 
 @dataclass(frozen=True)
@@ -34,7 +42,12 @@ class ExpandingMap:
 
     ``breaks[0]`` is the fixed point a0; ``breaks`` lists T^{-1}(a0) in
     counterclockwise order starting from a0.  ``slopes[i]`` is the
-    derivative on the branch [breaks[i], breaks[i+1]).
+    derivative on the branch [breaks[i], breaks[i+1]).  ``exact`` is the
+    map's one exact model: the lifted breaks in [a_0, a_0 + 1) and the
+    slopes as ``Fraction``s, each float x read as the nearest rational of
+    denominator at most 2^20 where that rounds to x (i/k and k for T_k),
+    else as x's binary value.  Every branch closes on it, s_i (a_{i+1} -
+    a_i) = 1 with a_k = a_0 + 1, or the map is rejected.
     """
 
     breaks: tuple
@@ -52,11 +65,14 @@ class ExpandingMap:
         lifted = [a0 + reduce(b - a0) for b in self.breaks]
         if any(lifted[i + 1] - lifted[i] <= EPS for i in range(k - 1)):
             raise ValueError("branch breakpoints must be strictly increasing")
+        a = [_rational(b) for b in self.breaks]
+        a = [a[0] + (b - a[0]) % 1 for b in a] + [a[0] + 1]
+        s = [_rational(v) for v in self.slopes]
         for i in range(k):
-            hi = lifted[i + 1] if i + 1 < k else a0 + 1.0
-            if abs(self.slopes[i] * (hi - lifted[i]) - 1.0) > _CLOSURE_TOL:
+            if s[i] * (a[i + 1] - a[i]) != 1:
                 raise ValueError(
                     "branch %d does not wrap the circle exactly once" % i)
+        object.__setattr__(self, "exact", (tuple(a[:k]), tuple(s)))
         object.__setattr__(self, "_lifted", tuple(lifted))
         object.__setattr__(self, "_lifted_array", np.array(lifted))
         object.__setattr__(self, "_slope_array",
@@ -95,12 +111,6 @@ class ExpandingMap:
         i = max(bisect.bisect_right(lifted, u) - 1, 0)
         return reduce(lifted[0] + self.slopes[i] * (u - lifted[i]))
 
-    def branch_many(self, xs) -> np.ndarray:
-        """``branch_index`` on an array of points."""
-        lifted = self._lifted_array
-        u = lifted[0] + reduce_many(np.asarray(xs, dtype=float) - lifted[0])
-        return lifted[1:].searchsorted(u, "right")
-
     def apply_many(self, xs) -> np.ndarray:
         """``apply`` on an array of points."""
         lifted, slopes = self._lifted_array, self._slope_array
@@ -116,11 +126,10 @@ class ExpandingMap:
         return reduce(self._lifted[i] + reduce(x - a0) / self.slopes[i])
 
     def is_linear(self) -> bool:
-        """True iff this is the map x -> kx mod 1."""
+        """True iff this is the map x -> kx mod 1, on the exact model."""
         k = self.degree
-        return (self.fixed_point == 0.0
-                and all(s == k for s in self.slopes)
-                and all(abs(self.breaks[i] - i / k) <= EPS for i in range(k)))
+        return self.exact == (tuple(Fraction(i, k) for i in range(k)),
+                              (k,) * k)
 
     def lift(self, us) -> np.ndarray:
         """F on an array of real points: with t whole turns past a_0 and
@@ -163,18 +172,15 @@ def make_linear_map(k: int) -> ExpandingMap:
 
 def map_from_slopes(slopes: Sequence[float],
                     fixed_point: float = 0.0) -> ExpandingMap:
-    """Piecewise-affine map with the given branch slopes.
-
-    The branch lengths 1/slope_i must sum to 1; the breakpoints are derived
-    by accumulating them from the fixed point.
-    """
-    total = sum(1.0 / s for s in slopes)
-    if abs(total - 1.0) > _CLOSURE_TOL:
-        raise ValueError("reciprocal slopes must sum to 1, got %.17g" % total)
-    breaks = [reduce(fixed_point)]
-    for s in slopes[:-1]:
-        breaks.append(reduce(breaks[-1] + 1.0 / s))
-    return ExpandingMap(tuple(breaks), tuple(float(s) for s in slopes))
+    """Piecewise-affine map with the given branch slopes: the breaks sum
+    the lengths 1/slope_i from the fixed point in ``Fraction``s, as
+    ``exact`` reads the data, each rounded once.  Unless the lengths sum
+    to 1 the last branch does not close, and ValueError is raised."""
+    breaks = [_rational(reduce(fixed_point))]
+    for v in slopes[:-1]:
+        breaks.append(breaks[-1] + 1 / _rational(v))
+    return ExpandingMap(tuple(float(b % 1) for b in breaks),
+                        tuple(float(v) for v in slopes))
 
 
 #: cap on sum_{n <= max_period} k^n, the numerators ``periodic_orbits``

@@ -69,7 +69,7 @@ certified sign may be wrong, as a scan at depth N would be.
 The one invariant measure of a 1-flower is a T-cycle whose coding is a
 mechanical word.  ``sturmian_estimate`` and the staircase find it by an
 exact Stern-Brocot descent over its rotation number, ``_plateau``, in
-``Fraction``s on the map's exact data: the construction is the
+``Fraction``s on the map's exact model ``T.exact``: the construction is the
 certificate.
 """
 from __future__ import annotations
@@ -372,18 +372,6 @@ class SturmianEstimate:
     period: int
 
 
-def _exact_map(T: ExpandingMap):
-    """The breaks a_0 < ... < a_{k-1} of T lifted into [a_0, a_0 + 1) and
-    the slopes, as exact rationals: i/k and k for a linear map, else the
-    stored floats, which are exact rationals."""
-    k = T.degree
-    if T.is_linear():
-        return [Fraction(i, k) for i in range(k)], [Fraction(k)] * k
-    a0 = Fraction(T.fixed_point)
-    return ([a0 + (Fraction(b) - a0) % 1 for b in T.breaks],
-            [Fraction(v) for v in T.slopes])
-
-
 def _compose(m, n):
     """The affine map u -> A u + B of m after n, each an (A, B) pair."""
     return m[0] * n[0], m[0] * n[1] + m[1]
@@ -396,10 +384,10 @@ def _power(m, n: int):
     return An, B * (1 - An) / (1 - A)
 
 
-def _plateau(a, s, gamma: float, nodes: dict
+def _plateau(T: ExpandingMap, gamma: float, nodes: dict
              ) -> Tuple[int, int, int, Fraction]:
     """The Sturmian cycle O of the 1-flower from gamma, as (i, p, q, z), on
-    the exact lifted breaks a and slopes s of ``_exact_map``.
+    the exact lifted breaks a and slopes s of ``T.exact``.
 
     The flower [gamma, F^-1(F(gamma) + 1)] meets branches i and i + 1
     (mod k), the letters 0 and 1.  The cycle of rotation number p/q is
@@ -417,6 +405,7 @@ def _plateau(a, s, gamma: float, nodes: dict
     bisection.  ``nodes`` keeps for the next call the maps and plateau
     ends of each node (i, p, q), and under i the (p, q) found last, which
     is tried first.  z is min O as a point of [a_0, a_0 + 1]."""
+    a, s = T.exact
     k, a0 = len(a), a[0]
     g = a0 + (Fraction(gamma) - a0) % 1
     i = sum(x <= g for x in a[1:])
@@ -483,11 +472,13 @@ def _plateau(a, s, gamma: float, nodes: dict
     return (i,) + pq + (nodes[(i,) + pq][2],)
 
 
-def _cycle(a, s, i: int, p: int, q: int, z: Fraction) -> List[Fraction]:
+def _cycle(T: ExpandingMap, i: int, p: int, q: int,
+           z: Fraction) -> List[Fraction]:
     """The points of the cycle of ``_plateau``, reduced to [0, 1), from
     the smallest, in selector order (each point the preimage of the one
     before): the T-orbit of min O, whose branches are the letters of the
     lower mechanical word of p/q, in reverse."""
+    a, s = T.exact
     k, a0 = len(a), a[0]
     orbit = []
     for j in range(q):
@@ -509,8 +500,7 @@ def sturmian_estimate(F: Flower, f, depth: int = 40) -> SturmianEstimate:
     if F.p != 1:
         raise ValueError("Sturmian estimation needs a 1-flower")
     T = F.map
-    a, s = _exact_map(T)
-    exact = _cycle(a, s, *_plateau(a, s, F.petals[0].left, {}))
+    exact = _cycle(T, *_plateau(T, F.petals[0].left, {}))
     pts = [float(z) for z in exact]
     branches = [T.branch_index(p) for p in pts]
     return SturmianEstimate(
@@ -646,11 +636,11 @@ def branch_one_frequency_scan(k: int, gammas: Sequence[float],
     if not (_integers(k, burn_in, length)
             and k >= 2 and burn_in >= 0 and length >= 1):
         raise ValueError("need integers k >= 2, burn_in >= 0, length >= 1")
-    a, s = _exact_map(make_linear_map(k))
+    T = make_linear_map(k)
     nodes, freqs = {}, []
     for gamma in gammas:
         g = reduce(gamma)
-        i, p, q, _ = _plateau(a, s, g, nodes)
+        i, p, q, _ = _plateau(T, g, nodes)
         if i == k - 1 and p == 0 and g >= 1 - Fraction(1, 2 * k):
             p = 1  # the midpoint is on branch 0, the letter 1
         freqs.append(((q - p) * (i == 1) + p * ((i + 1) % k == 1)) / q)

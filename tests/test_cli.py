@@ -81,6 +81,9 @@ class TestNonFiniteInput:
                  "slopes": [2.0, NAN]}, "map.slopes"),
         ("map", {"type": "piecewise_affine", "breaks": [0.0, INF],
                  "slopes": [2.0, 2.0]}, "map.breaks"),
+        # branch 1 ends 4.75e-10 short of a whole turn
+        ("map", {"type": "piecewise_affine", "breaks": [0.0, 0.5],
+                 "slopes": [2.0, 2.0000000019]}, "map spec"),
     ])
     def test_rejected_with_field_name(self, tmp_path, capsys, command,
                                       section, spec, field):

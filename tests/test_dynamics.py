@@ -61,7 +61,10 @@ class TestMapFromSlopes:
         assert T.lipschitz_constant == 4.0
         assert not T.is_linear()
         # branch lengths 1/2, 1/4, 1/4 from the fixed point 0
-        assert T.breaks == (0.0, 0.5, 0.75)
+        assert T.breaks == T._lifted == (0.0, 0.5, 0.75)
+        assert T._lifted_array.tolist() == [0.0, 0.5, 0.75]
+        assert T.slopes == (2.0, 4.0, 4.0)
+        assert T._slope_array.tolist() == [2.0, 4.0, 4.0]
         assert T.apply(0.25) == pytest.approx(0.5, abs=1e-14)
         assert T.apply(0.625) == pytest.approx(0.5, abs=1e-14)
 
@@ -71,6 +74,61 @@ class TestMapFromSlopes:
             left = T.breaks[i]
             right = T.breaks[(i + 1) % T.degree]
             assert T.winding(left, right) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestExactModel:
+    """``exact``: the lifted breaks and slopes as Fractions, each float read
+    as the nearest rational of denominator <= 2^20 that rounds to it."""
+
+    def test_hand_written_maps(self):
+        assert make_linear_map(2).exact == (
+            (Fraction(0), Fraction(1, 2)), (2, 2))
+        assert make_linear_map(3).exact == (
+            (Fraction(0), Fraction(1, 3), Fraction(2, 3)), (3, 3, 3))
+        assert map_from_slopes([2.0, 4.0, 4.0]).exact == (
+            (Fraction(0), Fraction(1, 2), Fraction(3, 4)), (2, 4, 4))
+
+    @pytest.mark.parametrize("k", list(range(2, 13)) + [97, 1000])
+    def test_linear_maps(self, k):
+        """i/k and k, with the float data of T_k as it was: breaks, lifted
+        breaks and slopes i/k and k, bit for bit."""
+        T = make_linear_map(k)
+        assert T.exact == (tuple(Fraction(i, k) for i in range(k)), (k,) * k)
+        assert T.is_linear()
+        breaks = [(i / k).hex() for i in range(k)]
+        assert [x.hex() for x in T.breaks] == breaks
+        assert [x.hex() for x in T._lifted] == breaks
+        assert [x.hex() for x in T._lifted_array.tolist()] == breaks
+        assert T.slopes == (float(k),) * k
+        assert T._slope_array.tolist() == [float(k)] * k
+        assert T._slope_array.dtype == T._lifted_array.dtype == np.float64
+
+    @pytest.mark.parametrize("breaks, slopes", [
+        ((0.0, 0.5 + 1e-13), (2.0, 2.0)),
+        ((0.1, 0.43333333333333335, 0.7666666666666666), (3.0, 3.0, 3.0))])
+    def test_branches_that_do_not_close(self, breaks, slopes):
+        with pytest.raises(ValueError, match="does not wrap"):
+            ExpandingMap(breaks, slopes)
+
+    def test_breaks_from_slopes_close(self):
+        """Accumulated in Fractions, each break rounded once."""
+        T = map_from_slopes([3.0, 3.0, 3.0], fixed_point=0.1)
+        assert T.breaks == (0.1, 0.43333333333333335, 0.7666666666666667)
+        assert T.exact[0] == (Fraction(1, 10), Fraction(13, 30),
+                              Fraction(23, 30))
+        assert not T.is_linear()
+        T = map_from_slopes([4.0, 2.0, 4.0], fixed_point=0.3)
+        assert T.breaks == (0.3, 0.55, 0.05)
+        assert T.exact == ((Fraction(3, 10), Fraction(11, 20),
+                            Fraction(21, 20)), (4, 2, 4))
+
+    @pytest.mark.parametrize("slopes", [[2.0, float("inf")],
+                                        [float("nan"), 2.0]])
+    def test_non_finite_slopes(self, slopes):
+        with pytest.raises(ValueError):
+            map_from_slopes(slopes)
+        with pytest.raises(ValueError):
+            ExpandingMap((0.0, 0.5), tuple(slopes))
 
 
 class TestLift:
