@@ -76,12 +76,10 @@ class Arc:
         object.__setattr__(self, "length",
                            0.0 if left == right else reduce(right - left))
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        """True iff x lies in the closed arc, up to endpoint tolerance tol."""
-        if tol < 0:
-            raise ValueError("tol must be >= 0")
+    def contains(self, x: float) -> bool:
+        """True iff x lies in the closed arc."""
         off = reduce(reduce(x) - self.left)
-        return off <= self.length + tol or off >= 1.0 - tol
+        return off <= self.length
 
     def midpoint(self) -> float:
         return reduce(self.left + self.length / 2.0)

@@ -175,7 +175,10 @@ def map_from_slopes(slopes: Sequence[float],
     """Piecewise-affine map with the given branch slopes: the breaks sum
     the lengths 1/slope_i from the fixed point in ``Fraction``s, as
     ``exact`` reads the data, each rounded once.  Unless the lengths sum
-    to 1 the last branch does not close, and ValueError is raised."""
+    to 1 the last branch does not close, and ValueError is raised, as it
+    is unless every slope is > 1."""
+    if any(v <= 1 for v in slopes):
+        raise ValueError("map is not expanding: need all slopes > 1")
     breaks = [_rational(reduce(fixed_point))]
     for v in slopes[:-1]:
         breaks.append(breaks[-1] + 1 / _rational(v))

@@ -250,29 +250,26 @@ def _multisect_roots(T: ExpandingMap, f, N: int, lo, flo, hi, fhi,
 
 
 def _certified_scan(T: ExpandingMap, f, grid_size: int, N: int
-                    ) -> Tuple[List[float], List[float], np.ndarray, float]:
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """The scan of ``solve_pre_sturmian``: the grid gammas, Phi at each,
     the rows that keep their value at depth n = min(N, SHALLOW_DEPTH) and
     the plateau tolerance.  A row keeps its shallow value where
     |Phi_n| > err_n + err_N + plateau_tol + rho; then Phi_N has its sign
     and is no plateau value (module docstring).  Every other row is taken
     at depth N, in one ``phi_of_gammas`` call."""
-    rows = scan(T, f, grid_size, min(N, SHALLOW_DEPTH))
-    gammas = [g for g, _, _ in rows]
-    phis = [v for _, v, _ in rows]
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
+    gammas = np.arange(grid_size) / grid_size
+    phis, errors = phi_of_gammas(T, f, gammas, min(N, SHALLOW_DEPTH))
     if N <= SHALLOW_DEPTH:
-        return gammas, phis, np.zeros(len(rows), dtype=bool), max(
-            1e-9, 2.0 * rows[0][2])
+        return gammas, phis, np.zeros(grid_size, dtype=bool), max(
+            1e-9, 2.0 * float(errors[0]))
     bounds = _truncation_bounds(T, f, gammas, N)
     plateau_tol = max(1e-9, 2.0 * float(bounds[0]))
-    shallow = np.abs(phis) > (np.array([e for *_, e in rows]) + bounds
-                              + plateau_tol
+    shallow = np.abs(phis) > (errors + bounds + plateau_tol
                               + _rounding_bound(f, SHALLOW_DEPTH, N))
-    redo = np.flatnonzero(~shallow).tolist()
-    if redo:
-        values, _ = phi_of_gammas(T, f, [gammas[i] for i in redo], N)
-        for i, v in zip(redo, values.tolist()):
-            phis[i] = v
+    if not shallow.all():
+        phis[~shallow] = phi_of_gammas(T, f, gammas[~shallow], N)[0]
     return gammas, phis, shallow, plateau_tol
 
 
@@ -295,68 +292,59 @@ def solve_pre_sturmian(T: ExpandingMap, f, N: int,
         raise ValueError("resolution must be finite and positive")
     gammas, phis, shallow, plateau_tol = _certified_scan(T, f, grid_size, N)
     m = len(gammas)
-    small = [abs(v) <= plateau_tol for v in phis]
-    intervals: List[ZeroInterval] = []
+    small = np.abs(phis) <= plateau_tol
+    if small.all():
+        return [ZeroInterval(0.0, (m - 1) / m, float(phis[0]),
+                             float(phis[-1]), resolution)]
 
-    if all(small):
-        return [ZeroInterval(0.0, (m - 1) / m, phis[0], phis[-1], resolution)]
-
-    # plateau runs of >= 3 consecutive small values (cyclic)
-    in_plateau = [False] * m
-    start = next(i for i in range(m) if not small[i])
-    i = start
-    while True:
-        i = (i + 1) % m
-        if small[i]:
-            j = i
-            run = 0
-            while small[j % m]:
-                run += 1
-                j += 1
-            if run >= 3:
-                for t in range(i, i + run):
-                    in_plateau[t % m] = True
-                intervals.append(ZeroInterval(
-                    gammas[i], gammas[(i + run - 1) % m],
-                    phis[i], phis[(i + run - 1) % m], resolution))
-            i = (j - 1) % m
-        if i == start or (i + 1) % m == start:
-            break
+    # plateau runs of >= 3 consecutive small rows (cyclic), in grid order
+    # from the first row that is not small, where no run can wrap
+    start = int(np.argmin(small))
+    edges = np.diff(np.roll(small, -start), prepend=False, append=False)
+    first, stop = np.flatnonzero(edges).reshape(-1, 2).T
+    plateau = stop - first >= 3
+    first, stop = first[plateau], stop[plateau]
+    marks = np.zeros(m + 1, dtype=int)
+    marks[first], marks[stop] = 1, -1
+    in_plateau = np.roll(np.cumsum(marks[:-1]) > 0, start)
+    first, last = (first + start) % m, (stop - 1 + start) % m
+    intervals = [ZeroInterval(float(gammas[i]), float(gammas[j]),
+                              float(phis[i]), float(phis[j]), resolution)
+                 for i, j in zip(first, last)]
 
     # outside plateaus, in grid order: exact zeros on the grid, and sign
     # changes between neighbours, which are multisected together
-    zeros = [i for i in range(m) if phis[i] == 0.0 and not in_plateau[i]]
-    cells = [i for i in range(m)
-             if not (in_plateau[i] or in_plateau[(i + 1) % m])
-             and phis[i] != 0.0 and phis[(i + 1) % m] != 0.0
-             and (phis[i] < 0) != (phis[(i + 1) % m] < 0)]
-    lo0 = [gammas[i] for i in cells]
-    hi0 = [gammas[i] + 1.0 / m for i in cells]
-    lo, flo, hi, fhi = _multisect_roots(
-        T, f, N, lo0, [phis[i] for i in cells], hi0,
-        [phis[(i + 1) % m] for i in cells], resolution)
+    after = np.roll(phis, -1)
+    zeros = np.flatnonzero((phis == 0.0) & ~in_plateau)
+    cells = np.flatnonzero(~(in_plateau | np.roll(in_plateau, -1))
+                           & (phis != 0.0) & (after != 0.0)
+                           & ((phis < 0) != (after < 0)))
+    ends = (cells + 1) % m
+    lo0, hi0 = gammas[cells], gammas[cells] + 1.0 / m
+    lo, flo, hi, fhi = _multisect_roots(T, f, N, lo0, phis[cells], hi0,
+                                        phis[ends], resolution)
     # a bracket end that no round moved holds its scan value: the grid
     # row's, shallow where the scan kept it, so it is taken at depth N
-    ends = [(flo, n, i) for n, i in enumerate(cells)
-            if shallow[i] and lo[n] == lo0[n]]
-    ends += [(fhi, n, (i + 1) % m) for n, i in enumerate(cells)
-             if shallow[(i + 1) % m] and hi[n] == hi0[n]]
-    if ends:
-        stale = sorted({i for *_, i in ends})
-        values, _ = phi_of_gammas(T, f, [gammas[i] for i in stale], N)
-        deep = dict(zip(stale, values.tolist()))
-        for side, n, i in ends:
-            side[n] = deep[i]
-    found = [(i, 0, ZeroInterval(gammas[i], gammas[i], 0.0, 0.0,
-                                 resolution)) for i in zeros]
-    found += [(i, 1, ZeroInterval(reduce(float(lo[n])), reduce(float(hi[n])),
-                                  float(flo[n]), float(fhi[n]), resolution))
-              for n, i in enumerate(cells)]
-    intervals.extend(zi for _, _, zi in sorted(found, key=lambda t: t[:2]))
+    stale_lo = shallow[cells] & (lo == lo0)
+    stale_hi = shallow[ends] & (hi == hi0)
+    stale = np.zeros(m, dtype=bool)
+    stale[cells[stale_lo]] = stale[ends[stale_hi]] = True
+    if stale.any():
+        phis[stale] = phi_of_gammas(T, f, gammas[stale], N)[0]
+        flo[stale_lo] = phis[cells[stale_lo]]
+        fhi[stale_hi] = phis[ends[stale_hi]]
+    found = [ZeroInterval(float(gammas[i]), float(gammas[i]), 0.0, 0.0,
+                          resolution) for i in zeros]
+    found += [ZeroInterval(reduce(float(lo[n])), reduce(float(hi[n])),
+                           float(flo[n]), float(fhi[n]), resolution)
+              for n in range(len(cells))]
+    order = np.argsort(np.concatenate([zeros, cells]))
+    intervals += [found[n] for n in order]
     if not intervals:
         if shallow.any():
-            phis = [v for _, v, _ in scan(T, f, grid_size, N)]
-        raise NoSignChange(min(phis), max(phis))
+            phis = phi_of_gammas(T, f, gammas, N)[0]
+        values = phis.tolist()
+        raise NoSignChange(min(values), max(values))
     return intervals
 
 
@@ -377,13 +365,6 @@ def _compose(m, n):
     return m[0] * n[0], m[0] * n[1] + m[1]
 
 
-def _power(m, n: int):
-    """The affine map m composed n times, in closed form."""
-    A, B = m
-    An = A ** n
-    return An, B * (1 - An) / (1 - A)
-
-
 def _plateau(T: ExpandingMap, gamma: float, nodes: dict
              ) -> Tuple[int, int, int, Fraction]:
     """The Sturmian cycle O of the 1-flower from gamma, as (i, p, q, z), on
@@ -398,13 +379,14 @@ def _plateau(T: ExpandingMap, gamma: float, nodes: dict
     each is the fixed point of the composed inverse branches u -> a_b +
     (u - a_0) / s_b of its word, an affine map of [a_0, a_0 + 1].  The
     plateaus are ordered as p/q, so the search descends the Stern-Brocot
-    tree from 0/1 and 1/1.  The lower word of a mediant is that of its
-    left parent and then that of its right one (the upper words in the
-    other order), and a run of n steps one way, to L R^n or L^n R, is a
-    power of an affine map; n is found by an exponential search and a
-    bisection.  ``nodes`` keeps for the next call the maps and plateau
-    ends of each node (i, p, q), and under i the (p, q) found last, which
-    is tried first.  z is min O as a point of [a_0, a_0 + 1]."""
+    tree from 0/1 and 1/1, one mediant per step.  The lower word of a
+    mediant is that of its left parent and then that of its right one
+    (the upper words in the other order), so each step composes two
+    cached maps.  A p/q strictly between 0 and 1 is reached in s - 1
+    steps, s the sum of its partial quotients, which is at most q.
+    ``nodes`` keeps for the next call the maps and plateau ends of each
+    node (i, p, q), and under i the (p, q) found last, which is tried
+    first.  z is min O as a point of [a_0, a_0 + 1]."""
     a, s = T.exact
     k, a0 = len(a), a[0]
     g = a0 + (Fraction(gamma) - a0) % 1
@@ -426,16 +408,6 @@ def _plateau(T: ExpandingMap, gamma: float, nodes: dict
             z += 1  # the fixed point of the word 1 on branch 0, a turn up
         return (g > z) - (top < f_max)
 
-    def step(L, R, n: int, right: bool):
-        """The node L^u R^v, (u, v) = (1, n) (right) or (n, 1), and its
-        maps."""
-        u, v = (1, n) if right else (n, 1)
-        (lower_l, upper_l), (lower_r, upper_r) = (nodes[(i,) + L][:2],
-                                                  nodes[(i,) + R][:2])
-        return (u * L[0] + v * R[0], u * L[1] + v * R[1]), lambda: (
-            _compose(_power(lower_l, u), _power(lower_r, v)),
-            _compose(_power(upper_r, v), _power(upper_l, u)))
-
     def descend():
         L, R = (0, 1), (1, 1)
         for pq in (L, R):
@@ -444,27 +416,16 @@ def _plateau(T: ExpandingMap, gamma: float, nodes: dict
             if side(pq, lambda: (m, m)) == 0:
                 return pq
         while True:
-            # gamma lies between the plateaus of L and R: the run from
-            # their mediant ends at the first node it does not lie beyond
-            pq, maps = step(L, R, 1, True)
-            t = side(pq, maps)
+            # gamma lies between the plateaus of L and R, so in the subtree
+            # of their mediant
+            (lower_l, upper_l), (lower_r, upper_r) = (nodes[(i,) + L][:2],
+                                                      nodes[(i,) + R][:2])
+            pq = (L[0] + R[0], L[1] + R[1])
+            t = side(pq, lambda: (_compose(lower_l, lower_r),
+                                  _compose(upper_r, upper_l)))
             if t == 0:
                 return pq
-            right, n = t > 0, 2
-            while side(*step(L, R, n, right)) == t:
-                n *= 2
-            low = n // 2
-            while n - low > 1:
-                mid = (low + n) // 2
-                if side(*step(L, R, mid, right)) == t:
-                    low = mid
-                else:
-                    n = mid
-            pq = step(L, R, n, right)[0]
-            if side(pq, None) == 0:
-                return pq
-            prev = step(L, R, n - 1, right)[0]
-            L, R = (prev, pq) if right else (pq, prev)
+            L, R = (pq, R) if t > 0 else (L, pq)
 
     pq = nodes.get(i)  # the plateau the last call found on branches i, i + 1
     if pq is None or side(pq, None):

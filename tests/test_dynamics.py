@@ -54,6 +54,11 @@ class TestMapFromSlopes:
         with pytest.raises(ValueError):
             map_from_slopes([3.0, 2.0, 2.0])
 
+    @pytest.mark.parametrize("slopes", [[0.0, 2.0], [2.0, 0.0]])
+    def test_zero_slope_rejected(self, slopes):
+        with pytest.raises(ValueError, match="not expanding"):
+            map_from_slopes(slopes)
+
     def test_valid_uneven_map(self):
         T = map_from_slopes([2.0, 4.0, 4.0])
         assert T.degree == 3
