@@ -49,12 +49,11 @@ EXIT_NO_SOLUTION = 4
 #: largest degree k of a linear map spec; building T_k takes O(k) time and
 #: memory, so larger k is rejected before anything is allocated
 MAX_LINEAR_DEGREE = 1000
-#: largest truncation depth N; ``scan`` and ``solve`` keep the ledger
-#: chains of every flower to depth N, so memory grows with grid * depth
+#: largest truncation depth N; time grows with grid * depth, memory with
+#: the grid and the live entries of the jump ledger
 MAX_DEPTH = 1000
 #: largest grid of ``scan``, ``solve`` and ``rank``; ``scan`` on T2 with
-#: cos at MAX_GRID x MAX_DEPTH takes 3.1 s and 103 MB peak RSS (at grid
-#: 2048, 0.8 s and 49 MB; Python 3.11, numpy 2.4, 2 CPUs)
+#: cos at both caps takes 3.3 s and 37 MB peak RSS (Python 3.11, 2 CPUs)
 MAX_GRID = 8192
 
 #: the rule of each setting name, the same in every command that reads

@@ -13,7 +13,7 @@ With a the anchor and tau right-continuous,
     phi(x) = sum_{n=1..N} [f(tau^n x) - f(tau^n a)] - sum_{c in (a, x]} J_c,
 
 where c runs over the selector's jump ledger (the points T^m d of the
-discontinuities d whose chains stay in the flower) and J_c is the jump of
+discontinuities d whose orbits stay in the flower) and J_c is the jump of
 sum_n f o tau^n at c.  ``transfer`` is the one kernel for it: all points
 of all flowers of a ``flower.SelectorTable`` move through the table
 together, one level at a time.  ``functional`` and ``Coboundary`` call it

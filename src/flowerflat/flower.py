@@ -298,8 +298,8 @@ class SelectorTable:
     arrays (start, preimage of the start, slope, preimage length) of
     shape (G, P) sorted by start in each row; a row with fewer pieces is
     padded with start +inf, never selected.  The forward data of the
-    closed form in ``flatten.transfer``, the ``chains`` and their
-    ``ledger``, is built on first use and kept for the last depth asked.
+    closed form in ``flatten.transfer``, the jump ``ledger``, is built on
+    first use and kept for the last depth asked.
     """
 
     def __init__(self, T: ExpandingMap, left: np.ndarray, right: np.ndarray):
@@ -386,43 +386,37 @@ class SelectorTable:
         y = bases + np.minimum(off / slopes, lengths)
         return y - (y >= 1.0)
 
-    def chains(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The jump-ledger chains to depth n: arrays (c, live) of shape
-        (n, G, p), c[m] = T^m d while the entry is live, that is, in the
-        ledger, and the chain's last live point after that.
+    def ledger(self, n: int) -> Tuple[np.ndarray, ...]:
+        """The jump ledger to depth n: arrays (g, j, m, c) of the flower,
+        the discontinuity, the level and the point c = T^m d of the
+        discontinuity d = disc[g, j], ordered by g, j and m.
 
         tau^(m+1) and every later iterate jump at c = T^m d, because tau^m
         is continuous at c and maps it to d.  That holds while d, ...,
         T^(m-1) d lie in the flower, so a chain is live up to its first
         point outside.  It also stops before a point within EPS of a
         discontinuity point: the chain from there is that point's own, and
-        each point is listed once.
-        """
-        chain = np.empty((n,) + self.disc.shape)
-        live = np.empty(chain.shape, dtype=bool)
-        c, on = self.disc, np.ones(self.disc.shape, dtype=bool)
-        for m in range(n):
-            # past the end of every chain nothing changes
-            if m and on.any():
-                # Flower.contains and circle.distance, on reduced points
-                inside = in_closed_arcs(c[:, :, None], self.left[:, None, :],
-                                        self.length[:, None, :])
-                nxt = self.map.apply_many(c)
-                e = np.abs(nxt[:, :, None] - self.disc[:, None, :])
-                near = np.minimum(e, 1.0 - e) <= EPS
-                on = on & inside.any(axis=2) & ~near.any(axis=2)
-                c = np.where(on, nxt, c)
-            chain[m], live[m] = c, on
-        return chain, live
-
-    def ledger(self, n: int) -> Tuple[np.ndarray, ...]:
-        """The live entries of ``chains(n)``: arrays (g, j, m, c) of the
-        flower, the discontinuity, the level and the chain point, by g, j
-        and m.  The ledger of the last depth asked for is kept."""
+        each point is listed once.  One walk applies T to the live entries
+        only, a level at a time, and ends when none is left."""
         if self._ledger[0] != n:
-            c, live = self.chains(n)
-            g, j, m = np.nonzero(live.transpose(1, 2, 0))
-            self._ledger = (n, (g, j, m, c[m, g, j]))
+            g, j = np.nonzero(np.ones(self.disc.shape, dtype=bool))
+            c = self.disc[g, j]
+            levels = [(g[:0], j[:0], g[:0], c[:0])]  # empty at depth 0
+            for m in range(n):
+                if m:
+                    # Flower.contains and circle.distance, on reduced points
+                    inside = in_closed_arcs(c[:, None], self.left[g],
+                                            self.length[g]).any(axis=1)
+                    nxt = self.map.apply_many(c)
+                    e = np.abs(nxt[:, None] - self.disc[g])
+                    on = inside & ~(np.minimum(e, 1.0 - e) <= EPS).any(axis=1)
+                    g, j, c = g[on], j[on], nxt[on]
+                    if not len(g):
+                        break
+                levels.append((g, j, np.full_like(g, m), c))
+            g, j, m, c = (np.concatenate(x) for x in zip(*levels))
+            order = np.lexsort((m, j, g))
+            self._ledger = (n, (g[order], j[order], m[order], c[order]))
         return self._ledger[1]
 
 
@@ -456,7 +450,7 @@ def random_flower(T: ExpandingMap, p: int, rng) -> Flower:
         image_lens = [reduce(d[(i + 1) % p] - d[i]) or 1.0 for i in range(p)]
         rights = arc_end(T, lefts, image_lens).tolist()
         petals = [Arc(l, r) for l, r in zip(lefts, rights)]
-        # reject chains that merge adjacent petals or collide
+        # reject draws whose petals merge or collide
         try:
             return validate_flower(petals, T)
         except FlowerError:

@@ -136,23 +136,19 @@ def phi_of_gammas(T: ExpandingMap, f, gammas: Sequence[float],
     if not len(gammas):
         return np.empty(0), np.empty(0)
     table = SelectorTable.one_flowers(T, _off_degenerate(T, gammas))
-    a, b = table.left, table.right
-    value = f.eval_many(b) - f.eval_many(a) + transfer(table, f, N, a, b)
-    K = T.expansion_constant
-    return value[:, 0], f.lipschitz_constant() * tail_bound(
-        K, N, table.length[:, 0])
+    return _phi(table, f, N), _bounds(table, f, N)
 
 
-def _truncation_bounds(T: ExpandingMap, f, gammas: Sequence[float],
-                       N: int) -> np.ndarray:
-    """The bounds ``phi_of_gammas`` returns at depth N, bitwise, with no
-    point pushed: the same expression on the lengths of the same nudged
-    flowers, as ``SelectorTable`` takes them."""
-    a = _off_degenerate(T, reduce_many(gammas))
-    length = arc_end(T, a, 1.0) - a
-    length += length < 0.0
-    return f.lipschitz_constant() * tail_bound(T.expansion_constant, N,
-                                               length)
+def _phi(table: SelectorTable, f, N: int) -> np.ndarray:
+    """Phi at depth N on each 1-flower [a, b] of the table."""
+    return (f.eval_many(table.right) - f.eval_many(table.left)
+            + transfer(table, f, N, table.left, table.right))[:, 0]
+
+
+def _bounds(table: SelectorTable, f, N: int) -> np.ndarray:
+    """The truncation bound of Phi at depth N on each 1-flower [a, b]."""
+    return f.lipschitz_constant() * tail_bound(
+        table.map.expansion_constant, N, table.length[:, 0])
 
 
 def _rounding_bound(f, n: int, N: int) -> float:
@@ -259,13 +255,16 @@ def _certified_scan(T: ExpandingMap, f, grid_size: int, N: int
     at depth N, in one ``phi_of_gammas`` call."""
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
+    if N < 0:
+        raise ValueError("N must be >= 0")
     gammas = np.arange(grid_size) / grid_size
-    phis, errors = phi_of_gammas(T, f, gammas, min(N, SHALLOW_DEPTH))
-    if N <= SHALLOW_DEPTH:
-        return gammas, phis, np.zeros(grid_size, dtype=bool), max(
-            1e-9, 2.0 * float(errors[0]))
-    bounds = _truncation_bounds(T, f, gammas, N)
+    table = SelectorTable.one_flowers(T, _off_degenerate(T, gammas))
+    n = min(N, SHALLOW_DEPTH)
+    phis, errors = _phi(table, f, n), _bounds(table, f, n)
+    bounds = _bounds(table, f, N)
     plateau_tol = max(1e-9, 2.0 * float(bounds[0]))
+    if N <= SHALLOW_DEPTH:
+        return gammas, phis, np.zeros(grid_size, dtype=bool), plateau_tol
     shallow = np.abs(phis) > (errors + bounds + plateau_tol
                               + _rounding_bound(f, SHALLOW_DEPTH, N))
     if not shallow.all():
@@ -451,24 +450,36 @@ def _cycle(T: ExpandingMap, i: int, p: int, q: int,
     return orbit[j:] + orbit[:j]
 
 
+def _coding(k: int, i: int, p: int, q: int, last: bool) -> List[float]:
+    """The branch frequencies of the cycle (i, p, q) of ``_plateau``, off
+    its word: q - p letters 0 on branch i, p letters 1 on branch i + 1
+    mod k.  The fixed point a_0, the cycle (k - 1, 0, 1), lies on the
+    break between branches k - 1 and 0, and counts on branch k - 1 where
+    ``last`` is set, else on branch 0: the estimate counts it on branch 0,
+    the staircase on the branch of the petal midpoint gamma + 1/(2k)."""
+    if i == k - 1 and p == 0 and not last:
+        p = 1
+    counts = [0] * k
+    counts[i], counts[(i + 1) % k] = q - p, p
+    return [c / q for c in counts]
+
+
 def sturmian_estimate(F: Flower, f, depth: int = 40) -> SturmianEstimate:
     """The Sturmian measure of a 1-flower, its one invariant measure
     (Bullett and Sentenac 1994): the exact T-cycle that ``_plateau``
     finds, from its smallest point, in selector order, with the average
-    of f and the branch-coding frequencies on its points rounded to
-    floats.  The support is tau^depth of the petal.  Raises ValueError
-    unless F is a 1-flower."""
+    of f on its points rounded to floats and the branch frequencies of
+    its word (``_coding``).  The support is tau^depth of the petal.
+    Raises ValueError unless F is a 1-flower."""
     if F.p != 1:
         raise ValueError("Sturmian estimation needs a 1-flower")
     T = F.map
-    exact = _cycle(T, *_plateau(T, F.petals[0].left, {}))
-    pts = [float(z) for z in exact]
-    branches = [T.branch_index(p) for p in pts]
+    i, p, q, z = _plateau(T, F.petals[0].left, {})
+    exact = _cycle(T, i, p, q, z)
     return SturmianEstimate(
         F, selector(F).push_arc(F.petals[0], depth),
-        sum(f.eval(p) for p in pts) / len(pts),
-        [branches.count(b) / len(pts) for b in range(T.degree)], exact,
-        len(pts))
+        sum(f.eval(float(x)) for x in exact) / q,
+        _coding(T.degree, i, p, q, False), exact, q)
 
 
 def support_extremes(est: SturmianEstimate) -> Tuple[float, float]:
@@ -585,24 +596,19 @@ def branch_one_frequency_scan(k: int, gammas: Sequence[float],
                               ) -> np.ndarray:
     """Frequency of branch 1 on the Sturmian cycle of the 1-flower [gamma,
     gamma + 1/k] of the linear degree-k map, the devil's staircase over
-    the family: p/q, (q - p)/q or 0 by the branches of the ``_plateau`` of
-    each gamma, one node cache for the whole grid.  On the plateau of the
-    fixed point 0, gamma in [(k-1)/k, 1), the cycle sits on the break
-    between branches k - 1 and 0; it is coded by the branch of the petal
-    midpoint gamma + 1/(2k).  burn_in and length, the window of the orbit
-    walk this replaced, no longer change the value; they stay, checked,
-    until the benchmark that passes them stops doing so.  Raises
-    ValueError unless k >= 2, burn_in >= 0 and length >= 1 are
-    integers."""
+    the family: the ``_coding`` of the ``_plateau`` of each gamma, one
+    node cache for the whole grid.  burn_in and length, the window of the
+    orbit walk this replaced, no longer change the value; they stay,
+    checked, until the benchmark that passes them stops doing so.  Raises
+    ValueError unless k >= 2, burn_in >= 0 and length >= 1 are integers."""
     if not (_integers(k, burn_in, length)
             and k >= 2 and burn_in >= 0 and length >= 1):
         raise ValueError("need integers k >= 2, burn_in >= 0, length >= 1")
-    T = make_linear_map(k)
+    T, half = make_linear_map(k), 1 - Fraction(1, 2 * k)
     nodes, freqs = {}, []
     for gamma in gammas:
         g = reduce(gamma)
         i, p, q, _ = _plateau(T, g, nodes)
-        if i == k - 1 and p == 0 and g >= 1 - Fraction(1, 2 * k):
-            p = 1  # the midpoint is on branch 0, the letter 1
-        freqs.append(((q - p) * (i == 1) + p * ((i + 1) % k == 1)) / q)
+        # the midpoint, on branch k - 1 below half, decides only at p = 0
+        freqs.append(_coding(k, i, p, q, p > 0 or g < half)[1])
     return np.array(freqs)

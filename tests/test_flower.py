@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from flowerflat.circle import EPS, Arc, cells
+from flowerflat.circle import EPS, Arc, cells, distance
 from flowerflat.dynamics import make_linear_map, map_from_slopes
 from flowerflat.flatten import transfer
 from flowerflat.flower import (BoundaryAtBranchBreak, DegeneratePetal,
@@ -13,6 +13,7 @@ from flowerflat.flower import (BoundaryAtBranchBreak, DegeneratePetal,
                                SelectorTable, one_flower, random_flower,
                                selector, validate_flower)
 from flowerflat.functions import PiecewiseLinear, TrigPolynomial
+from flowerflat.solve import sturmian_estimate
 
 T2 = make_linear_map(2)
 
@@ -161,7 +162,7 @@ class TestSelector:
         assert sorted(set(points.tolist())) == \
             pytest.approx([0.0, 0.5], abs=1e-12)
 
-    def test_jump_ledger_chains(self):
+    def test_jump_ledger_entries(self):
         def jumps(sel, n):
             _, j, m, c = sel.table.ledger(n)
             return list(zip(j.tolist(), m.tolist(), c.tolist()))
@@ -223,11 +224,10 @@ MAPS = [T2, make_linear_map(3), make_linear_map(4),
 class TestSelectorTable:
     @staticmethod
     def _assert_rows_bitwise(table, rows, xs, N):
-        """tau_many on both sides, the chains, the ledger and the transfer
-        from the first petal's left end of every row of the table equal
-        those of the row's own one-row table, bitwise."""
+        """tau_many on both sides, the ledger and the transfer from the
+        first petal's left end of every row of the table equal those of the
+        row's own one-row table, bitwise."""
         taus = {left: table.tau_many(xs, left) for left in (False, True)}
-        chains = table.chains(N)
         ledger = table.ledger(N)
         u, v = table.left[:, :1], np.column_stack([table.right, xs])
         phis = {f: transfer(table, f, N, u, v) for f in (TRIG, PWL)}
@@ -237,8 +237,6 @@ class TestSelectorTable:
                                       getattr(row, name)[0])
             for left, tau in taus.items():
                 assert np.array_equal(tau[g], row.tau_many(xs[g], left))
-            for got, want in zip(chains, row.chains(N)):
-                assert np.array_equal(got[:, g], want[:, 0])
             at = ledger[0] == g
             for got, want in zip(ledger[1:], row.ledger(N)[1:]):
                 assert np.array_equal(got[at], want)
@@ -290,6 +288,58 @@ class TestSelectorTable:
             # its branch break, the others are not cut
             assert len(row._row[0]) <= F.p + 1
 
+    @staticmethod
+    def _walked_ledger(flowers, n):
+        """The ledger of a table whose rows are the flowers, walked point by
+        point: for each discontinuity point d, the points T^m d with m < n
+        while d, ..., T^(m-1) d lie in the flower and T^m d lies farther
+        than EPS from every discontinuity point, by ``T.apply``,
+        ``Flower.contains`` and ``circle.distance``."""
+        entries = []
+        for g, F in enumerate(flowers):
+            disc = selector(F).discontinuity_points
+            for j, c in enumerate(disc):
+                for m in range(n):
+                    if m:
+                        if not F.contains(c):
+                            break
+                        c = F.map.apply(c)
+                        if any(distance(c, d) <= EPS for d in disc):
+                            break
+                    entries.append((g, j, m, c))
+        return entries
+
+    @pytest.mark.parametrize("T", MAPS[:4])
+    def test_ledger_is_the_walk_of_each_discontinuity(self, T):
+        """Bitwise, on random p-flowers and on a table of 1-flowers from
+        the grid, periodic points, the floats next to the breaks and the
+        smallest points of cycles of period about 20, where the orbits of
+        the discontinuity points follow the cycle."""
+        rng = random.Random(17)
+        flowers = [random_flower(T, p, rng) for p in (1, 2, 3, 4) * 2
+                   if T.degree > 2 or p % 2]
+        breaks = np.asarray(T.breaks)
+        cycles = [float(sturmian_estimate(one_flower(T, b - 2.0 ** -20),
+                                          TRIG, 0).periodic[0])
+                  for b in breaks]
+        gammas = np.concatenate([
+            np.arange(32) / 32, [1 / 3, 2 / 3, 1 / 7, 0.2, 0.7], cycles,
+            np.nextafter(breaks, 1.0), np.nextafter(breaks, 0.0)]) % 1.0
+        cases = [(selector(F).table, [F]) for F in flowers] + [
+            (SelectorTable.one_flowers(T, gammas),
+             [one_flower(T, gamma) for gamma in gammas])]
+        levels = set()
+        for n in (0, 1, 8, 40):
+            for table, rows in cases:
+                g, j, m, c = table.ledger(n)
+                assert [x.dtype for x in (g, j, m, c)] == [np.intp] * 3 + [
+                    np.float64]
+                walked = self._walked_ledger(rows, n)
+                assert list(zip(g.tolist(), j.tolist(), m.tolist(),
+                                c.tolist())) == walked
+                levels.update(m.tolist())
+        assert max(levels) >= 8
+
     def test_depths_asked_in_turn_equal_fresh_tables(self):
         # the table keeps the ledger of the last depth asked for only
         T = make_linear_map(3)
@@ -297,9 +347,7 @@ class TestSelectorTable:
         table = SelectorTable.one_flowers(T, gammas)
         for N in (40, 18, 40, 0):
             fresh = SelectorTable.one_flowers(T, gammas)
-            got = (*table.chains(N), *table.ledger(N))
-            want = (*fresh.chains(N), *fresh.ledger(N))
-            for g, w in zip(got, want):
+            for g, w in zip(table.ledger(N), fresh.ledger(N)):
                 assert np.array_equal(g, w)
             assert table.ledger(N)[0] is table.ledger(N)[0]
 

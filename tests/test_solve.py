@@ -15,8 +15,8 @@ from flowerflat.circle import Arc, distance, reduce, reduce_many
 from flowerflat.dynamics import (ExpandingMap, make_linear_map,
                                  map_from_slopes, periodic_orbits)
 from flowerflat.flatten import default_depth, functional, tail_bound
-from flowerflat.flower import (arc_end, one_flower, random_flower, selector,
-                               validate_flower)
+from flowerflat.flower import (SelectorTable, arc_end, one_flower,
+                               random_flower, selector, validate_flower)
 from flowerflat.functions import PiecewiseLinear, TrigPolynomial, demo_function
 from flowerflat.solve import (NoSignChange, ZeroInterval,
                               branch_one_frequency_scan, orbit_oracle,
@@ -44,10 +44,12 @@ TINY = TrigPolynomial(cos_coeffs=[1e-12])
 
 
 def fake_phi(monkeypatch, calls, N, phi, shift):
-    """Patch ``phi_of_gammas`` to give phi(gamma) at depth N, and phi(gamma)
-    + shift with the bound 2 |shift| at every other depth.  Each call is
-    logged in calls as (number of gammas, depth, made by a multisection
-    round); the list returned gets the gammas of each call."""
+    """Patch ``_phi`` and ``_bounds``, through which ``phi_of_gammas`` and
+    the scan take Phi on a table of flowers, left un-nudged, to give
+    phi(gamma) at depth N, and phi(gamma) + shift with the bound 2 |shift|
+    at every other depth.  Each ``_phi`` call is logged in calls as
+    (number of gammas, depth, made by a multisection round); the list
+    returned gets the gammas of each call."""
     points, rounds = [], []
     multisect = solve_mod._multisect_roots
 
@@ -58,16 +60,20 @@ def fake_phi(monkeypatch, calls, N, phi, shift):
         finally:
             rounds.pop()
 
-    def fake(T, f, gammas, depth):
-        g = np.asarray(gammas, dtype=float)
+    def bound(g, depth):
+        return np.full(len(g), 1e-12 if depth == N else 2 * abs(shift))
+
+    def fake(table, f, depth):
+        g = table.left[:, 0]
         calls.append((len(g), depth, bool(rounds)))
         points.append(g.tolist())
-        if depth == N:
-            return phi(g), np.full(len(g), 1e-12)
-        return phi(g) + shift, np.full(len(g), 2 * abs(shift))
+        return phi(g) if depth == N else phi(g) + shift
 
     monkeypatch.setattr(solve_mod, "_multisect_roots", in_rounds)
-    monkeypatch.setattr(solve_mod, "phi_of_gammas", fake)
+    monkeypatch.setattr(solve_mod, "_off_degenerate", lambda T, g: g)
+    monkeypatch.setattr(solve_mod, "_phi", fake)
+    monkeypatch.setattr(solve_mod, "_bounds", lambda table, f, depth: bound(
+        table.left[:, 0], depth))
     return points
 
 
@@ -313,9 +319,7 @@ class TestSolvePreSturmian:
         assert width >= 1.0 - 2 / 64
 
     def test_no_sign_change_raised(self, monkeypatch):
-        monkeypatch.setattr(solve_mod, "phi_of_gammas",
-                            lambda T, f, gs, N: (np.ones(len(gs)),
-                                                      np.full(len(gs), 1e-12)))
+        fake_phi(monkeypatch, [], 10, lambda g: np.ones(len(g)), 0.0)
         with pytest.raises(NoSignChange) as info:
             solve_pre_sturmian(T2, COS, 10, resolution=1e-9, grid_size=32)
         assert info.value.phi_min == 1.0
@@ -325,11 +329,8 @@ class TestSolvePreSturmian:
     def test_exact_zero_on_the_grid_reported(self, monkeypatch):
         # grid values +, +, 0, -, ..., - with an exact zero at 1/8, and a
         # sign change between 3/4 and 13/16 at 0.78
-        def phi(T, f, gammas, N):
-            gammas = np.asarray(gammas)
-            return (np.where(gammas < 0.5, 0.125 - gammas, gammas - 0.78),
-                    np.full(len(gammas), 1e-12))
-        monkeypatch.setattr(solve_mod, "phi_of_gammas", phi)
+        fake_phi(monkeypatch, [], 10, lambda g: np.where(
+            g < 0.5, 0.125 - g, g - 0.78), 0.0)
         intervals = solve_pre_sturmian(T2, COS, 10, resolution=1e-10,
                                        grid_size=16)
         assert len(intervals) == 2
@@ -354,12 +355,13 @@ class TestSolvePreSturmian:
         do (28, then 27; 35, then 34) instead of 63.  Each bracket ends
         at most the resolution wide, on a sign change or an exact zero."""
         calls = []
+        phi = solve_mod._phi
 
-        def counted(T, f, gammas, N):
-            calls.append((len(gammas), N))
-            return phi_of_gammas(T, f, gammas, N)
+        def counted(table, f, N):
+            calls.append((len(table.left), N))
+            return phi(table, f, N)
 
-        monkeypatch.setattr(solve_mod, "phi_of_gammas", counted)
+        monkeypatch.setattr(solve_mod, "_phi", counted)
         intervals = solve_pre_sturmian(T2, COS, 37, resolution=resolution,
                                        grid_size=512)
         assert calls == [(512, solve_mod.SHALLOW_DEPTH), (2, 37)] + [
@@ -521,17 +523,20 @@ class TestCertifiedScan:
 
     @pytest.mark.parametrize("T", [T2, T3, S244])
     def test_truncation_bounds_are_phi_of_gammas_bounds(self, T):
-        """Bitwise, on the grid, next to the breaks, where the flowers are
+        """The bounds of ``_bounds`` on the one table of nudged flowers that
+        the scan builds are those of ``phi_of_gammas``, bitwise, at both
+        depths: on the grid, next to the breaks, where the flowers are
         nudged, and at periodic points."""
         gammas = np.concatenate([np.arange(512) / 512,
                                  reduce_many(np.add.outer(
                                      T.breaks, [-1e-9, 0.0, 1e-10])).ravel(),
                                  [1 / 3, 2 / 3, 1 / 7]])
+        table = SelectorTable.one_flowers(
+            T, solve_mod._off_degenerate(T, gammas))
         for f in (COS, PWL):
             for N in (8, 37):
-                assert solve_mod._truncation_bounds(
-                    T, f, gammas, N).tobytes() == phi_of_gammas(
-                        T, f, gammas, N)[1].tobytes()
+                assert solve_mod._bounds(table, f, N).tobytes() == \
+                    phi_of_gammas(T, f, gammas, N)[1].tobytes()
 
     @pytest.mark.parametrize("T, f, N, resolution, grid", [
         (T2, FAINT, 37, 1e-10, 512),
@@ -670,6 +675,25 @@ def assert_carried(name, gamma, cycle):
     assert word in letters + letters
 
 
+def exact_branch(T, z):
+    """The branch of T that holds the exact point z, on ``T.exact``: the
+    fixed point a_0 counts on branch 0."""
+    a, _ = T.exact
+    u = a[0] + (z - a[0]) % 1
+    return sum(x <= u for x in a[1:])
+
+
+def near_breaks(T):
+    """Each break of T, reduced, plus and minus 2^-e for e = 20 .. 59, and
+    the floats either side of it."""
+    gammas = []
+    for b in T.breaks:
+        gammas += [b + 2.0 ** -e * side for e in range(20, 60)
+                   for side in (-1, 1)]
+        gammas += [math.nextafter(b, -1.0), math.nextafter(b, 2.0)]
+    return [reduce(g) for g in gammas]
+
+
 class TestSturmianEstimate:
     def test_fixed_point_support(self):
         est = sturmian_estimate(one_flower(T2, 0.5), demo_function(0.1))
@@ -697,6 +721,28 @@ class TestSturmianEstimate:
         exact = (f.eval(1 / 3) + f.eval(2 / 3)) / 2
         assert est.integral_of_f == pytest.approx(exact, abs=1e-12)
 
+    def test_coding_of_a_cycle_next_to_a_break(self):
+        """min O of the cycle (1, 32, 33) lies 6e-17 below the break 2/3
+        of T3, and its float is 2/3, on branch 2: the coding is that of
+        the word, 1 letter 0 on branch 1 and 32 letters 1 on branch 2."""
+        est = sturmian_estimate(one_flower(T3, math.nextafter(2 / 3, 0.0)),
+                                COS)
+        assert est.periodic[0] == Fraction(3706040377703681,
+                                           5559060566555522)
+        assert float(est.periodic[0]) == 2 / 3
+        assert est.coding_frequencies == [0.0, 1 / 33, 32 / 33]
+
+    @pytest.mark.parametrize("T", [T2, T3, T4, S244])
+    def test_coding_counts_the_exact_branches(self, T):
+        """The coding is the share of the exact cycle points on each
+        branch, next to every break, where the floats of the points can
+        round onto a break."""
+        for gamma in near_breaks(T):
+            est = sturmian_estimate(one_flower(T, gamma), COS, 0)
+            branches = [exact_branch(T, z) for z in est.periodic]
+            assert est.coding_frequencies == [
+                branches.count(b) / est.period for b in range(T.degree)]
+
     @pytest.mark.parametrize("gamma", [0.1, 0.37, 0.62, 0.9])
     def test_non_linear_map(self, gamma):
         """S244's cycles are certified too: the reported points form a
@@ -713,7 +759,7 @@ class TestSturmianEstimate:
             assert petal.contains(float(z)) or min(
                 distance(float(z), petal.left),
                 distance(float(z), petal.right)) <= 1e-9
-        branches = [S244.branch_index(float(z)) for z in pts]
+        branches = [exact_branch(S244, z) for z in pts]
         assert est.coding_frequencies == [branches.count(b) / len(pts)
                                           for b in range(3)]
         assert est.integral_of_f == pytest.approx(
