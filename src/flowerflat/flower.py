@@ -373,7 +373,7 @@ class SelectorTable:
             starts, bases, slopes, lengths = (starts[j], bases[j], slopes[j],
                                               lengths[j])
         else:
-            x = q.reshape(len(self._last), -1)
+            x = q.reshape(len(self._last), -1 if q.size else 0)
             j = (self._pieces[0][:, None, :] <= x[..., None]).sum(axis=2) - 1
             j = np.where(j < 0, self._last[:, None], j) + self._base
             starts, bases, slopes, lengths = self._flat.take(

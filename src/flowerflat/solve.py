@@ -1,76 +1,47 @@
 """Pre-Sturmian equation solving and Sturmian measure estimation.
 
 The 1-flowers of an orientation-preserving expanding map T form a circle
-family F_gamma = ``one_flower(T, gamma)`` = [a, b] with a = gamma, so the
-functions here take T itself.  A Lipschitz function f can be flattened on
-F_gamma exactly when Phi(gamma) = integral of f' against the
-escape-time density of F_gamma vanishes.  Phi is the flattening
-functional of the flower's one discontinuity, the closed form of
-``flatten.transfer`` with anchor a, at the right end b:
+family F_gamma = ``one_flower(T, gamma)`` = [a, b] with a = gamma.  A
+Lipschitz f can be flattened on F_gamma exactly when Phi(gamma), the
+integral of f' against the escape-time density of F_gamma, vanishes.
+Phi is the functional of the flower's one discontinuity, the closed form
+of ``flatten.transfer`` with anchor a, at the right end b:
 
     Phi(gamma) = f(b) - f(a) + sum_{n=1..N} [f(tau^n b) - f(tau^n a)]
                  - sum_{c in (a, b]} J_c,
 
-for a whole array of gammas at once: every flower is one row of
-``flower.SelectorTable.one_flowers``, and ``transfer`` pushes all of them
-together, one level at a time.  Each value carries the truncation
-certificate Lip(f) K^-(N+1) len(F_gamma) / (1 - 1/K) of
-``flatten.functional``.
+for many gammas at once, with the certificate Lip(f) K^-(N+1)
+len(F_gamma) / (1 - 1/K) of ``flatten.functional``.  Phi is continuous:
+its roots are found by a scan of a grid and a refinement of every sign
+change (``_multisect_roots``), all brackets in one call per round;
+plateaus of (near-)zeros signal periodic Sturmian measures.  A
+periodic-orbit oracle cross-checks maximizing measures.
 
-Phi is continuous in gamma, so roots are located by a scan of a uniform
-grid plus a multisection of every sign change, all brackets in one batch
-per round; plateaus of (near-)zeros signal periodic Sturmian measures.
-A brute-force periodic-orbit oracle provides the independent cross-check
-on maximizing measures.
-
-Outside the rows near a root or on a plateau, the solver reads only the
-sign of each scan row, so it scans at the shallow depth n =
-min(N, SHALLOW_DEPTH) and takes a row at depth N only where that sign is
-not certified.  Both truncations lie within their bounds of the full
-series, |Phi_n - Phi| <= err_n and |Phi_N - Phi| <= err_N, so in exact
-arithmetic |Phi_N - Phi_n| <= err_n + err_N.  A row keeps its shallow
-value when
+Outside rows near a root or on a plateau, the solver reads only signs, so
+it scans at depth n = min(N, SHALLOW_DEPTH).  As |Phi_n - Phi| <= err_n
+and |Phi_N - Phi| <= err_N, a row keeps its shallow value when
 
     |Phi_n| > err_n + err_N + plateau_tol + rho,
 
-with rho a bound on the rounding of both computed values: then Phi_N
-has the sign of Phi_n and |Phi_N| > plateau_tol, so the row is neither a
-zero nor a plateau row at depth N, and every sign the solver compares is
-the one a scan at depth N gives.  err_N is ``phi_of_gammas``'s own
-expression, so the plateau tolerance, twice err_N at gamma = 0, is the
-same float.  The other rows (every plateau row, every exact zero and
-every row near a root) are taken at depth N in one call, and a bracket
-end that no multisection round moved, and that still holds a shallow
-value, is taken at depth N after the rounds; so are min and max when no
-root is found.  The ``scan`` command keeps depth N.
+rho a bound on the rounding of both values: then Phi_N has its sign and
+|Phi_N| > plateau_tol, so every sign the solver compares is that of a
+scan at depth N.  err_N is ``phi_of_gammas``'s own expression, so the
+plateau tolerance, twice err_N at gamma = 0, is the same float.  The
+other rows are taken at depth N in one call; so is every bracket end
+that holds a shallow value, in the first refinement round, and the grid
+when no root is found.  The ``scan`` command keeps depth N.
 
-rho (Higham 2002, *Accuracy and Stability of Numerical Algorithms*,
-section 4.2).  One row of ``transfer`` at depth N adds and subtracts at
-most m_N = (N + 1)(N + 2) f-values: f(b) and f(a), N along each of the
-orbits of b and a (the tail a point takes when it stops fills its count
-up to N), and the two tails of N - j values of each ledger entry at
-level j < N, N(N + 1) in all.  Any order of summing m signed terms errs
-by at most gamma_{m-1} sum |terms|, gamma_k = k u / (1 - k u), u =
-2^-53, and every f-value lies within S = |f(0)| + Lip(f)/2 >= sup |f| of
-zero.  A computed f-value is f at a float orbit point: tau contracts, so
-each orbit point is within a few ulps of its exact value, and f is
-evaluated to a few ulps; both errors are below gamma_m S per term, as
-Lip(f) <= 2 S.  With m = m_n + m_N over both depths, the two values err
-by at most m gamma_m S (the terms) plus gamma_m m S (1 + gamma_m) (the
-sums), and
+rho = m gamma_{2m} S, gamma_k = k u / (1 - k u), u = 2^-53, bounds the
+rounding (Higham 2002, section 4.2; README.md derives it): m = (n + 1)(n
++ 2) + (N + 1)(N + 2) counts the f-values one row sums at both depths,
+and S = |f(0)| + Lip(f)/2 >= sup |f|; about 5.5e-10 S at N = 37, n = 8.  The decisions at the selector's discontinuities are
+not rounding: where the closed form is off by O(1), near some periodic
+parameters, a certified sign may be wrong, as a scan at depth N would be.
 
-    rho = m gamma_{2m} S >= 2 m gamma_m S (1 + gamma_m / 2).
-
-At N = 37 and n = 8, rho is about 5.5e-10 S.  The decisions at the
-selector's discontinuities are not rounding and are outside rho: where
-the closed form is off by O(1), near some periodic parameters, a
-certified sign may be wrong, as a scan at depth N would be.
-
-The one invariant measure of a 1-flower is a T-cycle whose coding is a
+The one invariant measure of a 1-flower is a T-cycle coded by a
 mechanical word.  ``sturmian_estimate`` and the staircase find it by an
-exact Stern-Brocot descent over its rotation number, ``_plateau``, in
-``Fraction``s on the map's exact model ``T.exact``: the construction is the
-certificate.
+exact Stern-Brocot descent, ``_plateau``, in ``Fraction``s on the map's
+exact model ``T.exact``: the construction is the certificate.
 """
 from __future__ import annotations
 
@@ -133,8 +104,6 @@ def phi_of_gammas(T: ExpandingMap, f, gammas: Sequence[float],
     if N < 0:
         raise ValueError("N must be >= 0")
     gammas = reduce_many(gammas)
-    if not len(gammas):
-        return np.empty(0), np.empty(0)
     table = SelectorTable.one_flowers(T, _off_degenerate(T, gammas))
     return _phi(table, f, N), _bounds(table, f, N)
 
@@ -152,9 +121,7 @@ def _bounds(table: SelectorTable, f, N: int) -> np.ndarray:
 
 
 def _rounding_bound(f, n: int, N: int) -> float:
-    """rho of the module docstring: m gamma_2m S over the m = (n + 1)(n + 2)
-    + (N + 1)(N + 2) f-values of one row at depths n and N, with S =
-    |f(0)| + Lip(f)/2 >= sup |f|."""
+    """rho of the module docstring, for one row at depths n and N."""
     m = (n + 1) * (n + 2) + (N + 1) * (N + 2)
     u = 2.0 ** -53
     sup = abs(f.eval(0.0)) + f.lipschitz_constant() / 2.0
@@ -204,45 +171,85 @@ class ZeroInterval:
 
 
 def _multisect_roots(T: ExpandingMap, f, N: int, lo, flo, hi, fhi,
-                     resolution: float) -> Tuple[np.ndarray, ...]:
+                     resolution: float, stale) -> Tuple[np.ndarray, ...]:
     """Shrink sign-change brackets [lo, hi] (lifted, hi may exceed 1) to
     width <= resolution, or to no float inside, all brackets together.
 
-    Each round cuts every open bracket into s equal sub-brackets, with Phi
-    at their s - 1 inner ends in one ``phi_of_gammas`` call, and keeps the
-    leftmost that ends on an exact zero (closing to that point) or has a
-    sign change.  A round costs about as much for 28 points as for 63, so
-    R is the fewest rounds of at most MULTISECTION_POINTS + 1 that take
-    the widest open bracket to the resolution (or one ulp of hi), and s
-    the fewest with s^R >= r, r aimed two ulps short for the rounding.
+    Each round takes Phi at points of every open bracket in one call, and
+    each keeps the leftmost sub-bracket that ends on an exact zero
+    (closing to that point) or has a sign change.  The first also takes at
+    depth N the ends that ``stale``, masks over lo and hi, marks shallow:
+    their scan values choose, their depth-N values are kept.  R is the
+    fewest rounds of at most MULTISECTION_POINTS + 1 sub-brackets that
+    take the widest bracket to the resolution (or one ulp of hi).  A
+    uniform round cuts a bracket into the fewest s parts with s^R >= r, r
+    aimed two ulps short.  After one, while R >= 2, a bracket takes p -+ d
+    8^j out to its ends, d = 0.45 res - 1 ulp > 1 ulp, p its root by
+    inverse cubic interpolation through the 4 values nearest its sign
+    change, clamped into it: it closes if p is within d of the root.  The
+    points lo + w i / t, t = w / (64^(R-1) res) rounded up, keep it within
+    R - 1 more rounds.  A miss takes a uniform round next.
     """
     lo, flo, hi, fhi = (np.array(v, dtype=float) for v in (lo, flo, hi, fhi))
+    stale_lo, stale_hi = stale
     n = MULTISECTION_POINTS + 1
+    # x and y of the 4 values nearest each sign change, after a uniform round
+    fit, fitted = np.zeros((len(lo), 2, 4)), np.zeros(len(lo), dtype=bool)
     while True:
-        open_ = np.nonzero((hi - lo > resolution)
-                           & (np.nextafter(lo, np.inf) < hi))[0]
-        if len(open_) == 0:
+        open_ = np.flatnonzero((hi - lo > resolution)
+                               & (np.nextafter(lo, np.inf) < hi))
+        ends = np.concatenate([lo[stale_lo], hi[stale_hi]])
+        if not len(open_) and not len(ends):
             return lo, flo, hi, fhi
-        w, ulp = (hi - lo)[open_], np.spacing(hi[open_])
-        r = (w / np.maximum(resolution + 2 * ulp, ulp)).max()
-        rounds = 1
-        while n ** rounds < r:
-            rounds += 1
-        r = (w / np.maximum(resolution - 2 * ulp, ulp)).max()
+        l, h = lo[open_, None], hi[open_, None]
+        w, ulp = h - l, np.spacing(h)
+        r = (w / (resolution + 2 * ulp)).max(initial=0.0)
+        rounds = next(R for R in range(1, 200) if n ** R >= r)
+        r = (w / np.maximum(resolution - 2 * ulp, ulp)).max(initial=0.0)
         s = min(n, max(2, math.ceil(r ** (1 / rounds))))
-        xs = lo[open_, None] + w[:, None] * (np.arange(s + 1) / s)
-        xs[:, -1] = hi[open_]
-        values, _ = phi_of_gammas(T, f, reduce_many(xs[:, 1:-1]).ravel(), N)
-        ys = np.hstack([flo[open_, None],
-                        values.reshape(len(open_), -1), fhi[open_, None]])
+        # n + 1 columns a row, the last ones padded with hi
+        xs = np.repeat(h, n + 1, axis=1)
+        xs[:, :s] = l + w * (np.arange(s) / s)
+        cols = np.full(len(open_), max(s + 1, 4))
+        d = 0.45 * resolution - ulp
+        pick = fitted[open_] & (rounds >= 2) & (d > ulp)[:, 0]
+        if pick.any():
+            x, y = fit[open_[pick], 0], fit[open_[pick], 1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                weights = np.where(np.eye(4, dtype=bool), 1.0, y[:, None, :]
+                                   / (y[:, None, :] - y[:, :, None]))
+                p = (x * weights.prod(axis=2)).sum(axis=1, keepdims=True)
+            a, b, wp, d = l[pick], h[pick], w[pick], d[pick]
+            p = np.clip(np.where(np.isfinite(p), p, (a + b) / 2), a, b)
+            k = math.ceil(math.log((wp / d).max(), 8))
+            t = math.ceil((wp / (n ** (rounds - 1) * resolution)).max())
+            pick[pick] = 1 + 2 * k + t <= MULTISECTION_POINTS
+            if pick.any():
+                spread = d * 8.0 ** np.arange(k + 1)
+                xs[pick, 1:] = b
+                xs[pick, 1:2 * k + t + 2] = np.sort(np.clip(np.hstack([
+                    p - spread, p + spread, a + wp * (np.arange(1, t) / t)]),
+                    a, b), axis=1)
+                cols[pick] = 2 * k + t + 3
+        inside = (xs > l) & (xs < h)
+        values = phi_of_gammas(T, f, np.concatenate([xs[inside], ends]), N)[0]
+        m = inside.sum()
+        ys = np.where(xs <= l, flo[open_, None], fhi[open_, None])
+        ys[inside] = values[:m]
         hit = (ys[:, 1:] == 0.0) | ((ys[:, 1:] < 0) != (ys[:, :-1] < 0))
+        flo[stale_lo], fhi[stale_hi] = np.split(values[m:], [stale_lo.sum()])
+        stale_lo = stale_hi = np.zeros(len(lo), dtype=bool)
+        ys[~inside] = np.where(xs <= l, flo[open_, None],
+                               fhi[open_, None])[~inside]
         j = hit.argmax(axis=1)
-        rows = np.arange(len(open_))
-        zero = ys[rows, j + 1] == 0.0
-        lo[open_] = np.where(zero, xs[rows, j + 1], xs[rows, j])
-        flo[open_] = np.where(zero, 0.0, ys[rows, j])
-        hi[open_] = xs[rows, j + 1]
-        fhi[open_] = ys[rows, j + 1]
+        (x0, x1), (y0, y1) = (np.take_along_axis(v, j[:, None] + [0, 1], 1).T
+                              for v in (xs, ys))
+        zero = y1 == 0.0
+        lo[open_], flo[open_] = np.where(zero, x1, x0), np.where(zero, 0, y0)
+        hi[open_], fhi[open_] = x1, y1
+        near = np.clip(j - 1, 0, cols - 4)[:, None, None] + np.arange(4)
+        fit[open_] = np.take_along_axis(np.stack([xs, ys], 1), near, 2)
+        fitted[open_] = ~pick
 
 
 def _certified_scan(T: ExpandingMap, f, grid_size: int, N: int
@@ -276,16 +283,13 @@ def solve_pre_sturmian(T: ExpandingMap, f, N: int,
                        resolution: float = 1e-10, grid_size: int = 512
                        ) -> List[ZeroInterval]:
     """All zero intervals of Phi: plateaus, exact zeros on the grid and
-    multisected sign changes.
-
-    The scan runs at depth n = min(N, SHALLOW_DEPTH) and keeps a row's
-    value where the certificate of the module docstring fixes its sign;
-    every other row is taken at depth N in one call, and so is a bracket
-    end that holds a shallow value after the multisection.
-
-    Raises NoSignChange when the scan shows none of them, with the least
-    and the greatest value of a scan at depth N, and ValueError unless the
-    resolution is finite and positive.
+    refined sign changes.  The scan runs at depth n = min(N,
+    SHALLOW_DEPTH) and keeps a row's value where the certificate of the
+    module docstring fixes its sign; every other row is taken at depth N
+    in one call, and a bracket end that holds a shallow value in the first
+    round of ``_multisect_roots``.  Raises NoSignChange when the scan
+    shows none of them, with the least and the greatest value of a scan at
+    depth N, and ValueError unless the resolution is finite and positive.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError("resolution must be finite and positive")
@@ -312,26 +316,16 @@ def solve_pre_sturmian(T: ExpandingMap, f, N: int,
                  for i, j in zip(first, last)]
 
     # outside plateaus, in grid order: exact zeros on the grid, and sign
-    # changes between neighbours, which are multisected together
+    # changes between neighbours, which are refined together
     after = np.roll(phis, -1)
     zeros = np.flatnonzero((phis == 0.0) & ~in_plateau)
     cells = np.flatnonzero(~(in_plateau | np.roll(in_plateau, -1))
                            & (phis != 0.0) & (after != 0.0)
                            & ((phis < 0) != (after < 0)))
     ends = (cells + 1) % m
-    lo0, hi0 = gammas[cells], gammas[cells] + 1.0 / m
-    lo, flo, hi, fhi = _multisect_roots(T, f, N, lo0, phis[cells], hi0,
-                                        phis[ends], resolution)
-    # a bracket end that no round moved holds its scan value: the grid
-    # row's, shallow where the scan kept it, so it is taken at depth N
-    stale_lo = shallow[cells] & (lo == lo0)
-    stale_hi = shallow[ends] & (hi == hi0)
-    stale = np.zeros(m, dtype=bool)
-    stale[cells[stale_lo]] = stale[ends[stale_hi]] = True
-    if stale.any():
-        phis[stale] = phi_of_gammas(T, f, gammas[stale], N)[0]
-        flo[stale_lo] = phis[cells[stale_lo]]
-        fhi[stale_hi] = phis[ends[stale_hi]]
+    lo, flo, hi, fhi = _multisect_roots(
+        T, f, N, gammas[cells], phis[cells], gammas[cells] + 1.0 / m,
+        phis[ends], resolution, (shallow[cells], shallow[ends]))
     found = [ZeroInterval(float(gammas[i]), float(gammas[i]), 0.0, 0.0,
                           resolution) for i in zeros]
     found += [ZeroInterval(reduce(float(lo[n])), reduce(float(hi[n])),
@@ -364,15 +358,20 @@ def _compose(m, n):
     return m[0] * n[0], m[0] * n[1] + m[1]
 
 
+def _fixed_point(A: Fraction, B: Fraction) -> Tuple[int, int]:
+    """B / (1 - A), the fixed point of u -> A u + B, A < 1, as (u, v)."""
+    return (B.numerator * A.denominator,
+            B.denominator * (A.denominator - A.numerator))
+
+
 def _plateau(T: ExpandingMap, gamma: float, nodes: dict
              ) -> Tuple[int, int, int, Fraction]:
     """The Sturmian cycle O of the 1-flower from gamma, as (i, p, q, z), on
-    the exact lifted breaks a and slopes s of ``T.exact``.
-
-    The flower [gamma, F^-1(F(gamma) + 1)] meets branches i and i + 1
-    (mod k), the letters 0 and 1.  The cycle of rotation number p/q is
-    coded by the mechanical word of p/q, and the flower carries it exactly
-    when gamma lies in its plateau: gamma <= min O and F(gamma) + 1 >=
+    the exact lifted breaks a and slopes s of ``T.exact``.  The flower
+    [gamma, F^-1(F(gamma) + 1)] meets branches i and i + 1 (mod k), the
+    letters 0 and 1.  The cycle of rotation number p/q is coded by the
+    mechanical word of p/q, and the flower carries it exactly when gamma
+    lies in its plateau: gamma <= min O and F(gamma) + 1 >=
     F(max O) (Bullett and Sentenac 1994; Lothaire 2002, ch. 2).  min O is
     coded by the lower Christoffel word and max O by the upper one, so
     each is the fixed point of the composed inverse branches u -> a_b +
@@ -391,6 +390,7 @@ def _plateau(T: ExpandingMap, gamma: float, nodes: dict
     g = a0 + (Fraction(gamma) - a0) % 1
     i = sum(x <= g for x in a[1:])
     top = i + 1 + s[i] * (g - a[i])  # F(gamma) + 1
+    (gn, gd), (tn, td) = g.as_integer_ratio(), top.as_integer_ratio()
 
     def side(pq, maps) -> int:
         """-1, 0 or 1 as gamma lies left of, on or right of the plateau of
@@ -400,12 +400,17 @@ def _plateau(T: ExpandingMap, gamma: float, nodes: dict
             lower, upper = maps()
             c = int(pq[0] > 0)  # the letter of max O
             b = (i + c) % k
-            nodes[key] = (lower, upper, lower[1] / (1 - lower[0]),
-                          i + c + s[b] * (upper[1] / (1 - upper[0]) - a[b]))
-        _, _, z, f_max = nodes[key]
+            # min O = u / v and max O = x / y, the fixed points of the lower
+            # and upper maps; kept are min O and F(max O) = i + c + s_b (x /
+            # y - a_b) as integer pairs, v > 0, compared by cross-multiplying
+            (u, v), (x, y) = _fixed_point(*lower), _fixed_point(*upper)
+            (sn, sd), (an, ad) = (r.as_integer_ratio() for r in (s[b], a[b]))
+            nodes[key] = (lower, upper, (u, v), (
+                (i + c) * sd * ad * y + sn * (ad * x - an * y), sd * ad * y))
+        _, _, (u, v), (x, y) = nodes[key]
         if pq == (1, 1) and i == k - 1:
-            z += 1  # the fixed point of the word 1 on branch 0, a turn up
-        return (g > z) - (top < f_max)
+            u += v  # the fixed point of the word 1 on branch 0, a turn up
+        return (gn * v > u * gd) - (tn * y < x * td)
 
     def descend():
         L, R = (0, 1), (1, 1)
@@ -429,7 +434,7 @@ def _plateau(T: ExpandingMap, gamma: float, nodes: dict
     pq = nodes.get(i)  # the plateau the last call found on branches i, i + 1
     if pq is None or side(pq, None):
         pq = nodes[i] = descend()
-    return (i,) + pq + (nodes[(i,) + pq][2],)
+    return (i,) + pq + (Fraction(*nodes[(i,) + pq][2]),)
 
 
 def _cycle(T: ExpandingMap, i: int, p: int, q: int,
@@ -493,13 +498,10 @@ def support_extremes(est: SturmianEstimate) -> Tuple[float, float]:
 
 def sign_conditions(T: ExpandingMap, f, est: SturmianEstimate,
                     N: int) -> Tuple[float, float, bool]:
-    """Evaluate Phi at the two bracket flowers of the Sturmian support.
-
-    The flower ending at the rightmost support point must give Phi >= 0,
-    the one starting at the leftmost support point Phi <= 0 (both up to
-    the truncation certificate) when f is in normal form with a Sturmian
-    maximizing measure.
-    """
+    """Phi at the two bracket flowers of the Sturmian support: the flower
+    ending at its rightmost point must give Phi >= 0, the one starting at
+    its leftmost point Phi <= 0 (up to the truncation certificate) when f
+    is in normal form with a Sturmian maximizing measure."""
     leftmost, rightmost = support_extremes(est)
     # the flower ending at b starts at F^-1(F(b) - 1)
     gamma_minus = float(arc_end(T, reduce(rightmost), -1.0))
@@ -565,13 +567,11 @@ def integer_rank(M) -> int:
 
 def rank_test(F: Flower, N: int = 15, grid: int = 512) -> Tuple[int, int]:
     """Exact rank of the p escape densities together with the constant
-    function; the codimension statement predicts rank p + 1.
-
-    The densities are sampled at the midpoints of the cells cut at the
-    petal endpoints, at their one-sided selector orbits to depth N (where
-    the arcs tau^n I_x end) and at a uniform grid.  Their integer counts
-    and a row of ones form the matrix whose ``integer_rank`` is returned,
-    with p.  Raises ValueError for N < 0."""
+    function, and p; the codimension statement predicts rank p + 1.  The
+    densities are sampled at the midpoints of the cells cut at the petal
+    endpoints, at their one-sided selector orbits to depth N (where the
+    arcs tau^n I_x end) and at a uniform grid.  Raises ValueError for N <
+    0."""
     if N < 0:
         raise ValueError("N must be >= 0")
     sel = selector(F)

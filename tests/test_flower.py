@@ -244,6 +244,17 @@ class TestSelectorTable:
                 assert phi[g].tobytes() == transfer(
                     row, f, N, u[g:g + 1], v[g:g + 1])[0].tobytes()
 
+    def test_empty_table(self):
+        """A table of no flowers pushes no points, on either side, and
+        its transfer is empty."""
+        table = SelectorTable.one_flowers(T2, [])
+        for left in (False, True):
+            for shape in ((0,), (0, 3)):
+                pushed = table.tau_many(np.empty(shape), left)
+                assert pushed.shape == shape and pushed.dtype == float
+        assert transfer(table, TRIG, 10, table.left,
+                        table.right).shape == (0, 1)
+
     @pytest.mark.parametrize("T", [
         T2, make_linear_map(3), map_from_slopes([2.0, 4.0, 4.0]),
         map_from_slopes([4.0, 2.0, 4.0], fixed_point=0.3)])
