@@ -81,9 +81,6 @@ class Arc:
         off = reduce(reduce(x) - self.left)
         return off <= self.length
 
-    def midpoint(self) -> float:
-        return reduce(self.left + self.length / 2.0)
-
     def complement(self) -> "Arc":
         """The complementary-orientation closed arc [right, left]."""
         return Arc(self.right, self.left)

@@ -33,8 +33,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .circle import EPS, Arc, in_closed_arcs, reduce, reduce_many
-from .flower import Discontinuity, Flower, PreImageSelector, SelectorTable
+from .circle import Arc, in_closed_arcs, reduce, reduce_many
+from .flower import (Discontinuity, Flower, PreImageSelector, SelectorTable,
+                     one_sided)
 
 #: points per petal on which ``is_flat`` samples the flattened function
 FLAT_SAMPLES = 64
@@ -141,16 +142,6 @@ def functional(sel: PreImageSelector, disc: Discontinuity, f,
     return value, err
 
 
-def one_sided(points: np.ndarray, d) -> Tuple[np.ndarray, np.ndarray]:
-    """The one-sided decision at a discontinuity point d: (near, right),
-    where ``near`` marks the points within EPS of d on the circle and
-    ``right`` the points at or past d, which take the right limit of tau
-    there.  Arrays broadcast."""
-    e = points - d
-    e = np.where(e > 0.5, e - 1.0, np.where(e < -0.5, e + 1.0, e))
-    return np.abs(e) <= EPS, e >= 0.0
-
-
 def transfer(table: SelectorTable, f, N: int, u, v) -> np.ndarray:
     """phi(v) - phi(u) for every flower g of the table, the closed form of
     the module docstring with anchor u, at reduced points v of shape
@@ -160,10 +151,11 @@ def transfer(table: SelectorTable, f, N: int, u, v) -> np.ndarray:
     sum_{i<N-m} f(tau_R^i y) and sum_{i<N-m} f(tau_L^i y') over the orbits
     of the petal ends y = tau_R(d) and y' = tau_L(d).  A point whose
     level-m orbit lies within EPS of d is decided by the side of d it lies
-    on (``one_sided``), which a comparison with the forward-iterated c can
-    contradict by rounding errors that grow like K^m.  Its later orbit is
-    the exact one-sided orbit of d, so it takes that tail and stops:
-    iterating on could round onto d again where that orbit returns to it.
+    on (``flower.one_sided``, the selector's one rule there), which a
+    comparison with the forward-iterated c can contradict by rounding
+    errors that grow like K^m.  Its later orbit is the exact one-sided
+    orbit of d, so it takes that tail and stops: iterating on could round
+    onto d again where that orbit returns to it.
 
     Each level is one ``tau_many`` step.  Unless the table keeps the tails
     of f and N (``SelectorTable.sums``), the right and the left orbit of

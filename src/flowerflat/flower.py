@@ -174,14 +174,10 @@ class PreImageSelector:
         return list(self._disc)
 
     def tau(self, x: float) -> float:
-        """The selected preimage of x: within EPS of a discontinuity point
-        its right limit, the petal left endpoint there, and ``tau_many``
-        of the one-row table elsewhere."""
-        x = reduce(x)
-        for i, d in enumerate(self._disc):
-            if distance(x, d) <= EPS:
-                return self.flower.petals[self._owner[i]].left
-        return float(self.table.tau_many(np.array(x)))
+        """The selected preimage of x, ``tau_many`` of the one-row table:
+        at a discontinuity point its right limit, the petal left endpoint
+        there."""
+        return float(self.table.tau_many(np.array(reduce(x))))
 
     def discontinuities(self) -> List[Discontinuity]:
         """The p discontinuities with their I/J arcs and A-membership."""
@@ -281,6 +277,20 @@ def arc_end(T: ExpandingMap, start, winding) -> np.ndarray:
     return reduce_many(T.lift_inverse(T.lift(start) + winding))
 
 
+def one_sided(points: np.ndarray, d, side: bool = True):
+    """The selector's one decision at a discontinuity point d, on reduced
+    points: (near, right), or ``near`` alone without ``side``.  ``near``
+    marks the points within EPS of d on the circle, which count as d;
+    ``right`` those at or past d, which take tau's right limit there.
+    With a = |x - d|, the distance is min(a, 1 - a), and the short way
+    round crosses 0/1 where a > 1/2; 1 - a is exact there, so this is the
+    decision on x - d wrapped into [-1/2, 1/2].  Arrays broadcast."""
+    e = points - d
+    a = np.abs(e)
+    near = np.minimum(a, 1.0 - a) <= EPS
+    return (near, (e >= 0.0) != (a > 0.5)) if side else near
+
+
 def one_flower(T: ExpandingMap, gamma: float) -> Flower:
     """The 1-flower whose petal starts at gamma (image winds exactly once)."""
     a = reduce(gamma)
@@ -365,8 +375,8 @@ class SelectorTable:
         = #starts <= nextafter(x, -inf), so one search serves both: one
         ``searchsorted`` for one row, a count of the row's starts for many.
         A point below every start takes the last piece, which wraps."""
-        q = (xs if left is False else np.nextafter(xs, -np.inf) if left is True
-             else np.where(left, np.nextafter(xs, -np.inf), xs))
+        q = xs if left is False else np.where(left, np.nextafter(xs, -np.inf),
+                                              xs)
         if self._row is not None:
             starts, bases, slopes, lengths = self._row
             j = starts.searchsorted(q, "right") - 1
@@ -395,21 +405,23 @@ class SelectorTable:
         is continuous at c and maps it to d.  That holds while d, ...,
         T^(m-1) d lie in the flower, so a chain is live up to its first
         point outside.  It also stops before a point within EPS of a
-        discontinuity point: the chain from there is that point's own, and
-        each point is listed once.  One walk applies T to the live entries
-        only, a level at a time, and ends when none is left."""
+        discontinuity point (``one_sided``): the chain from there is that
+        point's own, and each point is listed once.  One walk applies T to
+        the live entries only, a level at a time, and ends when none is
+        left."""
         if self._ledger[0] != n:
             g, j = np.nonzero(np.ones(self.disc.shape, dtype=bool))
             c = self.disc[g, j]
             levels = [(g[:0], j[:0], g[:0], c[:0])]  # empty at depth 0
             for m in range(n):
                 if m:
-                    # Flower.contains and circle.distance, on reduced points
+                    # Flower.contains on reduced points, and the near half
+                    # of ``one_sided``: the ledger needs no side
                     inside = in_closed_arcs(c[:, None], self.left[g],
                                             self.length[g]).any(axis=1)
                     nxt = self.map.apply_many(c)
-                    e = np.abs(nxt[:, None] - self.disc[g])
-                    on = inside & ~(np.minimum(e, 1.0 - e) <= EPS).any(axis=1)
+                    on = inside & ~one_sided(nxt[:, None], self.disc[g],
+                                             side=False).any(axis=1)
                     g, j, c = g[on], j[on], nxt[on]
                     if not len(g):
                         break

@@ -105,9 +105,6 @@ class PiecewiseLinear:
         i = lifted.searchsorted(u, "right") - 1
         return values[i] + slopes[i] * (u - lifted[i])
 
-    def __call__(self, x: float) -> float:
-        return self.eval(x)
-
     def slope_at(self, x: float) -> float:
         u = self._lifted[0] + reduce(x - self._lifted[0])
         i = bisect.bisect_right(self._lifted, u) - 1
@@ -159,9 +156,6 @@ class TrigPolynomial:
             t = 2.0 * math.pi * j * xs
             total += a * np.cos(t) + b * np.sin(t)
         return total
-
-    def __call__(self, x: float) -> float:
-        return self.eval(x)
 
     def lipschitz_constant(self) -> float:
         return 2.0 * math.pi * sum(

@@ -77,11 +77,9 @@ class TestArc:
         assert a.contains(0.9)
         assert not a.contains(0.5)
 
-    def test_length_and_midpoint(self):
+    def test_length(self):
         assert Arc(0.25, 0.75).length == 0.5
         assert Arc(0.75, 0.25).length == pytest.approx(0.5, abs=1e-15)
-        assert Arc(0.75, 0.25).midpoint() == pytest.approx(0.0, abs=1e-15)
-        assert Arc(0.25, 0.75).midpoint() == 0.5
 
     def test_degenerate(self):
         a = Arc(0.3, 0.3)

@@ -1,17 +1,19 @@
 """Flowers, their validation, and pre-image selectors."""
 import dataclasses
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from flowerflat.circle import EPS, Arc, cells, distance
+from flowerflat.circle import EPS, Arc, cells, distance, reduce
 from flowerflat.dynamics import make_linear_map, map_from_slopes
 from flowerflat.flatten import transfer
 from flowerflat.flower import (BoundaryAtBranchBreak, DegeneratePetal,
                                FlowerError, OverlappingPetals, SamplingFailed,
-                               SelectorTable, one_flower, random_flower,
-                               selector, validate_flower)
+                               SelectorTable, one_flower, one_sided,
+                               random_flower, selector, validate_flower)
 from flowerflat.functions import PiecewiseLinear, TrigPolynomial
 from flowerflat.solve import sturmian_estimate
 
@@ -103,6 +105,60 @@ class TestRandomFlower:
         assert rng.getstate() == state
 
 
+def _neighbourhood(ds):
+    """Rows of 15 reduced points around each d: d, d +- k ulps for k <= 4,
+    then d + EPS, one ulp in and one ulp out, and the same for d - EPS."""
+    rows = []
+    for d in ds:
+        pts, up, down = [d], d, d
+        for _ in range(4):
+            up, down = math.nextafter(up, 2.0), math.nextafter(down, -1.0)
+            pts += [up, down]
+        for x in (d + EPS, d - EPS):
+            pts += [x, math.nextafter(x, d), math.nextafter(x, x + x - d)]
+        rows.append([reduce(x) for x in pts])
+    return np.array(rows)
+
+
+class TestOneSided:
+    """``one_sided``, the one rule at a discontinuity point, against the
+    scalar ``circle.distance`` and the side of d taken exactly."""
+
+    @staticmethod
+    def _past(x, d):
+        e = Fraction(x) - Fraction(d)
+        return e - round(e) >= 0
+
+    def _check(self, xs, d):
+        near, right = one_sided(xs, d)
+        assert near.tolist() == [distance(x, d) <= EPS for x in xs]
+        assert right[near].tolist() == [self._past(x, d) for x in xs[near]]
+        assert one_sided(xs, d, side=False).tobytes() == near.tobytes()
+        return near
+
+    def test_neighbourhood_of_d(self):
+        rng = random.Random(25)
+        ds = [rng.random() for _ in range(200)] + [0.5, 0.25, 1 / 3, 2 / 3]
+        for d, xs in zip(ds, _neighbourhood(ds)):
+            near = self._check(xs, d)
+            assert near[:9].all() and near[[10, 13]].all()
+            assert not near[[11, 14]].any()
+
+    def test_across_zero(self):
+        # d and x on either side of 0/1, within EPS and just outside
+        edge = [0.0, 5e-324, 1e-300, EPS / 2, EPS, 2 * EPS, 0.5,
+                1.0 - 2.0 ** -53, 1.0 - EPS / 2, 1.0 - EPS, 1.0 - 2 * EPS]
+        edge += [math.nextafter(x, 2.0) for x in edge[3:5]]
+        edge += [math.nextafter(x, -1.0) for x in edge[8:10]]
+        xs = np.array(edge)
+        for d in edge:
+            near = self._check(xs, d)
+            assert near[edge.index(d)]
+        # from 0: 2 EPS, 1/2, 1 - 2 EPS, and the floats past EPS and 1 - EPS
+        assert np.flatnonzero(~self._check(xs, 0.0)).tolist() == \
+            [5, 6, 10, 12, 14]
+
+
 class TestSelector:
     def setup_method(self):
         self.F = validate_flower([Arc(0.25, 0.75)], T2)
@@ -128,7 +184,7 @@ class TestSelector:
         assert d.in_A
 
     def test_one_sided_limits(self):
-        # the scalar tau takes the right limit, the table either one
+        # tau takes the right limit at d, the table either one
         d = self.sel.discontinuities()[0]
         assert self.sel.tau(d.x) == pytest.approx(0.25, abs=1e-9)
         table = self.sel.table
@@ -177,9 +233,10 @@ class TestSelector:
         assert jumps(sel, 5) == [(0, 0, 1 / 3), (0, 1, 2 / 3)]
 
     def test_tau_many_matches_tau_with_one_sided_limits(self):
-        # bitwise away from the discontinuity points, where tau snaps to
-        # a petal end within EPS; both limits of the table there are the
-        # petal ends of the discontinuity
+        # tau is the right limit of the one-row table bitwise everywhere,
+        # at each discontinuity point and in its EPS neighbourhood too; the
+        # left limit agrees except at d, where the two limits of the table
+        # are the petal ends of the discontinuity
         rng = random.Random(9)
         maps = [make_linear_map(k) for k in (2, 3, 4)] + [
             map_from_slopes([2.0, 4.0, 4.0]),
@@ -187,15 +244,15 @@ class TestSelector:
         for T, p in zip(maps * 2, (3, 2, 1, 2, 3, 1, 1, 3, 1, 1)):
             sel = selector(random_flower(T, p, rng))
             table = sel.table
-            xs = np.array([rng.random() for _ in range(4000)])
             ds = np.array(sel.discontinuity_points)
-            far = np.abs((xs[:, None] - ds + 0.5) % 1.0 - 0.5) > EPS
-            xs = xs[far.all(axis=1)]
-            for left in (False, True):
-                assert table.tau_many(xs, left).tolist() == \
-                    [sel.tau(x) for x in xs]
+            xs = np.concatenate([[rng.random() for _ in range(4000)],
+                                 _neighbourhood(ds).ravel()])
+            assert table.tau_many(xs).tolist() == [sel.tau(x) for x in xs]
+            off = ~np.isin(xs, ds)
+            assert table.tau_many(xs[off], True).tolist() == \
+                [sel.tau(x) for x in xs[off]]
             assert table.tau_many(ds) == pytest.approx(
-                [sel.tau(d) for d in ds], abs=1e-13)
+                [d.y for d in sel.discontinuities()], abs=1e-13)
             assert table.tau_many(ds, left=True) == pytest.approx(
                 [d.y_prime for d in sel.discontinuities()], abs=1e-13)
 
