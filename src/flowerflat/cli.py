@@ -53,7 +53,7 @@ MAX_LINEAR_DEGREE = 1000
 #: the grid and the live entries of the jump ledger
 MAX_DEPTH = 1000
 #: largest grid of ``scan``, ``solve`` and ``rank``; ``scan`` on T2 with
-#: cos at both caps takes 3.3 s and 37 MB peak RSS (Python 3.11, 2 CPUs)
+#: cos at both caps takes 1.8 s and 38 MB peak RSS (Python 3.11, 2 CPUs)
 MAX_GRID = 8192
 
 #: the rule of each setting name, the same in every command that reads

@@ -161,8 +161,9 @@ def transfer(table: SelectorTable, f, N: int, u, v) -> np.ndarray:
     of f and N (``SelectorTable.sums``), the right and the left orbit of
     the discontinuity points ride along as 2p more columns, whose running
     sums of f give each ledger entry its tails at level N - m.  A point
-    takes at most one tail, and adds only +0.0 after it, so the tails are
-    added after the loop.
+    takes at most one tail and adds nothing after it, so the tails are
+    added after the loop; the sums start at +0.0, which adding f never
+    makes -0.0.  A level skips the decisions that no live point is near.
     """
     v, u = np.asarray(v, dtype=float), np.asarray(u, dtype=float)
     M, W = v.shape[1], v.shape[1] + u.shape[1]
@@ -184,24 +185,28 @@ def transfer(table: SelectorTable, f, N: int, u, v) -> np.ndarray:
     # one-sided decisions only at the (level, discontinuity) of some jump,
     # and tails read at the level N - m of each: the ledger sorted by
     # level and then discontinuity, cut into slices
-    order = np.lexsort((j, m))
-    mo, jo = m[order], j[order]
-    heads = np.flatnonzero((np.diff(mo, prepend=-1) != 0)
-                           | (np.diff(jo, prepend=-1) != 0))
+    key = m * p + j
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    heads = np.flatnonzero(key != np.concatenate(([-1], key[:-1])))
     jumps = {}
-    for h, e in zip(heads.tolist(), heads[1:].tolist() + [len(order)]):
-        jumps.setdefault(int(mo[h]), []).append((jo[h], order[h:e]))
+    for h, e in zip(heads.tolist(), heads[1:].tolist() + [K]):
+        n, jj = divmod(int(key[h]), p)
+        jumps.setdefault(n, []).append((jj, order[h:e]))
     for n in range(N):
         for jj, k in jumps.get(n, ()):
             at = g[k]
-            near, side = one_sided(points[at, :W], table.disc[at, jj, None])
-            near &= alive[at, :W]
+            x, d = points[at, :W], table.disc[at, jj, None]
+            near = one_sided(x, d, side=False) & alive[at, :W]
+            if not near.any():
+                continue
+            side = one_sided(x, d)[1]
             past[k] = np.where(near, side, past[k])
             pick[at] = np.where(near, np.where(side, k[:, None],
                                                K + k[:, None]), pick[at])
             alive[at, :W] &= ~near
         points = table.tau_many(points, left)
-        total += np.where(alive, f.eval_many(points), 0.0)
+        np.add(total, f.eval_many(points), out=total, where=alive)
         if fused:
             for jj, k in jumps.get(N - 1 - n, ()):
                 tails[[k, K + k]] = total[g[k], [[W + jj], [W + p + jj]]]

@@ -307,7 +307,8 @@ class SelectorTable:
     points) have that shape too.  The affine pieces of each tau are
     arrays (start, preimage of the start, slope, preimage length) of
     shape (G, P) sorted by start in each row; a row with fewer pieces is
-    padded with start +inf, never selected.  The forward data of the
+    padded with start +inf, which no reduced point reaches, so the count
+    of ``tau_many`` never selects it.  The forward data of the
     closed form in ``flatten.transfer``, the jump ``ledger``, is built on
     first use and kept for the last depth asked.
     """
@@ -341,16 +342,20 @@ class SelectorTable:
             np.array([tail_start, brk - (brk >= 1.0), slopes[m % T.degree],
                       tail])], axis=2)
         rows = np.arange(len(left))[:, None]
-        self._pieces = pieces[:, rows, np.argsort(pieces[0], axis=1,
-                                                  kind="stable")]
-        self._last = (self._pieces[0] < np.inf).sum(axis=1) - 1
-        # many rows gather the four columns at once, by the flat index
-        # row * P + j; a one-row table keeps its row unpacked, without the
-        # padding, for ``searchsorted``
-        self._flat = self._pieces.reshape(4, -1)
-        self._base = rows * self._pieces.shape[2]
-        self._row = (tuple(self._pieces[:, 0, :self._last[0] + 1])
+        pieces = pieces[:, rows, np.argsort(pieces[0], axis=1, kind="stable")]
+        last = (pieces[0] < np.inf).sum(axis=1) - 1
+        # a one-row table keeps its row unpacked, without the padding, for
+        # ``searchsorted``; many rows gather the four columns at once from a
+        # flat table at row * (P + 1) + the count of the row's starts at or
+        # below the point, where column 0 of each row repeats its last piece
+        self._row = (tuple(pieces[:, 0, :last[0] + 1])
                      if len(left) == 1 else None)
+        if self._row is None:
+            wrapped = np.concatenate([pieces[:, rows, last[:, None]], pieces],
+                                     axis=2)
+            self._starts = wrapped[0, :, 1:].T
+            self._flat = wrapped.reshape(4, -1)
+            self._base = rows * wrapped.shape[2]
         self._ledger = (None, None)
         #: (f, n, jump tails) that ``flatten.transfer`` keeps for the last
         #: f and depth, so a selector's functionals and coboundary share them
@@ -373,8 +378,10 @@ class SelectorTable:
         set; no endpoint tolerance is applied.  The left limit at x takes
         the piece of the right limit at nextafter(x, -inf), as #starts < x
         = #starts <= nextafter(x, -inf), so one search serves both: one
-        ``searchsorted`` for one row, a count of the row's starts for many.
-        A point below every start takes the last piece, which wraps."""
+        ``searchsorted`` for one row, and for many one compare-and-add per
+        start column.  A count of i is piece i - 1, and a count of 0, below
+        every start, is column 0 of the row in the flat table, a copy of
+        its last piece, which wraps."""
         q = xs if left is False else np.where(left, np.nextafter(xs, -np.inf),
                                               xs)
         if self._row is not None:
@@ -383,9 +390,11 @@ class SelectorTable:
             starts, bases, slopes, lengths = (starts[j], bases[j], slopes[j],
                                               lengths[j])
         else:
-            x = q.reshape(len(self._last), -1 if q.size else 0)
-            j = (self._pieces[0][:, None, :] <= x[..., None]).sum(axis=2) - 1
-            j = np.where(j < 0, self._last[:, None], j) + self._base
+            x = q.reshape(len(self._base), -1 if q.size else 0)
+            first, *rest = self._starts
+            j = self._base + (first[:, None] <= x)
+            for start in rest:
+                j += start[:, None] <= x
             starts, bases, slopes, lengths = self._flat.take(
                 j.reshape(q.shape), axis=1)
         off = xs - starts

@@ -12,9 +12,9 @@ from flowerflat.dynamics import make_linear_map, map_from_slopes
 from flowerflat.flatten import (Coboundary, default_depth, escape_function,
                                 escape_time_direct, flattened_values,
                                 functional, is_flat, normal_form_check,
-                                petal_samples, tail_bound)
-from flowerflat.flower import (one_flower, random_flower, selector,
-                               validate_flower)
+                                petal_samples, tail_bound, transfer)
+from flowerflat.flower import (SelectorTable, one_flower, random_flower,
+                               selector, validate_flower)
 from flowerflat.functions import (PiecewiseLinear, TrigPolynomial,
                                   compose_with_map, demo_function)
 
@@ -358,6 +358,21 @@ class TestCoboundaryKernel:
         flat, constant, max_dev = is_flat(f, cob, F)
         assert flat
         assert max_dev <= 1e-11
+
+    def test_negative_zero_f_sums_to_positive_zero(self):
+        # the sums start at +0.0 and add f only where a point is alive:
+        # +0.0 + -0.0 is +0.0, so an f of -0.0 gives +0.0 bits everywhere,
+        # at points that take a one-sided decision (1/8 and 5/8 are
+        # periodic parameters of T3) and after it
+        f = TrigPolynomial(constant=-0.0)
+        assert np.signbit(f.eval_many([0.3])).all()
+        table = SelectorTable.one_flowers(T3, [1 / 8, 5 / 8, 0.3])
+        v = np.column_stack([table.right, table.disc, table.left,
+                             np.linspace(0.0, 0.9, 10) + np.zeros((3, 1))])
+        for u in (table.left, v):
+            for N in (1, 8, 40):
+                phi = transfer(table, f, N, u, v)
+                assert phi.tobytes() == np.zeros(v.shape).tobytes()
 
     def test_rejects_non_finite_points(self):
         F, sel, disc = _semicircle()

@@ -356,6 +356,39 @@ class TestSelectorTable:
             # its branch break, the others are not cut
             assert len(row._row[0]) <= F.p + 1
 
+    @pytest.mark.parametrize("T", MAPS[1:])
+    def test_search_edges_equal_the_one_row_search_bitwise(self, T):
+        # many rows count their starts where one row searches them: at
+        # every start, the tail piece's too, one ulp either side of it,
+        # and at 0.0 and the last float below 1, which lie below every
+        # start of most rows and take the wrapped piece.  The tables mix
+        # rows of one piece (a petal from a break, padded with +inf) with
+        # rows of two, and p-flowers of up to 2p pieces.
+        rng = random.Random(31)
+        tables = [SelectorTable.one_flowers(T, np.concatenate(
+            [T.breaks, [rng.random() for _ in range(6)]]))]
+        for p in (2, 3, 4):
+            flowers = [random_flower(T, p, rng) for _ in range(4)]
+            tables.append(SelectorTable(
+                T, np.array([[q.left for q in F.petals] for F in flowers]),
+                np.array([[q.right for q in F.petals] for F in flowers])))
+        for table in tables:
+            rows = [SelectorTable(T, table.left[g:g + 1],
+                                  table.right[g:g + 1])
+                    for g in range(len(table.left))]
+            P = max(len(row._row[0]) for row in rows)
+            starts = np.array([np.resize(row._row[0], P) for row in rows])
+            below = np.nextafter(starts, -1.0)
+            below[below < 0.0] = np.nextafter(1.0, 0.0)
+            above = np.nextafter(starts, 2.0)
+            above[above >= 1.0] = 0.0
+            ends = np.full((len(rows), 2), [0.0, np.nextafter(1.0, 0.0)])
+            xs = np.column_stack([starts, below, above, ends])
+            self._assert_rows_bitwise(table, rows, xs, 12)
+            if table is tables[0]:
+                assert [len(row._row[0]) for row in rows] == \
+                    [1] * len(T.breaks) + [2] * 6
+
     @staticmethod
     def _walked_ledger(flowers, n):
         """The ledger of a table whose rows are the flowers, walked point by
