@@ -131,12 +131,25 @@ def functional(sel: PreImageSelector, disc: Discontinuity, f,
     closed form f(r) - f(l) + phi(r) with phi anchored at l, [l, r] = I_x.
 
     Returns (value, error_bound); the bound is the rigorous geometric-tail
-    certificate, uniform over all flowers with the same map.
+    certificate, uniform over all flowers with the same map.  phi(r) with
+    anchor l comes from one ``transfer`` call for every arc I_x of the
+    selector, which the selector's table keeps for the last f and N
+    (``SelectorTable.arcs``); an arc not kept, such as a complementary
+    J_x, joins that call.
     """
     l, r = disc.I.left, disc.I.right
     value = f.eval(r) - f.eval(l)
     if N > 0:
-        value += float(transfer(sel.table, f, N, [[l]], [[r]])[0, 0])
+        table = sel.table
+        kept_f, kept_n, phis = table.arcs
+        if kept_f is not f or kept_n != N or (l, r) not in phis:
+            arcs = list(dict.fromkeys([(d.I.left, d.I.right)
+                                       for d in sel.discontinuities()]
+                                      + [(l, r)]))
+            u, v = np.array(arcs).T[:, None]
+            table.arcs = (f, N, dict(zip(
+                arcs, transfer(table, f, N, u, v)[0].tolist())))
+        value += table.arcs[2][(l, r)]
     K = sel.flower.map.expansion_constant
     err = f.lipschitz_constant() * tail_bound(K, N, disc.I.length)
     return value, err

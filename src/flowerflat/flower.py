@@ -360,6 +360,9 @@ class SelectorTable:
         #: (f, n, jump tails) that ``flatten.transfer`` keeps for the last
         #: f and depth, so a selector's functionals and coboundary share them
         self.sums = (None, None, None)
+        #: (f, n, {(l, r): phi(r) - phi(l)}) that ``flatten.functional``
+        #: keeps for the last f and depth, for the arcs [l, r] of one call
+        self.arcs = (None, None, {})
 
     @classmethod
     def one_flowers(cls, T: ExpandingMap, lefts) -> "SelectorTable":

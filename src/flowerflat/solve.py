@@ -27,9 +27,13 @@ rho a bound on the rounding of both values: then Phi_N has its sign and
 |Phi_N| > plateau_tol, so every sign the solver compares is that of a
 scan at depth N.  err_N is ``phi_of_gammas``'s own expression, so the
 plateau tolerance, twice err_N at gamma = 0, is the same float.  The
-other rows are taken at depth N in one call; so is every bracket end
-that holds a shallow value, in the first refinement round, and the grid
-when no root is found.  The ``scan`` command keeps depth N.
+other rows are classified on their shallow values, provisionally, and
+taken at depth N in the call of the first refinement round, with every
+bracket end that holds a shallow value, and with the grid when the scan
+shows no interval.  Where one of them classifies otherwise at depth N,
+the grid is classified again and the round retaken, so the reports are
+those of a classification at depth N.  The ``scan`` command keeps
+depth N.
 
 rho = m gamma_{2m} S, gamma_k = k u / (1 - k u), u = 2^-53, bounds the
 rounding (Higham 2002, section 4.2; README.md derives it): m = (n + 1)(n
@@ -49,7 +53,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +67,7 @@ from .flower import Flower, SelectorTable, arc_end, selector
 #: most interior points per bracket and round of ``_multisect_roots``
 MULTISECTION_POINTS = 63
 #: depth of the scan of ``solve_pre_sturmian``, whose rows of uncertified
-#: sign are taken again at the full depth
+#: sign are taken again at the full depth in the first refinement round
 SHALLOW_DEPTH = 8
 
 
@@ -171,7 +175,8 @@ class ZeroInterval:
 
 
 def _multisect_roots(T: ExpandingMap, f, N: int, lo, flo, hi, fhi,
-                     resolution: float, stale) -> Tuple[np.ndarray, ...]:
+                     resolution: float, stale, provisional
+                     ) -> Optional[Tuple[np.ndarray, ...]]:
     """Shrink sign-change brackets [lo, hi] (lifted, hi may exceed 1) to
     width <= resolution, or to no float inside, all brackets together.
 
@@ -179,26 +184,31 @@ def _multisect_roots(T: ExpandingMap, f, N: int, lo, flo, hi, fhi,
     each keeps the leftmost sub-bracket that ends on an exact zero
     (closing to that point) or has a sign change.  The first also takes at
     depth N the ends that ``stale``, masks over lo and hi, marks shallow:
-    their scan values choose, their depth-N values are kept.  R is the
-    fewest rounds of at most MULTISECTION_POINTS + 1 sub-brackets that
-    take the widest bracket to the resolution (or one ulp of hi).  A
-    uniform round cuts a bracket into the fewest s parts with s^R >= r, r
-    aimed two ulps short.  After one, while R >= 2, a bracket takes p -+ d
-    8^j out to its ends, d = 0.45 res - 1 ulp > 1 ulp, p its root by
-    inverse cubic interpolation through the 4 values nearest its sign
-    change, clamped into it: it closes if p is within d of the root.  The
-    points lo + w i / t, t = w / (64^(R-1) res) rounded up, keep it within
-    R - 1 more rounds.  A miss takes a uniform round next.
+    their scan values choose, their depth-N values are kept.  It takes the
+    gammas of ``provisional``, a pair (gammas, settle), too, and hands
+    their values to ``settle`` before it chooses: that returns the end
+    values (flo, fhi) to go on with, or None, which ends the multisection
+    with None.  R is the fewest rounds of at most MULTISECTION_POINTS + 1
+    sub-brackets that take the widest bracket to the resolution (or one
+    ulp of hi).  A uniform round cuts a bracket into the fewest s parts
+    with s^R >= r, r aimed two ulps short.  After one, while R >= 2, a
+    bracket takes p -+ d 8^j out to its ends, d = 0.45 res - 1 ulp > 1
+    ulp, p its root by inverse cubic interpolation through the 4 values
+    nearest its sign change, clamped into it: it closes if p is within d
+    of the root.  The points lo + w i / t, t = w / (64^(R-1) res) rounded
+    up, keep it within R - 1 more rounds.  A miss takes a uniform round
+    next.
     """
     lo, flo, hi, fhi = (np.array(v, dtype=float) for v in (lo, flo, hi, fhi))
     stale_lo, stale_hi = stale
+    rows, settle = provisional
     n = MULTISECTION_POINTS + 1
     # x and y of the 4 values nearest each sign change, after a uniform round
     fit, fitted = np.zeros((len(lo), 2, 4)), np.zeros(len(lo), dtype=bool)
     while True:
         open_ = np.flatnonzero((hi - lo > resolution)
                                & (np.nextafter(lo, np.inf) < hi))
-        ends = np.concatenate([lo[stale_lo], hi[stale_hi]])
+        ends = np.concatenate([lo[stale_lo], hi[stale_hi], rows])
         if not len(open_) and not len(ends):
             return lo, flo, hi, fhi
         l, h = lo[open_, None], hi[open_, None]
@@ -234,11 +244,19 @@ def _multisect_roots(T: ExpandingMap, f, N: int, lo, flo, hi, fhi,
         inside = (xs > l) & (xs < h)
         values = phi_of_gammas(T, f, np.concatenate([xs[inside], ends]), N)[0]
         m = inside.sum()
+        at_lo, at_hi, taken = np.split(values[m:], np.cumsum(
+            [stale_lo.sum(), stale_hi.sum()]))
+        if len(rows):
+            settled = settle(taken)
+            if settled is None:
+                return None
+            flo, fhi = settled
         ys = np.where(xs <= l, flo[open_, None], fhi[open_, None])
         ys[inside] = values[:m]
         hit = (ys[:, 1:] == 0.0) | ((ys[:, 1:] < 0) != (ys[:, :-1] < 0))
-        flo[stale_lo], fhi[stale_hi] = np.split(values[m:], [stale_lo.sum()])
+        flo[stale_lo], fhi[stale_hi] = at_lo, at_hi
         stale_lo = stale_hi = np.zeros(len(lo), dtype=bool)
+        rows = rows[:0]
         ys[~inside] = np.where(xs <= l, flo[open_, None],
                                fhi[open_, None])[~inside]
         j = hit.argmax(axis=1)
@@ -254,12 +272,12 @@ def _multisect_roots(T: ExpandingMap, f, N: int, lo, flo, hi, fhi,
 
 def _certified_scan(T: ExpandingMap, f, grid_size: int, N: int
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The scan of ``solve_pre_sturmian``: the grid gammas, Phi at each,
-    the rows that keep their value at depth n = min(N, SHALLOW_DEPTH) and
-    the plateau tolerance.  A row keeps its shallow value where
-    |Phi_n| > err_n + err_N + plateau_tol + rho; then Phi_N has its sign
-    and is no plateau value (module docstring).  Every other row is taken
-    at depth N, in one ``phi_of_gammas`` call."""
+    """The scan of ``solve_pre_sturmian``: the grid gammas, Phi at each at
+    depth n = min(N, SHALLOW_DEPTH), the rows that keep that value at
+    depth N and the plateau tolerance.  A row keeps its shallow value
+    where |Phi_n| > err_n + err_N + plateau_tol + rho; then Phi_N has its
+    sign and is no plateau value (module docstring).  Below depth N, the
+    value of every other row is provisional."""
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     if N < 0:
@@ -274,34 +292,25 @@ def _certified_scan(T: ExpandingMap, f, grid_size: int, N: int
         return gammas, phis, np.zeros(grid_size, dtype=bool), plateau_tol
     shallow = np.abs(phis) > (errors + bounds + plateau_tol
                               + _rounding_bound(f, SHALLOW_DEPTH, N))
-    if not shallow.all():
-        phis[~shallow] = phi_of_gammas(T, f, gammas[~shallow], N)[0]
     return gammas, phis, shallow, plateau_tol
 
 
-def solve_pre_sturmian(T: ExpandingMap, f, N: int,
-                       resolution: float = 1e-10, grid_size: int = 512
-                       ) -> List[ZeroInterval]:
-    """All zero intervals of Phi: plateaus, exact zeros on the grid and
-    refined sign changes.  The scan runs at depth n = min(N,
-    SHALLOW_DEPTH) and keeps a row's value where the certificate of the
-    module docstring fixes its sign; every other row is taken at depth N
-    in one call, and a bracket end that holds a shallow value in the first
-    round of ``_multisect_roots``.  Raises NoSignChange when the scan
-    shows none of them, with the least and the greatest value of a scan at
-    depth N, and ValueError unless the resolution is finite and positive.
-    """
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError("resolution must be finite and positive")
-    gammas, phis, shallow, plateau_tol = _certified_scan(T, f, grid_size, N)
-    m = len(gammas)
+def _classify(phis: np.ndarray, plateau_tol: float
+              ) -> Tuple[np.ndarray, ...]:
+    """The rows of the zero intervals of ``solve_pre_sturmian``: the first
+    and the last row of each plateau, the exact zeros, and the cells i
+    whose rows i and i + 1 change sign, each in grid order.  A plateau is
+    a run of >= 3 consecutive small rows (cyclic), |Phi| <= plateau_tol,
+    or every row when all are small; zeros and sign changes lie outside
+    the plateaus."""
+    m = len(phis)
     small = np.abs(phis) <= plateau_tol
     if small.all():
-        return [ZeroInterval(0.0, (m - 1) / m, float(phis[0]),
-                             float(phis[-1]), resolution)]
+        none = np.zeros(0, dtype=int)
+        return np.array([0]), np.array([m - 1]), none, none
 
-    # plateau runs of >= 3 consecutive small rows (cyclic), in grid order
-    # from the first row that is not small, where no run can wrap
+    # plateau runs in grid order from the first row that is not small,
+    # where no run can wrap
     start = int(np.argmin(small))
     edges = np.diff(np.roll(small, -start), prepend=False, append=False)
     first, stop = np.flatnonzero(edges).reshape(-1, 2).T
@@ -310,22 +319,64 @@ def solve_pre_sturmian(T: ExpandingMap, f, N: int,
     marks = np.zeros(m + 1, dtype=int)
     marks[first], marks[stop] = 1, -1
     in_plateau = np.roll(np.cumsum(marks[:-1]) > 0, start)
-    first, last = (first + start) % m, (stop - 1 + start) % m
+    after = np.roll(phis, -1)
+    return ((first + start) % m, (stop - 1 + start) % m,
+            np.flatnonzero((phis == 0.0) & ~in_plateau),
+            np.flatnonzero(~(in_plateau | np.roll(in_plateau, -1))
+                           & (phis != 0.0) & (after != 0.0)
+                           & ((phis < 0) != (after < 0))))
+
+
+def solve_pre_sturmian(T: ExpandingMap, f, N: int,
+                       resolution: float = 1e-10, grid_size: int = 512
+                       ) -> List[ZeroInterval]:
+    """All zero intervals of Phi: plateaus, exact zeros on the grid and
+    sign changes, refined together by ``_multisect_roots`` (``_classify``
+    finds them).  The scan runs at depth n = min(N, SHALLOW_DEPTH) and
+    keeps a row's value where the certificate of the module docstring
+    fixes its sign.  Every other row is classified on its shallow value,
+    provisionally: the first call at depth N, that of the first round,
+    takes it, with the whole grid when the scan shows no interval.  Where
+    one of them classifies otherwise there (its sign, an exact zero or
+    the plateau tolerance), the grid is classified again on the depth-N
+    values and the first round retaken.  Raises NoSignChange when the scan
+    shows no interval, with the least and the greatest value of a scan at
+    depth N, and ValueError unless the resolution is finite and positive.
+    """
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError("resolution must be finite and positive")
+    gammas, phis, shallow, plateau_tol = _certified_scan(T, f, grid_size, N)
+    m = len(gammas)
+    redo, depth_n = ~shallow & (N > SHALLOW_DEPTH), phis.copy()
+    while True:
+        first, last, zeros, cells = _classify(phis, plateau_tol)
+        ends = (cells + 1) % m
+        take = redo if len(first) + len(zeros) + len(cells) else redo | shallow
+        guess = phis[redo]
+
+        def settle(values):
+            """Phi at depth N on the rows taken; the bracket end values if
+            every provisional row classifies as its shallow value did."""
+            depth_n[take] = values
+            phis[redo] = deep = depth_n[redo]
+            if ((np.sign(deep) * np.sign(guess) < 1) | (
+                    (np.abs(deep) <= plateau_tol)
+                    != (np.abs(guess) <= plateau_tol))).any():
+                return None
+            return phis[cells], phis[ends]
+
+        roots = _multisect_roots(
+            T, f, N, gammas[cells], phis[cells], gammas[cells] + 1.0 / m,
+            phis[ends], resolution, (shallow[cells], shallow[ends]),
+            (gammas[take], settle))
+        if roots is not None:
+            break
+        redo[:] = False
+
+    lo, flo, hi, fhi = roots
     intervals = [ZeroInterval(float(gammas[i]), float(gammas[j]),
                               float(phis[i]), float(phis[j]), resolution)
                  for i, j in zip(first, last)]
-
-    # outside plateaus, in grid order: exact zeros on the grid, and sign
-    # changes between neighbours, which are refined together
-    after = np.roll(phis, -1)
-    zeros = np.flatnonzero((phis == 0.0) & ~in_plateau)
-    cells = np.flatnonzero(~(in_plateau | np.roll(in_plateau, -1))
-                           & (phis != 0.0) & (after != 0.0)
-                           & ((phis < 0) != (after < 0)))
-    ends = (cells + 1) % m
-    lo, flo, hi, fhi = _multisect_roots(
-        T, f, N, gammas[cells], phis[cells], gammas[cells] + 1.0 / m,
-        phis[ends], resolution, (shallow[cells], shallow[ends]))
     found = [ZeroInterval(float(gammas[i]), float(gammas[i]), 0.0, 0.0,
                           resolution) for i in zeros]
     found += [ZeroInterval(reduce(float(lo[n])), reduce(float(hi[n])),
@@ -334,9 +385,7 @@ def solve_pre_sturmian(T: ExpandingMap, f, N: int,
     order = np.argsort(np.concatenate([zeros, cells]))
     intervals += [found[n] for n in order]
     if not intervals:
-        if shallow.any():
-            phis = phi_of_gammas(T, f, gammas, N)[0]
-        values = phis.tolist()
+        values = depth_n.tolist()
         raise NoSignChange(min(values), max(values))
     return intervals
 

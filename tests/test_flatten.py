@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowerflat.flatten as flatten_mod
 from flowerflat.circle import EPS, Arc, lift, reduce
 from flowerflat.dynamics import make_linear_map, map_from_slopes
 from flowerflat.flatten import (Coboundary, default_depth, escape_function,
@@ -239,6 +240,39 @@ class TestFunctional:
         flat, constant, _ = is_flat(f, Coboundary(sel, f, depth), F)
         assert flat
         assert constant == pytest.approx(c, abs=1e-8)
+
+    @pytest.mark.parametrize("T", [T2, T3, S244])
+    def test_one_transfer_call_for_the_arcs_of_a_selector(self, T,
+                                                          monkeypatch):
+        """Each value is f(r) - f(l) plus a one-arc ``transfer`` on the
+        selector's table, bitwise, at depth 0 (no call) and at depths 1,
+        24 and 40, and every arc I_x takes phi in one call a (selector, f,
+        N).  A complementary arc J_x asked for first joins that call."""
+        kernel, calls = flatten_mod.transfer, []
+
+        def counted(table, f, N, u, v):
+            calls.append(np.shape(v))
+            return kernel(table, f, N, u, v)
+
+        monkeypatch.setattr(flatten_mod, "transfer", counted)
+        rng = random.Random(T.degree)
+        f = TrigPolynomial([0.3, -0.7], [0.5])
+        for p in (1, 3) if T is T2 else (1, 2, 3):
+            F = random_flower(T, p, rng)
+            for N in (0, 1, 24, 40):
+                sel = selector(F)
+                discs = sel.discontinuities()
+                complement = dataclasses.replace(discs[-1], I=discs[-1].J)
+                calls.clear()
+                for disc in [complement] + discs:
+                    l, r = disc.I.left, disc.I.right
+                    want = f.eval(r) - f.eval(l)
+                    if N > 0:
+                        want += float(kernel(selector(F).table, f, N, [[l]],
+                                             [[r]])[0, 0])
+                    value, _ = functional(sel, disc, f, N)
+                    assert repr(value) == repr(want)
+                assert calls == ([(1, p + 1)] if N else [])
 
     def test_error_bound_scales_with_lipschitz(self):
         F, sel, disc = _semicircle()

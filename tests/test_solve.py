@@ -345,18 +345,20 @@ class TestSolvePreSturmian:
             assert type(zi.is_plateau) is bool
 
     @pytest.mark.parametrize("resolution, rows", [
-        (1e-10, [58, 18]), (1e-12, [72, 24])])
+        (1e-10, [60, 58, 18]), (1e-12, [74, 72, 24])])
     def test_rounds_sized_to_the_bracket(self, monkeypatch, resolution,
                                          rows):
-        """After the 512-row scan at the shallow depth, and the rows at
-        the roots 1/4 and 3/4 taken at depth 37, the two sign changes of
-        cos on T2 close in two rounds at depth 37.  The first is uniform,
-        with as many points per bracket as 64 sub-brackets a round need
-        (28 to 1e-10, 35 to 1e-12) and the two bracket ends that hold
-        shallow values; the second takes the stencil around each
-        interpolated root, its spread and the points that keep the bracket
-        within uniform rounds.  Each bracket ends at most the resolution
-        wide, on a sign change or an exact zero."""
+        """After the 512-row scan at the shallow depth, the two sign
+        changes of cos on T2 close in two rounds at depth 37.  The first is
+        uniform, with as many points per bracket as 64 sub-brackets a round
+        need (28 to 1e-10, 35 to 1e-12) and the two bracket ends that hold
+        shallow values.  It first also takes the rows at the roots 1/4 and
+        3/4, whose signs the scan left uncertified: Phi at 1/4 is 6.4e-16
+        at depth 8 and -2.4e-16 at depth 37, which moves its sign change
+        one cell down, so the round is retaken.  The second takes the
+        stencil around each interpolated root, its spread and the points
+        that keep the bracket within uniform rounds.  Each bracket ends at
+        most the resolution wide, on a sign change or an exact zero."""
         calls = []
         phi = solve_mod._phi
 
@@ -367,10 +369,10 @@ class TestSolvePreSturmian:
         monkeypatch.setattr(solve_mod, "_phi", counted)
         intervals = solve_pre_sturmian(T2, COS, 37, resolution=resolution,
                                        grid_size=512)
-        assert calls == [(512, solve_mod.SHALLOW_DEPTH), (2, 37)] + [
+        assert calls == [(512, solve_mod.SHALLOW_DEPTH)] + [
             (n, 37) for n in rows]
         assert all(n <= 2 * solve_mod.MULTISECTION_POINTS + 4
-                   for n, _ in calls[2:])
+                   for n, _ in calls[1:])
         assert len(intervals) == 2
         for zi in intervals:
             assert 0.0 <= zi.gamma_high - zi.gamma_low <= resolution
@@ -381,29 +383,51 @@ class TestSolvePreSturmian:
         """Brackets that s <= 63 sub-brackets take to the resolution close
         in one round, whatever the rounding of the points: the rounds aim
         two ulps short of it.  The round also takes the bracket ends that
-        hold shallow values, at most two per bracket.  Before it come the
-        shallow scan and at most one call at depth N; nothing after it."""
-        calls = []
+        hold shallow values, at most two per bracket, and the rows of
+        uncertified sign; where one of those classifies otherwise at depth
+        N, the round is retaken once, without them; a case none of whose
+        rows needs that closes in exactly one round.  Before it comes the
+        shallow scan alone; nothing after it."""
+        calls, retook = [], [0]
         fake_phi(monkeypatch, calls, 10,
                  lambda g: (g - 0.1) * (g - 0.78), shift=1e-4)
+        multisect = solve_mod._multisect_roots
+
+        def counted(*args):
+            roots = multisect(*args)
+            retook[0] += roots is None
+            return roots
+
+        monkeypatch.setattr(solve_mod, "_multisect_roots", counted)
+        retaken = 0
         for grid in (512, 16, 10, 7, 3):
+            uncertified = (~solve_mod._certified_scan(T2, TINY, grid,
+                                                      10)[2]).sum()
             for s in range(2, 64):
                 calls.clear()
+                retook[0] = 0
                 solve_pre_sturmian(T2, TINY, 10, resolution=1 / grid / s,
                                    grid_size=grid)
                 assert calls[0] == (grid, solve_mod.SHALLOW_DEPTH, False)
                 rounds = [n for n, _, inside in calls if inside]
-                assert len(rounds) == 1 and rounds[0] <= 2 * s + 4
-                assert calls[-1] == (rounds[0], 10, True)
-                assert len(calls) <= 3
+                assert retook[0] <= 1
+                assert len(rounds) == len(calls) - 1 == 1 + retook[0]
+                assert calls[-1] == (rounds[-1], 10, True)
+                assert rounds[0] <= 2 * s + 4 + uncertified
+                assert rounds[-1] <= 2 * s + 4 + (not retook[0]) * (
+                    uncertified)
                 assert all(N == 10 for _, N, _ in calls[1:])
+                retaken += retook[0]
+        assert retaken
 
     def test_depth_n_calls_on_seeded_trig_functions(self, monkeypatch):
         """The depth-N calls of ``solve_pre_sturmian`` at the defaults on
         12 seeded two-term trig f on T2 and on T3, drawn as the ``solve``
-        benchmark draws them: one call for the uncertified scan rows, when
-        there are any, then the rounds; 65 in all and at most 5 an item,
-        where uniform rounds alone take 131 and 6."""
+        benchmark draws them: the rounds alone, the first of which also
+        takes the scan rows of uncertified sign, and is retaken where one
+        of them classifies otherwise; 55 in all and at most 4 an item,
+        where a call of their own before the rounds took 65 and 5, and
+        uniform rounds alone 131 and 6."""
         counts, phi, depth = [], solve_mod._phi, [None]
 
         def counted(table, f, N):
@@ -424,7 +448,7 @@ class TestSolvePreSturmian:
                 depth[0] = default_depth(f.lipschitz_constant(), k, 1e-10)
                 counts.append(0)
                 solve_pre_sturmian(make_linear_map(k), f, depth[0])
-        assert (max(counts), sum(counts)) == (5, 65)
+        assert (max(counts), sum(counts)) == (4, 55)
 
     @pytest.mark.parametrize("resolution", [1e-16, 1e-17, math.ulp(0.0)])
     def test_resolution_below_the_ulp(self, resolution):
@@ -555,18 +579,77 @@ class TestInterpolatedRounds:
                     | ((zi.gamma_low - roots) % 1.0 <= 1e-15)).any()
 
 
-def _solved(T, f, N, resolution, grid):
+def _solved(T, f, N, resolution, grid, solve=solve_pre_sturmian):
     """The repr of ``solve_pre_sturmian``'s intervals, or of the values
     its NoSignChange reports, which tells -0.0 from 0.0."""
     try:
-        return repr(solve_pre_sturmian(T, f, N, resolution, grid))
+        return repr(solve(T, f, N, resolution, grid))
     except NoSignChange as exc:
         return repr((exc.phi_min, exc.phi_max))
 
 
+def reference_solve(T, f, N, resolution=1e-10, grid_size=512):
+    """``solve_pre_sturmian`` as it was while the scan took its rows of
+    uncertified sign at depth N in a call of their own, before the first
+    round, and classified the grid once: the redo-first flow, which the
+    provisional classification must reproduce bitwise.  Its multisection
+    is ``_multisect_roots`` with no provisional rows."""
+    gammas, phis, shallow, plateau_tol = solve_mod._certified_scan(
+        T, f, grid_size, N)
+    if N > solve_mod.SHALLOW_DEPTH and not shallow.all():
+        phis[~shallow] = phi_of_gammas(T, f, gammas[~shallow], N)[0]
+    m = len(gammas)
+    small = np.abs(phis) <= plateau_tol
+    if small.all():
+        return [ZeroInterval(0.0, (m - 1) / m, float(phis[0]),
+                             float(phis[-1]), resolution)]
+
+    # plateau runs of >= 3 consecutive small rows (cyclic), in grid order
+    # from the first row that is not small, where no run can wrap
+    start = int(np.argmin(small))
+    edges = np.diff(np.roll(small, -start), prepend=False, append=False)
+    first, stop = np.flatnonzero(edges).reshape(-1, 2).T
+    plateau = stop - first >= 3
+    first, stop = first[plateau], stop[plateau]
+    marks = np.zeros(m + 1, dtype=int)
+    marks[first], marks[stop] = 1, -1
+    in_plateau = np.roll(np.cumsum(marks[:-1]) > 0, start)
+    first, last = (first + start) % m, (stop - 1 + start) % m
+    intervals = [ZeroInterval(float(gammas[i]), float(gammas[j]),
+                              float(phis[i]), float(phis[j]), resolution)
+                 for i, j in zip(first, last)]
+
+    # outside plateaus, in grid order: exact zeros on the grid, and sign
+    # changes between neighbours, which are refined together
+    after = np.roll(phis, -1)
+    zeros = np.flatnonzero((phis == 0.0) & ~in_plateau)
+    cells = np.flatnonzero(~(in_plateau | np.roll(in_plateau, -1))
+                           & (phis != 0.0) & (after != 0.0)
+                           & ((phis < 0) != (after < 0)))
+    ends = (cells + 1) % m
+    lo, flo, hi, fhi = solve_mod._multisect_roots(
+        T, f, N, gammas[cells], phis[cells], gammas[cells] + 1.0 / m,
+        phis[ends], resolution, (shallow[cells], shallow[ends]),
+        (gammas[:0], None))
+    found = [ZeroInterval(float(gammas[i]), float(gammas[i]), 0.0, 0.0,
+                          resolution) for i in zeros]
+    found += [ZeroInterval(reduce(float(lo[n])), reduce(float(hi[n])),
+                           float(flo[n]), float(fhi[n]), resolution)
+              for n in range(len(cells))]
+    order = np.argsort(np.concatenate([zeros, cells]))
+    intervals += [found[n] for n in order]
+    if not intervals:
+        if shallow.any():
+            phis = phi_of_gammas(T, f, gammas, N)[0]
+        values = phis.tolist()
+        raise NoSignChange(min(values), max(values))
+    return intervals
+
+
 class TestCertifiedScan:
     """The scan of ``solve_pre_sturmian`` at depth SHALLOW_DEPTH, whose
-    rows of uncertified sign are taken again at depth N."""
+    rows of uncertified sign are taken again at depth N in the call of
+    the first round."""
 
     @settings(max_examples=15, deadline=None)
     @given(T=st.sampled_from([T2, T3, T4, S244]), f=_functions(),
@@ -580,7 +663,8 @@ class TestCertifiedScan:
         assert tol == max(1e-9, 2.0 * bounds[0])
         assert (np.sign(phis[shallow]) == np.sign(deep[shallow])).all()
         assert (np.abs(deep[shallow]) > tol).all()
-        assert phis[~shallow].tobytes() == deep[~shallow].tobytes()
+        assert phis.tobytes() == phi_of_gammas(
+            T, f, gammas, solve_mod.SHALLOW_DEPTH)[0].tobytes()
 
     @pytest.mark.parametrize("T", [T2, T3, S244])
     def test_truncation_bounds_are_phi_of_gammas_bounds(self, T):
@@ -639,13 +723,16 @@ class TestCertifiedScan:
 
     def test_exact_zero_on_the_grid(self, monkeypatch):
         """0 at depth N and 1e-6 at the shallow depth: the row is not
-        certified, so it is taken at depth N and reported as a zero."""
+        certified, so it is taken at depth N in the call of the first
+        round, which its exact zero retakes, and reported as a zero."""
         calls = []
-        fake_phi(monkeypatch, calls, 10, lambda g: g - 0.125, 1e-6)
+        points = fake_phi(monkeypatch, calls, 10, lambda g: g - 0.125, 1e-6)
         intervals = solve_pre_sturmian(T2, TINY, 10, 1e-10, 16)
         assert intervals[0] == ZeroInterval(0.125, 0.125, 0.0, 0.0, 1e-10)
-        assert calls[:2] == [(16, solve_mod.SHALLOW_DEPTH, False),
-                             (1, 10, False)]
+        assert calls[0] == (16, solve_mod.SHALLOW_DEPTH, False)
+        assert all(inside for _, _, inside in calls[1:])
+        assert 0.125 in points[1]
+        assert 0.125 not in sum(points[2:], [])
 
     def test_ends_that_never_move(self, monkeypatch):
         """The root 1e-14 past the grid point 1/4 leaves the low end of its
@@ -674,7 +761,7 @@ class TestCertifiedScan:
             solve_pre_sturmian(T2, TINY, 10, 1e-10, 16)
         assert (info.value.phi_min, info.value.phi_max) == (1.0, 1.9375)
         assert calls == [(16, solve_mod.SHALLOW_DEPTH, False),
-                         (16, 10, False)]
+                         (16, 10, True)]
 
     def test_scan_command_keeps_depth_n(self, monkeypatch, tmp_path):
         depths = []
@@ -690,6 +777,141 @@ class TestCertifiedScan:
                          "--grid", "16", "--out",
                          str(tmp_path / "scan.csv")]) == 0
         assert depths == [20]
+
+
+def seeded_trig(k, i):
+    """The i-th two-term trig f on T_k, drawn as the ``solve`` benchmark
+    draws them, with its default depth."""
+    rng = random.Random(i)
+    theta, amp, phase = rng.random(), rng.uniform(0.02, 0.08), rng.random()
+    f = TrigPolynomial(cos_coeffs=[math.cos(2 * math.pi * theta),
+                                   amp * math.cos(2 * math.pi * phase)],
+                       sin_coeffs=[math.sin(2 * math.pi * theta),
+                                   amp * math.sin(2 * math.pi * phase)])
+    return f, default_depth(f.lipschitz_constant(), k, 1e-10)
+
+
+class TestProvisionalRows:
+    """The scan rows of uncertified sign are classified on their shallow
+    values and taken at depth N in the call of the first round.  The
+    reports equal those of ``reference_solve`` bitwise, whether the round
+    stands or is retaken, and no case takes more depth-N calls."""
+
+    @staticmethod
+    def both(monkeypatch, T, f, N, resolution=1e-10, grid=512):
+        """(report, depth-N calls, rounds retaken) of each flow."""
+        phi, multisect = solve_mod._phi, solve_mod._multisect_roots
+        calls, retaken = [0], [0]
+
+        def counted(table, f, depth):
+            calls[0] += depth == N
+            return phi(table, f, depth)
+
+        def rounds(*args):
+            roots = multisect(*args)
+            retaken[0] += roots is None
+            return roots
+
+        monkeypatch.setattr(solve_mod, "_phi", counted)
+        monkeypatch.setattr(solve_mod, "_multisect_roots", rounds)
+        out = []
+        for solve in (solve_pre_sturmian, reference_solve):
+            calls[0] = retaken[0] = 0
+            out.append((_solved(T, f, N, resolution, grid, solve),
+                        calls[0], retaken[0]))
+        monkeypatch.setattr(solve_mod, "_phi", phi)
+        monkeypatch.setattr(solve_mod, "_multisect_roots", multisect)
+        return out
+
+    def test_seeded_trig_functions(self, monkeypatch):
+        """The 24 f of ``test_depth_n_calls_on_seeded_trig_functions``."""
+        saved = 0
+        for k in (2, 3):
+            for i in range(12):
+                f, N = seeded_trig(k, i)
+                (new, calls, _), (old, ref_calls, _) = self.both(
+                    monkeypatch, make_linear_map(k), f, N)
+                assert new == old
+                assert calls <= ref_calls
+                saved += ref_calls - calls
+        assert saved == 10
+
+    @pytest.mark.parametrize("f, retakes", [(COS, 1), (FAINT, 1)])
+    def test_retaken_on_t2(self, monkeypatch, f, retakes):
+        """cos on T2 at depth 37, whose row 1/4 reads 6.4e-16 at depth 8
+        and -2.4e-16 at depth 37, and its faint copy, whose two roots are
+        plateaus: the first round is retaken, as often as given."""
+        (new, calls, retaken), (old, ref_calls, _) = self.both(
+            monkeypatch, T2, f, 37)
+        assert new == old and calls == ref_calls
+        assert retaken == retakes
+
+    def test_demo_function(self, monkeypatch):
+        f = demo_function(0.1)
+        N = default_depth(f.lipschitz_constant(), 2.0, 1e-11)
+        (new, calls, retaken), (old, ref_calls, _) = self.both(
+            monkeypatch, T2, f, N)
+        assert new == old and calls <= ref_calls
+
+    @pytest.mark.parametrize("phi, shift, counts", [
+        # the shallow sign of the rows 1/4 and 5/16 is wrong
+        (lambda g: g - 0.3, 0.06, (6, 6, 1)),
+        # the row 1/8 reads 1e-6 at the shallow depth, 0 at depth N
+        (lambda g: g - 0.125, 1e-6, (6, 6, 1)),
+        # the same, small at both depths
+        (lambda g: g - 0.125, 1e-10, (6, 6, 1)),
+        # the row 1/8 reads 0 at the shallow depth, 1e-10 at depth N
+        (lambda g: g - 0.125 + 1e-10, -1e-10, (6, 6, 1)),
+        # the rows next to 1/2 are small at depth N alone: a plateau
+        (lambda g: np.where(np.abs(g - 0.5) < 0.1, 1e-10, g - 0.5), 1e-6,
+         (6, 6, 1)),
+        # shallow signs right: the round stands
+        (lambda g: g - 0.3, 0.02, (5, 6, 0)),
+        # every row small: one call, which stands
+        (lambda g: 1e-10 * (1.5 + np.cos(2 * np.pi * g)), 5e-10, (1, 1, 0)),
+        # every row small, of the other sign at depth N
+        (lambda g: np.full(len(g), -1e-10), 5e-10, (1, 1, 1)),
+        # no sign change: the grid at depth N, which stands
+        (lambda g: 0.01 + g, 0.02, (1, 2, 0)),
+        # no sign change at the shallow depth, two at depth N
+        (lambda g: np.where(g == 0.0, -0.01, 0.01 + g), 0.02, (6, 6, 1))])
+    def test_fakes(self, monkeypatch, phi, shift, counts):
+        """``solve_pre_sturmian`` on fakes of Phi through ``fake_phi``,
+        whose shallow values are shifted, on a grid of 16 rows; counts are
+        the depth-N calls of each flow and the rounds retaken."""
+        fake_phi(monkeypatch, [], 10, phi, shift)
+        (new, calls, retaken), (old, ref_calls, _) = self.both(
+            monkeypatch, T2, TINY, 10, grid=16)
+        assert new == old
+        assert (calls, ref_calls, retaken) == counts
+
+
+    def test_certified_value_kept_where_the_grid_is_retaken(self,
+                                                           monkeypatch):
+        """A certified row keeps its shallow value for the classification,
+        even where its depth-N value has the other sign, as near the
+        periodic parameters where the closed form is off by O(1).  Here
+        the scan shows no interval, so the first call takes the grid at
+        depth N, where the provisional row 0 turns negative and the row
+        1/2 too: the grid is classified again with row 0 at depth N and
+        row 1/2 at its certified shallow value, which gives the two sign
+        changes next to row 0 alone."""
+        def deep(g):
+            return np.where(g == 0.0, -0.01, np.where(g == 0.5, -1.0, 1 + g))
+
+        fake_phi(monkeypatch, [], 10, deep, 0.01)
+        phi = solve_mod._phi
+
+        def shallow(table, f, depth):
+            g = table.left[:, 0]
+            return (phi(table, f, depth) if depth == 10
+                    else np.where(g == 0.0, 0.01, 1.0 + g))
+
+        monkeypatch.setattr(solve_mod, "_phi", shallow)
+        (new, calls, retaken), (old, ref_calls, _) = self.both(
+            monkeypatch, T2, TINY, 10, grid=16)
+        assert new == old and (calls, ref_calls, retaken) == (6, 6, 1)
+        assert new.count("ZeroInterval(") == 2
 
 
 #: exact lifted breaks and slopes of T2, T3 and S244, whose fixed point is 0
