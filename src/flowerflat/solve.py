@@ -27,13 +27,14 @@ rho a bound on the rounding of both values: then Phi_N has its sign and
 |Phi_N| > plateau_tol, so every sign the solver compares is that of a
 scan at depth N.  err_N is ``phi_of_gammas``'s own expression, so the
 plateau tolerance, twice err_N at gamma = 0, is the same float.  The
-other rows are classified on their shallow values, provisionally, and
-taken at depth N in the call of the first refinement round, with every
-bracket end that holds a shallow value, and with the grid when the scan
-shows no interval.  Where one of them classifies otherwise at depth N,
-the grid is classified again and the round retaken, so the reports are
-those of a classification at depth N.  The ``scan`` command keeps
-depth N.
+other rows are classified on their shallow values, provisionally.  Zero
+intervals are pairs of grid rows, their values taken by row index: the
+first refinement round's call takes at depth N each row not yet known
+there that is provisional or a bracket end, or the grid when the scan
+shows no interval.  Where a provisional row classifies otherwise at
+depth N, the grid is classified again and the round retaken, so the
+reports are those of a classification at depth N.  The ``scan``
+command keeps depth N.
 
 rho = m gamma_{2m} S, gamma_k = k u / (1 - k u), u = 2^-53, bounds the
 rounding (Higham 2002, section 4.2; README.md derives it): m = (n + 1)(n
@@ -174,21 +175,21 @@ class ZeroInterval:
             self.resolution, math.ulp(self.gamma_high))
 
 
-def _multisect_roots(T: ExpandingMap, f, N: int, lo, flo, hi, fhi,
-                     resolution: float, stale, provisional
-                     ) -> Optional[Tuple[np.ndarray, ...]]:
-    """Shrink sign-change brackets [lo, hi] (lifted, hi may exceed 1) to
-    width <= resolution, or to no float inside, all brackets together.
+def _multisect_roots(T: ExpandingMap, f, N: int, brackets,
+                     resolution: float, rows, settle
+                     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Shrink sign-change brackets, a (k, 2) array of lifted gammas lo, hi
+    (hi may exceed 1), to width <= resolution, or to no float inside, all
+    brackets together; return them with Phi at their ends, or None.
 
     Each round takes Phi at points of every open bracket in one call, and
     each keeps the leftmost sub-bracket that ends on an exact zero
-    (closing to that point) or has a sign change.  The first also takes at
-    depth N the ends that ``stale``, masks over lo and hi, marks shallow:
-    their scan values choose, their depth-N values are kept.  It takes the
-    gammas of ``provisional``, a pair (gammas, settle), too, and hands
-    their values to ``settle`` before it chooses: that returns the end
-    values (flo, fhi) to go on with, or None, which ends the multisection
-    with None.  R is the fewest rounds of at most MULTISECTION_POINTS + 1
+    (closing to that point) or has a sign change.  The first call also
+    takes the gammas ``rows`` and hands their values to ``settle``, which
+    returns None, ending the multisection with None, or two (k, 2) arrays
+    of values at the bracket ends: the first chooses the sub-bracket of
+    the first round, the second is kept, reported and interpolated
+    through.  R is the fewest rounds of at most MULTISECTION_POINTS + 1
     sub-brackets that take the widest bracket to the resolution (or one
     ulp of hi).  A uniform round cuts a bracket into the fewest s parts
     with s^R >= r, r aimed two ulps short.  After one, while R >= 2, a
@@ -199,18 +200,16 @@ def _multisect_roots(T: ExpandingMap, f, N: int, lo, flo, hi, fhi,
     up, keep it within R - 1 more rounds.  A miss takes a uniform round
     next.
     """
-    lo, flo, hi, fhi = (np.array(v, dtype=float) for v in (lo, flo, hi, fhi))
-    stale_lo, stale_hi = stale
-    rows, settle = provisional
+    brackets = np.array(brackets, dtype=float)
+    lo, hi = brackets.T
     n = MULTISECTION_POINTS + 1
     # x and y of the 4 values nearest each sign change, after a uniform round
     fit, fitted = np.zeros((len(lo), 2, 4)), np.zeros(len(lo), dtype=bool)
     while True:
         open_ = np.flatnonzero((hi - lo > resolution)
                                & (np.nextafter(lo, np.inf) < hi))
-        ends = np.concatenate([lo[stale_lo], hi[stale_hi], rows])
-        if not len(open_) and not len(ends):
-            return lo, flo, hi, fhi
+        if not (len(open_) or settle):
+            return brackets, ends
         l, h = lo[open_, None], hi[open_, None]
         w, ulp = h - l, np.spacing(h)
         r = (w / (resolution + 2 * ulp)).max(initial=0.0)
@@ -242,29 +241,27 @@ def _multisect_roots(T: ExpandingMap, f, N: int, lo, flo, hi, fhi,
                     a, b), axis=1)
                 cols[pick] = 2 * k + t + 3
         inside = (xs > l) & (xs < h)
-        values = phi_of_gammas(T, f, np.concatenate([xs[inside], ends]), N)[0]
         m = inside.sum()
-        at_lo, at_hi, taken = np.split(values[m:], np.cumsum(
-            [stale_lo.sum(), stale_hi.sum()]))
-        if len(rows):
-            settled = settle(taken)
+        taken = np.concatenate([xs[inside], rows])
+        values = phi_of_gammas(T, f, taken, N)[0] if len(taken) else taken
+        if settle:
+            settled = settle(values[m:])
             if settled is None:
                 return None
-            flo, fhi = settled
-        ys = np.where(xs <= l, flo[open_, None], fhi[open_, None])
-        ys[inside] = values[:m]
-        hit = (ys[:, 1:] == 0.0) | ((ys[:, 1:] < 0) != (ys[:, :-1] < 0))
-        flo[stale_lo], fhi[stale_hi] = at_lo, at_hi
-        stale_lo = stale_hi = np.zeros(len(lo), dtype=bool)
-        rows = rows[:0]
-        ys[~inside] = np.where(xs <= l, flo[open_, None],
-                               fhi[open_, None])[~inside]
+            choose, ends = settled
+            settle, rows = None, rows[:0]
+        # the values at xs, with the end values that choose and those kept
+        cs, ys = (np.where(xs <= l, v[open_, :1], v[open_, 1:])
+                  for v in (choose, ends))
+        cs[inside] = ys[inside] = values[:m]
+        hit = (cs[:, 1:] == 0.0) | ((cs[:, 1:] < 0) != (cs[:, :-1] < 0))
+        choose = ends
         j = hit.argmax(axis=1)
         (x0, x1), (y0, y1) = (np.take_along_axis(v, j[:, None] + [0, 1], 1).T
                               for v in (xs, ys))
         zero = y1 == 0.0
-        lo[open_], flo[open_] = np.where(zero, x1, x0), np.where(zero, 0, y0)
-        hi[open_], fhi[open_] = x1, y1
+        lo[open_], hi[open_] = np.where(zero, x1, x0), x1
+        ends[open_, 0], ends[open_, 1] = np.where(zero, 0, y0), y1
         near = np.clip(j - 1, 0, cols - 4)[:, None, None] + np.arange(4)
         fit[open_] = np.take_along_axis(np.stack([xs, ys], 1), near, 2)
         fitted[open_] = ~pick
@@ -296,18 +293,17 @@ def _certified_scan(T: ExpandingMap, f, grid_size: int, N: int
 
 
 def _classify(phis: np.ndarray, plateau_tol: float
-              ) -> Tuple[np.ndarray, ...]:
-    """The rows of the zero intervals of ``solve_pre_sturmian``: the first
-    and the last row of each plateau, the exact zeros, and the cells i
-    whose rows i and i + 1 change sign, each in grid order.  A plateau is
-    a run of >= 3 consecutive small rows (cyclic), |Phi| <= plateau_tol,
-    or every row when all are small; zeros and sign changes lie outside
-    the plateaus."""
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """The zero intervals of ``solve_pre_sturmian`` as (k, 2) arrays of
+    grid rows: the first and the last row of each plateau, and (i, i) at
+    each exact zero and (i, i + 1) at each cell whose rows change sign,
+    in grid order.  A plateau is a run of >= 3 consecutive small rows
+    (cyclic), |Phi| <= plateau_tol, or every row when all are small;
+    zeros and sign changes lie outside the plateaus."""
     m = len(phis)
     small = np.abs(phis) <= plateau_tol
     if small.all():
-        none = np.zeros(0, dtype=int)
-        return np.array([0]), np.array([m - 1]), none, none
+        return np.array([[0, m - 1]]), np.zeros((0, 2), dtype=int)
 
     # plateau runs in grid order from the first row that is not small,
     # where no run can wrap
@@ -320,70 +316,65 @@ def _classify(phis: np.ndarray, plateau_tol: float
     marks[first], marks[stop] = 1, -1
     in_plateau = np.roll(np.cumsum(marks[:-1]) > 0, start)
     after = np.roll(phis, -1)
-    return ((first + start) % m, (stop - 1 + start) % m,
-            np.flatnonzero((phis == 0.0) & ~in_plateau),
-            np.flatnonzero(~(in_plateau | np.roll(in_plateau, -1))
-                           & (phis != 0.0) & (after != 0.0)
-                           & ((phis < 0) != (after < 0))))
+    change = (~(in_plateau | np.roll(in_plateau, -1)) & (phis != 0.0)
+              & (after != 0.0) & ((phis < 0) != (after < 0)))
+    low = np.flatnonzero(((phis == 0.0) & ~in_plateau) | change)
+    return (np.column_stack([first, stop - 1]) + start) % m, np.column_stack(
+        [low, low + change[low]])
 
 
 def solve_pre_sturmian(T: ExpandingMap, f, N: int,
                        resolution: float = 1e-10, grid_size: int = 512
                        ) -> List[ZeroInterval]:
-    """All zero intervals of Phi: plateaus, exact zeros on the grid and
-    sign changes, refined together by ``_multisect_roots`` (``_classify``
-    finds them).  The scan runs at depth n = min(N, SHALLOW_DEPTH) and
-    keeps a row's value where the certificate of the module docstring
-    fixes its sign.  Every other row is classified on its shallow value,
-    provisionally: the first call at depth N, that of the first round,
-    takes it, with the whole grid when the scan shows no interval.  Where
-    one of them classifies otherwise there (its sign, an exact zero or
-    the plateau tolerance), the grid is classified again on the depth-N
-    values and the first round retaken.  Raises NoSignChange when the scan
-    shows no interval, with the least and the greatest value of a scan at
-    depth N, and ValueError unless the resolution is finite and positive.
+    """All zero intervals of Phi: plateaus, and exact zeros on the grid
+    and sign changes refined together by ``_multisect_roots``, each found
+    by ``_classify`` as a pair of grid rows.  The scan runs at depth n =
+    min(N, SHALLOW_DEPTH) and keeps a row's value where the certificate of
+    the module docstring fixes its sign.  Every other row is classified
+    on its shallow value, provisionally.  The first call at depth N, that
+    of the first round, takes each row not yet known at depth N that is
+    provisional or a bracket end, or every one when the scan shows no
+    interval.  Where a provisional row classifies otherwise there (its
+    sign, an exact zero or the plateau tolerance), the grid is classified
+    again, certified rows on their shallow values, and the first round
+    retaken.  Raises NoSignChange when the scan shows no interval, with
+    the least and the greatest value of a scan at depth N, and ValueError
+    unless the resolution is finite and positive.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError("resolution must be finite and positive")
     gammas, phis, shallow, plateau_tol = _certified_scan(T, f, grid_size, N)
     m = len(gammas)
-    redo, depth_n = ~shallow & (N > SHALLOW_DEPTH), phis.copy()
+    depth_n, known = phis.copy(), np.full(m, N <= SHALLOW_DEPTH)
     while True:
-        first, last, zeros, cells = _classify(phis, plateau_tol)
-        ends = (cells + 1) % m
-        take = redo if len(first) + len(zeros) + len(cells) else redo | shallow
-        guess = phis[redo]
+        plateaus, brackets = _classify(phis, plateau_tol)
+        ends = brackets % m
+        need = ~shallow if len(plateaus) + len(ends) else np.ones(m, bool)
+        need[ends] = True
+        take, guess = need & ~known, ~(shallow | known)
 
         def settle(values):
-            """Phi at depth N on the rows taken; the bracket end values if
-            every provisional row classifies as its shallow value did."""
-            depth_n[take] = values
-            phis[redo] = deep = depth_n[redo]
-            if ((np.sign(deep) * np.sign(guess) < 1) | (
+            """Phi at depth N on the rows taken; the end values that choose
+            and those kept, or None if a provisional row reclassifies."""
+            depth_n[take], known[take] = values, True
+            was = phis[guess]
+            phis[guess] = deep = depth_n[guess]
+            if ((np.sign(deep) * np.sign(was) < 1) | (
                     (np.abs(deep) <= plateau_tol)
-                    != (np.abs(guess) <= plateau_tol))).any():
+                    != (np.abs(was) <= plateau_tol))).any():
                 return None
-            return phis[cells], phis[ends]
+            return phis[ends], depth_n[ends]
 
-        roots = _multisect_roots(
-            T, f, N, gammas[cells], phis[cells], gammas[cells] + 1.0 / m,
-            phis[ends], resolution, (shallow[cells], shallow[ends]),
-            (gammas[take], settle))
+        roots = _multisect_roots(T, f, N, brackets / m, resolution,
+                                 gammas[take], settle)
         if roots is not None:
             break
-        redo[:] = False
 
-    lo, flo, hi, fhi = roots
-    intervals = [ZeroInterval(float(gammas[i]), float(gammas[j]),
-                              float(phis[i]), float(phis[j]), resolution)
-                 for i, j in zip(first, last)]
-    found = [ZeroInterval(float(gammas[i]), float(gammas[i]), 0.0, 0.0,
-                          resolution) for i in zeros]
-    found += [ZeroInterval(reduce(float(lo[n])), reduce(float(hi[n])),
-                           float(flo[n]), float(fhi[n]), resolution)
-              for n in range(len(cells))]
-    order = np.argsort(np.concatenate([zeros, cells]))
-    intervals += [found[n] for n in order]
+    lifted, at_ends = roots
+    intervals = [ZeroInterval(reduce(lo), reduce(hi), flo, fhi, resolution)
+                 for (lo, hi), (flo, fhi) in zip(
+                     np.vstack([gammas[plateaus], lifted]).tolist(),
+                     np.vstack([phis[plateaus], at_ends]).tolist())]
     if not intervals:
         values = depth_n.tolist()
         raise NoSignChange(min(values), max(values))

@@ -35,6 +35,13 @@ S244 = map_from_slopes([2.0, 4.0, 4.0])
 COS = TrigPolynomial(cos_coeffs=[1.0])
 TRIG2 = TrigPolynomial(cos_coeffs=[0.3, -0.7], sin_coeffs=[0.5])
 PWL = PiecewiseLinear.from_points([0.1, 0.35, 0.6, 0.8], [0.4, -0.3, 0.2, 0.5])
+#: a pwl f whose Phi on T3 the closed form misses by O(1) at depths 34 to
+#: 43 next to the periodic parameter 5/8 (ROADMAP item 1)
+PWL_T3 = PiecewiseLinear.from_points(
+    [0.12029676534470035, 0.6138295178630903, 0.9166647343043762,
+     0.9752356400104673],
+    [-0.3354042324241362, -0.5238864767555811, 0.750773546663331,
+     -0.31671086723230846])
 #: cos 2 pi x scaled so far down that around its roots on T2 its values
 #: lie below the plateau tolerance 1e-9: plateaus in ``solve_pre_sturmian``
 FAINT = TrigPolynomial(cos_coeffs=[3e-9])
@@ -345,7 +352,7 @@ class TestSolvePreSturmian:
             assert type(zi.is_plateau) is bool
 
     @pytest.mark.parametrize("resolution, rows", [
-        (1e-10, [60, 58, 18]), (1e-12, [74, 72, 24])])
+        (1e-10, [60, 57, 18]), (1e-12, [74, 71, 24])])
     def test_rounds_sized_to_the_bracket(self, monkeypatch, resolution,
                                          rows):
         """After the 512-row scan at the shallow depth, the two sign
@@ -355,10 +362,12 @@ class TestSolvePreSturmian:
         shallow values.  It first also takes the rows at the roots 1/4 and
         3/4, whose signs the scan left uncertified: Phi at 1/4 is 6.4e-16
         at depth 8 and -2.4e-16 at depth 37, which moves its sign change
-        one cell down, so the round is retaken.  The second takes the
-        stencil around each interpolated root, its spread and the points
-        that keep the bracket within uniform rounds.  Each bracket ends at
-        most the resolution wide, on a sign change or an exact zero."""
+        one cell down, so the round is retaken.  The retaken round takes
+        one row fewer: the end of the other bracket, taken in the first
+        call, is not taken again.  The second takes the stencil around each
+        interpolated root, its spread and the points that keep the bracket
+        within uniform rounds.  Each bracket ends at most the resolution
+        wide, on a sign change or an exact zero."""
         calls = []
         phi = solve_mod._phi
 
@@ -449,6 +458,31 @@ class TestSolvePreSturmian:
                 counts.append(0)
                 solve_pre_sturmian(make_linear_map(k), f, depth[0])
         assert (max(counts), sum(counts)) == (4, 55)
+
+    def test_bracket_ends_are_grid_rows(self):
+        """At resolution 1 no round runs, so each sign change is reported on
+        the cell of its grid rows i and i + 1: its ends are the gammas i / m
+        and (i + 1) / m, reduced, also on grids whose 1 / m is no float,
+        and its values are those of a call of their own at depth N.  The
+        plateaus, two cells wide or more, are left out."""
+        cells = 0
+        for T in (T2, T3, S244):
+            for f in (COS, TRIG2):
+                for m in (10, 100, 300):
+                    for N in (8, 37):
+                        for zi in solve_pre_sturmian(T, f, N, 1.0, m):
+                            width = (zi.gamma_high - zi.gamma_low) % 1.0
+                            if round(width * m) != 1:
+                                continue
+                            i = round(zi.gamma_low * m)
+                            assert zi.gamma_low == i / m
+                            assert zi.gamma_high == (i + 1) % m / m
+                            assert (zi.phi_low < 0) != (zi.phi_high < 0)
+                            assert phi_of_gammas(
+                                T, f, [zi.gamma_low, zi.gamma_high],
+                                N)[0].tolist() == [zi.phi_low, zi.phi_high]
+                            cells += 1
+        assert cells == 95
 
     @pytest.mark.parametrize("resolution", [1e-16, 1e-17, math.ulp(0.0)])
     def test_resolution_below_the_ulp(self, resolution):
@@ -593,7 +627,9 @@ def reference_solve(T, f, N, resolution=1e-10, grid_size=512):
     uncertified sign at depth N in a call of their own, before the first
     round, and classified the grid once: the redo-first flow, which the
     provisional classification must reproduce bitwise.  Its multisection
-    is ``_multisect_roots`` with no provisional rows."""
+    is ``_multisect_roots`` whose first call takes the certified bracket
+    ends alone, which choose on their shallow values and keep their
+    depth-N values."""
     gammas, phis, shallow, plateau_tol = solve_mod._certified_scan(
         T, f, grid_size, N)
     if N > solve_mod.SHALLOW_DEPTH and not shallow.all():
@@ -626,11 +662,17 @@ def reference_solve(T, f, N, resolution=1e-10, grid_size=512):
     cells = np.flatnonzero(~(in_plateau | np.roll(in_plateau, -1))
                            & (phis != 0.0) & (after != 0.0)
                            & ((phis < 0) != (after < 0)))
-    ends = (cells + 1) % m
-    lo, flo, hi, fhi = solve_mod._multisect_roots(
-        T, f, N, gammas[cells], phis[cells], gammas[cells] + 1.0 / m,
-        phis[ends], resolution, (shallow[cells], shallow[ends]),
-        (gammas[:0], None))
+    ends = np.column_stack([cells, (cells + 1) % m])
+    rows = np.flatnonzero(shallow & np.isin(np.arange(m), ends))
+    deep = phis.copy()
+
+    def settle(values):
+        deep[rows] = values
+        return phis[ends], deep[ends]
+
+    (lo, hi), (flo, fhi) = (r.T for r in solve_mod._multisect_roots(
+        T, f, N, np.column_stack([gammas[cells], gammas[cells] + 1.0 / m]),
+        resolution, gammas[rows], settle))
     found = [ZeroInterval(float(gammas[i]), float(gammas[i]), 0.0, 0.0,
                           resolution) for i in zeros]
     found += [ZeroInterval(reduce(float(lo[n])), reduce(float(hi[n])),
@@ -651,11 +693,10 @@ class TestCertifiedScan:
     rows of uncertified sign are taken again at depth N in the call of
     the first round."""
 
-    @settings(max_examples=15, deadline=None)
-    @given(T=st.sampled_from([T2, T3, T4, S244]), f=_functions(),
-           N=st.integers(solve_mod.SHALLOW_DEPTH + 1, 40),
-           grid=st.sampled_from([64, 512]))
-    def test_certified_rows_keep_their_sign_at_depth_n(self, T, f, N, grid):
+    @staticmethod
+    def assert_certified_signs(T, f, N, grid):
+        """The certified rows of the scan have the sign of Phi at depth N
+        and lie beyond the plateau tolerance there."""
         gammas, phis, shallow, tol = solve_mod._certified_scan(T, f, grid,
                                                                N)
         deep, bounds = phi_of_gammas(T, f, gammas, N)
@@ -665,6 +706,20 @@ class TestCertifiedScan:
         assert (np.abs(deep[shallow]) > tol).all()
         assert phis.tobytes() == phi_of_gammas(
             T, f, gammas, solve_mod.SHALLOW_DEPTH)[0].tobytes()
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(T=st.sampled_from([T2, T3, T4, S244]), f=_functions(),
+           N=st.integers(solve_mod.SHALLOW_DEPTH + 1, 40),
+           grid=st.sampled_from([64, 512]))
+    def test_certified_rows_keep_their_sign_at_depth_n(self, T, f, N, grid):
+        self.assert_certified_signs(T, f, N, grid)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the closed form "
+                       "breaks near periodic parameters")
+    def test_certified_row_next_to_a_periodic_parameter(self):
+        """The row 5/8 of a 64-row grid on T3 with PWL_T3 is certified at
+        0.2348 at the shallow depth, and reads -0.1738 at depth 43."""
+        self.assert_certified_signs(T3, PWL_T3, 43, 64)
 
     @pytest.mark.parametrize("T", [T2, T3, S244])
     def test_truncation_bounds_are_phi_of_gammas_bounds(self, T):
@@ -698,18 +753,13 @@ class TestCertifiedScan:
     @pytest.mark.parametrize("N", [34, 43])
     @pytest.mark.parametrize("grid", [128, 512])
     def test_certified_rows_keep_their_shallow_values(self, N, grid):
-        """On T3 with this pwl f, the row 5/8 reads Phi = 0.70 at depth
+        """On T3 with PWL_T3, the row 5/8 reads Phi = 0.70 at depth
         34 and -0.17 at depth 43, where depths up to 33 give about 0.2349:
         near this periodic parameter the closed form is off by O(1) (see
         the module docstring).  Its shallow value is certified, so it
         keeps it, and only the two true roots are reported; a scan at
         depth 43 reports a false root at 5/8."""
-        f = PiecewiseLinear.from_points(
-            [0.12029676534470035, 0.6138295178630903, 0.9166647343043762,
-             0.9752356400104673],
-            [-0.3354042324241362, -0.5238864767555811, 0.750773546663331,
-             -0.31671086723230846])
-        intervals = solve_pre_sturmian(T3, f, N, 1e-10, grid)
+        intervals = solve_pre_sturmian(T3, PWL_T3, N, 1e-10, grid)
         assert len(intervals) == 2
         for zi, root in zip(intervals, (0.3220889625, 0.6271919092)):
             assert zi.gamma_low == pytest.approx(root, abs=1e-9)
@@ -845,6 +895,21 @@ class TestProvisionalRows:
             monkeypatch, T2, f, 37)
         assert new == old and calls == ref_calls
         assert retaken == retakes
+
+    def test_no_row_taken_twice(self, monkeypatch):
+        """cos on T2 at depth 37 retakes the first round (see
+        test_retaken_on_t2); no grid row is taken at depth N twice in the
+        call, neither by the retaken round nor by the first."""
+        taken = []
+
+        def logged(T, f, gammas, N):
+            taken.extend(np.asarray(gammas) * 512 % 512)
+            return phi_of_gammas(T, f, gammas, N)
+
+        monkeypatch.setattr(solve_mod, "phi_of_gammas", logged)
+        solve_pre_sturmian(T2, COS, 37)
+        rows = [x for x in taken if x == round(x)]
+        assert len(rows) == len(set(rows)) > 0
 
     def test_demo_function(self, monkeypatch):
         f = demo_function(0.1)
