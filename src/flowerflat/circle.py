@@ -34,6 +34,12 @@ def reduce_many(xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if not np.isfinite(xs).all():
         raise ValueError("cannot reduce non-finite values")
+    return wrap_many(xs)
+
+
+def wrap_many(xs: np.ndarray) -> np.ndarray:
+    """``reduce_many`` without its check, on a float array that is finite
+    by construction."""
     # x - floor(x) rounds like x % 1.0, and to 1.0 where that does too
     r = xs - np.floor(xs)
     return np.where(r >= 1.0, 0.0, r)

@@ -24,7 +24,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .circle import EPS, reduce, reduce_many
+from .circle import EPS, reduce, reduce_many, wrap_many
 
 
 def _rational(x: float) -> Fraction:
@@ -112,11 +112,13 @@ class ExpandingMap:
         return reduce(lifted[0] + self.slopes[i] * (u - lifted[i]))
 
     def apply_many(self, xs) -> np.ndarray:
-        """``apply`` on an array of points."""
+        """``apply`` on an array of points; ValueError on non-finite
+        points, which the first reduction checks: the image of finite
+        points is finite."""
         lifted, slopes = self._lifted_array, self._slope_array
         u = lifted[0] + reduce_many(np.asarray(xs, dtype=float) - lifted[0])
         i = lifted[1:].searchsorted(u, "right")
-        return reduce_many(lifted[0] + slopes[i] * (u - lifted[i]))
+        return wrap_many(lifted[0] + slopes[i] * (u - lifted[i]))
 
     def inverse_branch(self, i: int, x: float) -> float:
         """The unique preimage of x in the branch interval [a_i, a_{i+1})."""
@@ -213,21 +215,22 @@ def check_periodic_orbits(T: ExpandingMap, max_period: int) -> None:
 def orbit_walks(T: ExpandingMap, max_period: int):
     """Per period n <= max_period, den = k^n - 1 and the numerators of its
     orbits, one int64 column per orbit and a row per step.  The period-n
-    points of T_k are the j/(k^n - 1), walked through j -> k j mod den; j
-    starts an orbit when every later point is larger and the walk closes
-    after n steps, so each orbit comes once, from its smallest point, in
-    order of that point.  Raises ValueError where
+    points of T_k are the j/(k^n - 1), and row i of the walk holds j k^i
+    mod den for every j: one (n, den) array, reduced in place.  j starts
+    an orbit when rows 1..n-1 exceed row 0; its walk returns to j at step
+    n, as k^n = 1 mod den.  So each orbit comes once, from its smallest
+    point, in order of that point.  Raises ValueError where
     ``check_periodic_orbits`` does."""
     check_periodic_orbits(T, max_period)
     k = T.degree
     for n in range(1, max_period + 1):
         den = k ** n - 1
-        walk = [np.arange(den)]
-        for _ in range(n):
-            walk.append(k * walk[-1] % den)
-        start = np.all([y > walk[0] for y in walk[1:n]]
-                       + [walk[n] == walk[0]], axis=0)
-        yield den, np.array([y[start] for y in walk[:n]])
+        walk = np.multiply.outer(k ** np.arange(n), np.arange(den))
+        walk %= den
+        orbits = walk[:, (walk[1:] > walk[0]).all(axis=0)]
+        # freed before the next period's walk, which is twice as large
+        del walk
+        yield den, orbits
 
 
 def periodic_orbits(T: ExpandingMap, max_period: int) -> List[List[Fraction]]:

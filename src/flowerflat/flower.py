@@ -219,38 +219,75 @@ class PreImageSelector:
 
     def push_once(self, arcs: List[Tuple[float, float]]
                   ) -> List[Tuple[float, float]]:
-        """tau of a union of closed arcs, given as (left, right) pairs.
-
-        Every arc is cut at the discontinuity points strictly inside it,
-        and each piece's left end is mapped by the right limit of tau and
-        its right end by the left limit.  tau contracts, so an image longer
-        than its arc comes from float ends that crossed (true length below
-        one ulp): it becomes a point, and a point stays a point.
-        """
-        us, vs = [], []
-        for l, r in arcs:
-            length = reduce(r - l)
-            cuts = sorted((d for d in self._disc
-                           if 0.0 < reduce(d - l) < length),
-                          key=lambda d: reduce(d - l))
-            ends = [l, *cuts, r]
-            us += ends[:-1]
-            vs += ends[1:]
-        lefts, rights = self.table.tau_many(
-            np.array([us, vs]), np.array([[False], [True]])).tolist()
-        return [(y, y if u == v or reduce(z - y) > reduce(v - u) else z)
-                for u, v, y, z in zip(us, vs, lefts, rights)]
+        """tau of a union of closed arcs, given as (left, right) pairs: one
+        level of ``_push``."""
+        return self._push(arcs, 1)
 
     def push_arc(self, J: Arc, n: int) -> List[Arc]:
-        """The set tau^n(J) as a union of closed arcs, n ``push_once``
-        levels.  Arcs touching at endpoints are kept separate, so the
+        """The set tau^n(J) as a union of closed arcs, n levels of
+        ``_push``.  Arcs touching at endpoints are kept separate, so the
         total length is at most K^-n len(J)."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        arcs = [(J.left, J.right)]
-        for _ in range(n):
-            arcs = self.push_once(arcs)
-        return [Arc(l, r) for l, r in arcs]
+        return [Arc(l, r) for l, r in self._push([(J.left, J.right)], n)]
+
+    def _push(self, arcs: List[Tuple[float, float]], n: int
+              ) -> List[Tuple[float, float]]:
+        """tau^n of a union of m closed arcs, given as (left, right) pairs.
+
+        At each level every arc is cut at the discontinuity points strictly
+        inside it, in order of their offset from its left end, and each
+        piece's left end is mapped by the right limit of tau and its right
+        end by the left limit.  tau contracts, so an image longer than its
+        piece comes from float ends that crossed (true length below one
+        ulp): it becomes a point, and a point stays a point.
+
+        So every left end lies on the right-limit orbit of a left end of
+        the arcs or of a discontinuity point, and every right end but a
+        point's on the left-limit orbit of a right end or of a
+        discontinuity point.  These 2(m + p) orbits take one ``tau_many``
+        call a level.  The cuts and the collapses are then decided on their
+        floats, and an arc keeps its length from the collapse test to the
+        cut test of the next level."""
+        disc, m = self._disc, len(arcs)
+        orbits = np.empty((n + 1, 2, m + len(disc)))
+        orbits[0] = [[l for l, _ in arcs] + disc, [r for _, r in arcs] + disc]
+        tau, left = self.table.tau_many, np.array([[False], [True]])
+        for t in range(n):
+            orbits[t + 1] = tau(orbits[t], left)
+        by_right, by_left = orbits.transpose(1, 2, 0).tolist()
+        # an arc is the orbit of its left end and the level that orbit
+        # starts at, the same for its right end (None for a point), and
+        # its length
+        level = [(by_right[i], 0, by_left[i], 0, reduce(r - l))
+                 for i, (l, r) in enumerate(arcs)]
+        for t in range(n):
+            nxt = []
+            for arc in level:
+                lo, ls, ro, rs, length = arc
+                if ro is None:
+                    nxt.append(arc)
+                    continue
+                l = lo[t - ls]
+                # % 1.0 is reduce here: where it rounds to 1.0, reduce's
+                # 0.0 is no cut either, as length < 1
+                cuts = [(o, m + c) for c, d in enumerate(disc)
+                        if 0.0 < (o := (d - l) % 1.0) < length]
+                pieces = [arc]
+                if cuts:
+                    cuts.sort()
+                    starts = [(lo, ls)] + [(by_right[c], t) for _, c in cuts]
+                    stops = [(by_left[c], t) for _, c in cuts] + [(ro, rs)]
+                    pieces = [(uo, us, vo, vs, reduce(vo[t - vs] - uo[t - us]))
+                              for (uo, us), (vo, vs) in zip(starts, stops)]
+                for uo, us, vo, vs, length in pieces:
+                    w = reduce(vo[t + 1 - vs] - uo[t + 1 - us])
+                    point = uo[t - us] == vo[t - vs] or w > length
+                    nxt.append((uo, us, None, 0, 0.0) if point
+                               else (uo, us, vo, vs, w))
+            level = nxt
+        return [(lo[n - ls], lo[n - ls] if ro is None else ro[n - rs])
+                for lo, ls, ro, rs, _ in level]
 
     # -- vectorized selector orbits ----------------------------------------
 

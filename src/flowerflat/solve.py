@@ -39,9 +39,10 @@ command keeps depth N.
 rho = m gamma_{2m} S, gamma_k = k u / (1 - k u), u = 2^-53, bounds the
 rounding (Higham 2002, section 4.2; README.md derives it): m = (n + 1)(n
 + 2) + (N + 1)(N + 2) counts the f-values one row sums at both depths,
-and S = |f(0)| + Lip(f)/2 >= sup |f|; about 5.5e-10 S at N = 37, n = 8.  The decisions at the selector's discontinuities are
-not rounding: where the closed form is off by O(1), near some periodic
-parameters, a certified sign may be wrong, as a scan at depth N would be.
+and S = |f(0)| + Lip(f)/2 >= sup |f|; about 5.5e-10 S at N = 37, n = 8.
+The decisions at the selector's discontinuities are not rounding: where
+the closed form is off by O(1), near some periodic parameters, a
+certified sign may be wrong, as a scan at depth N would be.
 
 The one invariant measure of a 1-flower is a T-cycle coded by a
 mechanical word.  ``sturmian_estimate`` and the staircase find it by an
@@ -83,21 +84,26 @@ class NoSignChange(RuntimeError):
         self.phi_max = phi_max
 
 
-def _off_degenerate(T: ExpandingMap, gammas: np.ndarray) -> np.ndarray:
-    """Nudge each gamma off the finite set of parameters where a petal
-    endpoint coincides with a branch break.  There the selector's jump
-    classification is ambiguous and the computed functional can be off by
-    O(1); Phi is continuous in gamma, so a 2e-9 shift changes the true
-    value by at most Lip(f) * O(1e-9).  At most four shifts are made."""
+def _one_flowers(T: ExpandingMap, gammas: np.ndarray) -> SelectorTable:
+    """The table of the 1-flowers at the reduced gammas, each nudged off
+    the finite set of parameters where a petal endpoint coincides with a
+    branch break.  There the selector's jump classification is ambiguous
+    and the computed functional can be off by O(1); Phi is continuous in
+    gamma, so a 2e-9 shift changes the true value by at most Lip(f) *
+    O(1e-9).  At most four shifts are made, and the ends of the last are
+    not checked.  The table is ``SelectorTable.one_flowers`` of the nudged
+    gammas, built on the petal ends that the checks computed."""
     breaks = np.asarray(T.breaks)
     gammas = gammas.copy()
+    ends = arc_end(T, gammas, 1.0)
     for _ in range(4):
-        ends = np.stack([gammas, arc_end(T, gammas, 1.0)])
-        bad = (distance_many(ends[..., None], breaks) <= 1e-9).any(axis=(0, 2))
+        bad = (distance_many(np.stack([gammas, ends])[..., None], breaks)
+               <= 1e-9).any(axis=(0, 2))
         if not bad.any():
             break
         gammas[bad] = reduce_many(gammas[bad] + 2e-9)
-    return gammas
+        ends[bad] = arc_end(T, gammas[bad], 1.0)
+    return SelectorTable(T, gammas[:, None], ends[:, None])
 
 
 def phi_of_gammas(T: ExpandingMap, f, gammas: Sequence[float],
@@ -108,8 +114,7 @@ def phi_of_gammas(T: ExpandingMap, f, gammas: Sequence[float],
     give two empty arrays; raises ValueError for N < 0."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    gammas = reduce_many(gammas)
-    table = SelectorTable.one_flowers(T, _off_degenerate(T, gammas))
+    table = _one_flowers(T, reduce_many(gammas))
     return _phi(table, f, N), _bounds(table, f, N)
 
 
@@ -280,7 +285,7 @@ def _certified_scan(T: ExpandingMap, f, grid_size: int, N: int
     if N < 0:
         raise ValueError("N must be >= 0")
     gammas = np.arange(grid_size) / grid_size
-    table = SelectorTable.one_flowers(T, _off_degenerate(T, gammas))
+    table = _one_flowers(T, gammas)
     n = min(N, SHALLOW_DEPTH)
     phis, errors = _phi(table, f, n), _bounds(table, f, n)
     bounds = _bounds(table, f, N)
@@ -554,15 +559,19 @@ def sign_conditions(T: ExpandingMap, f, est: SturmianEstimate,
 def orbit_averages(T: ExpandingMap, f, max_period: int
                    ) -> Tuple[List[Tuple[int, np.ndarray]], List[float]]:
     """Every orbit of ``orbit_walks`` of period <= max_period, as den and
-    its numerators, with the average of f on it.  f is evaluated on the
-    numerators over den, each exact in float64, so the quotient is
-    float(Fraction(y, den)); an orbit is summed point by point from 0.0,
-    as ``sum`` sums from int 0."""
-    orbits, averages = [], []
-    for den, walk in orbit_walks(T, max_period):
+    its numerators, with the average of f on it.  f is evaluated once, on
+    the numerators over den of every period, each exact in float64, so
+    the quotient is float(Fraction(y, den)); an orbit is summed point by
+    point from +0.0, as ``sum`` sums from int 0."""
+    walks = list(orbit_walks(T, max_period))
+    values = f.eval_many(np.concatenate(
+        [np.empty(0)] + [(walk / den).ravel() for den, walk in walks]))
+    orbits, averages, at = [], [], 0
+    for den, walk in walks:
         sums = np.zeros(walk.shape[1])
-        for values in f.eval_many(walk / den):
-            sums += values
+        for row in values[at:at + walk.size].reshape(walk.shape):
+            sums += row
+        at += walk.size
         averages.extend((sums / len(walk)).tolist())
         orbits.extend((den, orbit) for orbit in walk.T)
     return orbits, averages

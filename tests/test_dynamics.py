@@ -1,4 +1,5 @@
 """Piecewise-affine expanding circle maps and their exact periodic orbits."""
+import math
 import random
 from fractions import Fraction
 
@@ -37,6 +38,13 @@ class TestLinearMaps:
             xs = [rng.random() for _ in range(200)] + list(T.breaks)
             xs += [np.nextafter(b, -1.0) % 1.0 for b in T.breaks]
             assert T.apply_many(xs).tolist() == [T.apply(x) for x in xs]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_apply_many_rejects_non_finite_points(self, bad):
+        # the one check is on the points; their images are finite
+        for T in (make_linear_map(3), map_from_slopes([2.0, 4.0, 4.0], 0.3)):
+            with pytest.raises(ValueError, match="non-finite"):
+                T.apply_many([0.25, bad])
 
     def test_branch_index(self):
         T = make_linear_map(2)

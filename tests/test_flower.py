@@ -278,6 +278,86 @@ MAPS = [T2, make_linear_map(3), make_linear_map(4),
         map_from_slopes([4.0, 2.0, 4.0], fixed_point=0.3)]
 
 
+def reference_push(sel, arcs):
+    """One level of the arc push as ``push_once`` took it before the push
+    followed the orbits of the arc ends: a loop over the arcs that cuts
+    each at the discontinuity points strictly inside it, one ``tau_many``
+    call on all pieces' ends, and the collapse test on each piece."""
+    us, vs = [], []
+    for l, r in arcs:
+        length = reduce(r - l)
+        cuts = sorted((d for d in sel._disc
+                       if 0.0 < reduce(d - l) < length),
+                      key=lambda d: reduce(d - l))
+        ends = [l, *cuts, r]
+        us += ends[:-1]
+        vs += ends[1:]
+    lefts, rights = sel.table.tau_many(
+        np.array([us, vs]), np.array([[False], [True]])).tolist()
+    return [(y, y if u == v or reduce(z - y) > reduce(v - u) else z)
+            for u, v, y, z in zip(us, vs, lefts, rights)]
+
+
+#: left ends of the 1-flowers of the push corpus: periodic points, a
+#: parameter of ROADMAP item 1, and the smallest and largest floats
+PUSH_GAMMAS = [0.0, 1 / 2, 1 / 3, 1 / 6, 1 / 8, 5 / 8, 17 / 26, 1 / 30,
+               1e-300, 5e-324, 1.0 - 2.0 ** -53]
+PUSH_DEPTHS = [0, 1, 2, 5, 40, 60, 200]
+
+
+class TestPush:
+    @pytest.mark.parametrize("T", MAPS)
+    def test_equals_the_reference_bitwise(self, T):
+        """``_push`` to each depth equals the reference levels bitwise, and
+        so do ``push_once`` and ``push_arc`` to depth 40, on each petal,
+        each I_x and J_x, the union of the petals and a point, of the
+        1-flowers at PUSH_GAMMAS and of random p-flowers for p <= 4."""
+        rng = random.Random(29)
+        flowers = [one_flower(T, g) for g in PUSH_GAMMAS] + [
+            random_flower(T, p, rng) for p in (1, 2, 3, 4)
+            if T.degree > 2 or p % 2]
+        cases = 0
+        for F in flowers:
+            sel = selector(F)
+            sets = [[(q.left, q.right)] for q in F.petals]
+            for d in sel.discontinuities():
+                sets += [[(d.I.left, d.I.right)], [(d.J.left, d.J.right)]]
+            sets += [[(q.left, q.right) for q in F.petals],
+                     [(sel._disc[0], sel._disc[0])]]
+            for arcs in sets:
+                want, level = arcs, 0
+                for n in PUSH_DEPTHS:
+                    while level < n:
+                        want, level = reference_push(sel, want), level + 1
+                    got = sel._push(arcs, n)
+                    assert np.array(got).tobytes() == \
+                        np.array(want).tobytes()
+                    if n == 40 and len(arcs) == 1:
+                        pushed = sel.push_arc(Arc(*arcs[0]), n)
+                        assert [(a.left, a.right) for a in pushed] == [
+                            (reduce(l), reduce(r)) for l, r in got]
+                    cases += 1
+                assert sel.push_once(arcs) == reference_push(sel, arcs)
+        assert cases == len(PUSH_DEPTHS) * sum(3 * F.p + 2 for F in flowers)
+
+    def test_one_tau_many_call_a_level(self, monkeypatch):
+        calls = []
+        tau_many = SelectorTable.tau_many
+
+        def counted(table, xs, left=False):
+            calls.append(xs.shape)
+            return tau_many(table, xs, left)
+
+        monkeypatch.setattr(SelectorTable, "tau_many", counted)
+        F = random_flower(make_linear_map(3), 3, random.Random(4))
+        sel = selector(F)
+        for n in (0, 1, 40):
+            calls.clear()
+            sel.push_arc(F.petals[0], n)
+            # the 2 (m + p) seeds: the arc's two ends and the three points
+            assert calls == [(2, 4)] * n
+
+
 class TestSelectorTable:
     @staticmethod
     def _assert_rows_bitwise(table, rows, xs, N):

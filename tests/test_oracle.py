@@ -10,7 +10,7 @@ from flowerflat.dynamics import make_linear_map
 from flowerflat.flatten import Coboundary, functional
 from flowerflat.flower import one_flower, selector
 from flowerflat.functions import PiecewiseLinear, TrigPolynomial
-from flowerflat.solve import _off_degenerate, phi_of_gamma, phi_of_gammas
+from flowerflat.solve import _one_flowers, phi_of_gamma, phi_of_gammas
 
 from exact_oracle import exact_phi
 
@@ -42,7 +42,7 @@ def test_closed_form_matches_the_exact_push(k, depths):
     # every 16th point of the scan grid i/512, moved off the branch breaks
     # as phi_of_gammas moves it; on T3 these are periodic parameters
     T = make_linear_map(k)
-    gammas = _off_degenerate(T, np.arange(0, 512, 16) / 512)
+    gammas = _one_flowers(T, np.arange(0, 512, 16) / 512).left[:, 0]
     exact = np.array([exact_phi(k, g, FUNCTIONS, depths) for g in gammas])
     for i, f in enumerate(FUNCTIONS):
         for j, N in enumerate(depths):
@@ -108,7 +108,8 @@ def test_rational_sweep(k):
     rationals = sorted({Fraction(j, q) for q in range(2, 41)
                         for j in range(1, q)})
     T = make_linear_map(k)
-    gammas = _off_degenerate(T, np.array([float(r) for r in rationals]))
+    gammas = _one_flowers(
+        T, np.array([float(r) for r in rationals])).left[:, 0]
     exact = np.array([exact_phi(k, g, [COS], depths)[0] for g in gammas])
     for j, N in enumerate(depths):
         values, _ = phi_of_gammas(T, COS, gammas, N)

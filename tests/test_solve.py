@@ -1,4 +1,5 @@
 """Pre-Sturmian equation solving, Sturmian estimation, and rank tests."""
+import json
 import math
 import random
 import tracemalloc
@@ -10,16 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowerflat.solve as solve_mod
-from flowerflat import cli
+from flowerflat import cli, dynamics
 from flowerflat.circle import Arc, distance, reduce, reduce_many
-from flowerflat.dynamics import (ExpandingMap, make_linear_map,
-                                 map_from_slopes, periodic_orbits)
+from flowerflat.dynamics import (ExpandingMap, check_periodic_orbits,
+                                 make_linear_map, map_from_slopes,
+                                 orbit_walks, periodic_orbits)
 from flowerflat.flatten import default_depth, functional, tail_bound
 from flowerflat.flower import (SelectorTable, arc_end, one_flower,
                                random_flower, selector, validate_flower)
 from flowerflat.functions import PiecewiseLinear, TrigPolynomial, demo_function
 from flowerflat.solve import (NoSignChange, ZeroInterval,
-                              branch_one_frequency_scan, orbit_oracle,
+                              branch_one_frequency_scan, orbit_averages,
+                              orbit_oracle,
                               integer_rank, phi_of_gamma, phi_of_gammas,
                               rank_test, scan, sign_conditions,
                               solve_pre_sturmian, sturmian_estimate,
@@ -32,6 +35,9 @@ T2 = make_linear_map(2)
 T3 = make_linear_map(3)
 T4 = make_linear_map(4)
 S244 = map_from_slopes([2.0, 4.0, 4.0])
+#: branches of lengths 1/2, 1/4, ..., 2^-29 and 2^-29: the breaks next to 1
+#: lie closer than a nudge of ``_one_flowers``
+T30 = map_from_slopes([2.0 ** i for i in range(1, 30)] + [2.0 ** 29])
 COS = TrigPolynomial(cos_coeffs=[1.0])
 TRIG2 = TrigPolynomial(cos_coeffs=[0.3, -0.7], sin_coeffs=[0.5])
 PWL = PiecewiseLinear.from_points([0.1, 0.35, 0.6, 0.8], [0.4, -0.3, 0.2, 0.5])
@@ -77,7 +83,7 @@ def fake_phi(monkeypatch, calls, N, phi, shift):
         return phi(g) if depth == N else phi(g) + shift
 
     monkeypatch.setattr(solve_mod, "_multisect_roots", in_rounds)
-    monkeypatch.setattr(solve_mod, "_off_degenerate", lambda T, g: g)
+    monkeypatch.setattr(solve_mod, "_one_flowers", SelectorTable.one_flowers)
     monkeypatch.setattr(solve_mod, "_phi", fake)
     monkeypatch.setattr(solve_mod, "_bounds", lambda table, f, depth: bound(
         table.left[:, 0], depth))
@@ -281,6 +287,30 @@ class TestPhiOfGammas:
             values, _ = phi_of_gammas(T, f, gammas, 0)
             assert values.tobytes() == \
                 (f.eval_many(b) - f.eval_many(gammas)).tobytes()
+
+    @pytest.mark.parametrize("T", [T2, T3, S244, T30])
+    def test_nudged_table_is_one_flowers_of_the_nudged_gammas(self, T):
+        """The table of nudged flowers takes the petal ends that the
+        nudge's checks computed, and equals ``SelectorTable.one_flowers``
+        of the nudged gammas bitwise: on a grid, on and next to the breaks
+        and the gammas whose right end is a break, and on T30 next to 1,
+        where breaks 2^-29 apart take four nudges, the last unchecked."""
+        breaks = np.asarray(T.breaks)
+        near = [-1e-9, -5e-10, 0.0, 5e-10]
+        gammas = reduce_many(np.concatenate([
+            np.arange(256) / 256, np.add.outer(breaks, near).ravel(),
+            np.add.outer(arc_end(T, breaks, -1.0), near).ravel(),
+            1.0 - np.arange(1, 2049) * 2.0 ** -38]))
+        table = solve_mod._one_flowers(T, gammas)
+        want = SelectorTable.one_flowers(T, table.left[:, 0])
+        arrays = [name for name, x in vars(want).items()
+                  if isinstance(x, np.ndarray)]
+        assert {"left", "right", "length", "disc", "_flat"} <= set(arrays)
+        for name in arrays:
+            assert getattr(table, name).tobytes() == \
+                getattr(want, name).tobytes()
+        nudges = np.round((table.left[:, 0] - gammas) / 2e-9).max()
+        assert (nudges == 4) if T is T30 else (0 < nudges < 4)
 
     def test_no_gammas(self):
         values, bounds = phi_of_gammas(T2, COS, [], 10)
@@ -731,8 +761,7 @@ class TestCertifiedScan:
                                  reduce_many(np.add.outer(
                                      T.breaks, [-1e-9, 0.0, 1e-10])).ravel(),
                                  [1 / 3, 2 / 3, 1 / 7]])
-        table = SelectorTable.one_flowers(
-            T, solve_mod._off_degenerate(T, gammas))
+        table = solve_mod._one_flowers(T, gammas)
         for f in (COS, PWL):
             for N in (8, 37):
                 assert solve_mod._bounds(table, f, N).tobytes() == \
@@ -1219,6 +1248,100 @@ def _scalar_oracle(orbits, f):
         if average > best:
             best, best_orbit = average, orbit
     return best, best_orbit
+
+
+def reference_orbit_walks(T, max_period):
+    """``dynamics.orbit_walks`` as it walked before the walk became one
+    array: a list of n + 1 rows, each k times the last mod den, and the
+    closing test row n == row 0."""
+    check_periodic_orbits(T, max_period)
+    k = T.degree
+    for n in range(1, max_period + 1):
+        den = k ** n - 1
+        walk = [np.arange(den)]
+        for _ in range(n):
+            walk.append(k * walk[-1] % den)
+        start = np.all([y > walk[0] for y in walk[1:n]]
+                       + [walk[n] == walk[0]], axis=0)
+        yield den, np.array([y[start] for y in walk[:n]])
+
+
+def reference_orbit_averages(T, f, max_period):
+    """``solve.orbit_averages`` as it averaged before f took all periods'
+    points in one call: one ``eval_many`` per period."""
+    orbits, averages = [], []
+    for den, walk in reference_orbit_walks(T, max_period):
+        sums = np.zeros(walk.shape[1])
+        for values in f.eval_many(walk / den):
+            sums += values
+        averages.extend((sums / len(walk)).tolist())
+        orbits.extend((den, orbit) for orbit in walk.T)
+    return orbits, averages
+
+
+class TestOrbitAverages:
+    CASES = [(2, 16), (3, 10), (4, 8)]
+
+    @pytest.mark.parametrize("k, max_period", CASES)
+    def test_walks_equal_the_reference(self, k, max_period):
+        T = make_linear_map(k)
+        pairs = list(zip(orbit_walks(T, max_period),
+                         reference_orbit_walks(T, max_period)))
+        assert len(pairs) == max_period
+        for (den, walk), (want_den, want) in pairs:
+            assert den == want_den
+            assert walk.dtype == want.dtype == np.int64
+            assert np.array_equal(walk, want)
+
+    @pytest.mark.parametrize("k, max_period", CASES)
+    def test_averages_equal_the_reference_bitwise(self, k, max_period):
+        """f takes all periods' points at once, and each orbit is summed
+        from +0.0: -0.0 averages to 0.0, as before."""
+        T = make_linear_map(k)
+        for f in (TRIG2, PWL, TrigPolynomial(constant=-0.0)):
+            orbits, averages = orbit_averages(T, f, max_period)
+            want, want_averages = reference_orbit_averages(T, f, max_period)
+            assert np.array(averages).tobytes() == \
+                np.array(want_averages).tobytes()
+            assert [(den, o.tolist()) for den, o in orbits] == \
+                [(den, o.tolist()) for den, o in want]
+        assert math.copysign(1.0, averages[0]) == 1.0
+
+    @pytest.mark.parametrize("function", [None, {"type": "trig",
+                                                 "cos": [0.3, -0.7],
+                                                 "sin": [0.5]}])
+    def test_orbits_report_equals_the_reference(self, tmp_path, monkeypatch,
+                                                function):
+        cfg = {"map": {"type": "linear", "k": 2}, "max_period": 12}
+        if function:
+            cfg["function"] = function
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        reports = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(dynamics, "orbit_walks",
+                                    reference_orbit_walks)
+                monkeypatch.setattr(cli, "orbit_averages",
+                                    reference_orbit_averages)
+            out = tmp_path / f"out{patch}.json"
+            assert cli.main(["orbits", "--config", str(path),
+                             "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_peak_memory_at_most_the_reference(self):
+        """On T2 to period 16 the walk is reduced in place and freed before
+        the next period's, and f takes the selected points only."""
+        peaks = []
+        for averages in (orbit_averages, reference_orbit_averages):
+            tracemalloc.start()
+            try:
+                averages(T2, TRIG2, 16)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
 
 class TestOrbitOracle:
