@@ -46,8 +46,10 @@ certified sign may be wrong, as a scan at depth N would be.
 
 The one invariant measure of a 1-flower is a T-cycle coded by a
 mechanical word.  ``sturmian_estimate`` and the staircase find it by an
-exact Stern-Brocot descent, ``_plateau``, in ``Fraction``s on the map's
-exact model ``T.exact``: the construction is the certificate.
+exact Stern-Brocot descent, ``_plateau``, on the map's exact model
+``T.exact`` read as integers: every rational is compared by
+cross-multiplying, and only the points that the estimate reports become
+``Fraction``s.  The construction is the certificate.
 """
 from __future__ import annotations
 
@@ -399,18 +401,13 @@ class SturmianEstimate:
 
 
 def _compose(m, n):
-    """The affine map u -> A u + B of m after n, each an (A, B) pair."""
-    return m[0] * n[0], m[0] * n[1] + m[1]
-
-
-def _fixed_point(A: Fraction, B: Fraction) -> Tuple[int, int]:
-    """B / (1 - A), the fixed point of u -> A u + B, A < 1, as (u, v)."""
-    return (B.numerator * A.denominator,
-            B.denominator * (A.denominator - A.numerator))
+    """The map u -> (A u + B) / D of m after n, each an (A, B, D) triple of
+    integers, D > 0."""
+    return m[0] * n[0], m[0] * n[1] + m[1] * n[2], m[2] * n[2]
 
 
 def _plateau(T: ExpandingMap, gamma: float, nodes: dict
-             ) -> Tuple[int, int, int, Fraction]:
+             ) -> Tuple[int, int, int, Tuple[int, int]]:
     """The Sturmian cycle O of the 1-flower from gamma, as (i, p, q, z), on
     the exact lifted breaks a and slopes s of ``T.exact``.  The flower
     [gamma, F^-1(F(gamma) + 1)] meets branches i and i + 1 (mod k), the
@@ -427,15 +424,21 @@ def _plateau(T: ExpandingMap, gamma: float, nodes: dict
     (the upper words in the other order), so each step composes two
     cached maps.  A p/q strictly between 0 and 1 is reached in s - 1
     steps, s the sum of its partial quotients, which is at most q.
+    Every rational is an integer pair n / d, d > 0, and every map an
+    integer triple of ``_compose``, unreduced, so each test compares
+    cross-multiplied integers and no ``Fraction`` is built.
     ``nodes`` keeps for the next call the maps and plateau ends of each
     node (i, p, q), and under i the (p, q) found last, which is tried
-    first.  z is min O as a point of [a_0, a_0 + 1]."""
-    a, s = T.exact
-    k, a0 = len(a), a[0]
-    g = a0 + (Fraction(gamma) - a0) % 1
-    i = sum(x <= g for x in a[1:])
-    top = i + 1 + s[i] * (g - a[i])  # F(gamma) + 1
-    (gn, gd), (tn, td) = g.as_integer_ratio(), top.as_integer_ratio()
+    first.  z is min O as a point of [a_0, a_0 + 1], an integer pair (u,
+    v) with v = D - A of the lower map."""
+    a, s = ([x.as_integer_ratio() for x in r] for r in T.exact)
+    k, (an, ad) = len(a), a[0]
+    gn, gd = gamma.as_integer_ratio()  # then g = a_0 + (gamma - a_0) mod 1
+    gn, gd = an * gd + (gn * ad - an * gd) % (gd * ad), gd * ad
+    i = sum(x * gd <= gn * y for x, y in a[1:])
+    (sn, sd), (bn, bd) = s[i], a[i]
+    td = sd * gd * bd
+    tn = (i + 1) * td + sn * (gn * bd - bn * gd)  # F(gamma) + 1 = tn / td
 
     def side(pq, maps) -> int:
         """-1, 0 or 1 as gamma lies left of, on or right of the plateau of
@@ -444,14 +447,13 @@ def _plateau(T: ExpandingMap, gamma: float, nodes: dict
         if key not in nodes:
             lower, upper = maps()
             c = int(pq[0] > 0)  # the letter of max O
-            b = (i + c) % k
-            # min O = u / v and max O = x / y, the fixed points of the lower
-            # and upper maps; kept are min O and F(max O) = i + c + s_b (x /
-            # y - a_b) as integer pairs, v > 0, compared by cross-multiplying
-            (u, v), (x, y) = _fixed_point(*lower), _fixed_point(*upper)
-            (sn, sd), (an, ad) = (r.as_integer_ratio() for r in (s[b], a[b]))
-            nodes[key] = (lower, upper, (u, v), (
-                (i + c) * sd * ad * y + sn * (ad * x - an * y), sd * ad * y))
+            (sn, sd), (bn, bd) = s[(i + c) % k], a[(i + c) % k]
+            # min O = u / v and max O = x / y, the fixed points (B, D - A)
+            # of the lower and upper maps; kept are min O and F(max O) =
+            # i + c + s_b (x / y - a_b)
+            x, y = upper[1], upper[2] - upper[0]
+            nodes[key] = (lower, upper, (lower[1], lower[2] - lower[0]), (
+                (i + c) * sd * bd * y + sn * (bd * x - bn * y), sd * bd * y))
         _, _, (u, v), (x, y) = nodes[key]
         if pq == (1, 1) and i == k - 1:
             u += v  # the fixed point of the word 1 on branch 0, a turn up
@@ -460,8 +462,8 @@ def _plateau(T: ExpandingMap, gamma: float, nodes: dict
     def descend():
         L, R = (0, 1), (1, 1)
         for pq in (L, R):
-            b = (i + pq[0]) % k
-            m = (1 / s[b], a[b] - a0 / s[b])
+            (sn, sd), (bn, bd) = s[(i + pq[0]) % k], a[(i + pq[0]) % k]
+            m = (sd * bd * ad, bn * ad * sn - an * sd * bd, bd * ad * sn)
             if side(pq, lambda: (m, m)) == 0:
                 return pq
         while True:
@@ -479,25 +481,31 @@ def _plateau(T: ExpandingMap, gamma: float, nodes: dict
     pq = nodes.get(i)  # the plateau the last call found on branches i, i + 1
     if pq is None or side(pq, None):
         pq = nodes[i] = descend()
-    return (i,) + pq + (Fraction(*nodes[(i,) + pq][2]),)
+    return (i,) + pq + (nodes[(i,) + pq][2],)
 
 
 def _cycle(T: ExpandingMap, i: int, p: int, q: int,
-           z: Fraction) -> List[Fraction]:
-    """The points of the cycle of ``_plateau``, reduced to [0, 1), from
-    the smallest, in selector order (each point the preimage of the one
-    before): the T-orbit of min O, whose branches are the letters of the
-    lower mechanical word of p/q, in reverse."""
-    a, s = T.exact
-    k, a0 = len(a), a[0]
+           z: Tuple[int, int]) -> List[Fraction]:
+    """The points of the cycle of ``_plateau`` whose min O is z = (u, v),
+    reduced to [0, 1), from the smallest, in selector order (each point the
+    preimage of the one before): the T-orbit of min O, whose branches are
+    the letters of the lower mechanical word of p/q, in reverse.  Each
+    point is the fixed point of a rotation of that word, whose map has the
+    A and D of the lower map, so it is an integer over v = D - A: the
+    orbit is walked on those integers, each step an exact division."""
+    a, s = ([x.as_integer_ratio() for x in r] for r in T.exact)
+    k, (an, ad), (u, v) = len(a), a[0], z
+    # z -> a_0 + s_b (z - a_b) on the numerators over v
+    steps = [(v * (an * sd * bd - ad * sn * bn), ad * sn * bd, ad * sd * bd)
+             for (sn, sd), (bn, bd) in zip(s, a)]
     orbit = []
     for j in range(q):
-        b = (i + (j + 1) * p // q - j * p // q) % k
-        orbit.append(z % 1)
-        z = a0 + s[b] * (z - a[b])
+        c, m, d = steps[(i + (j + 1) * p // q - j * p // q) % k]
+        orbit.append(u % v)
+        u = (c + m * u) // d
     orbit.reverse()
     j = orbit.index(min(orbit))
-    return orbit[j:] + orbit[:j]
+    return [Fraction(x, v) for x in orbit[j:] + orbit[:j]]
 
 
 def _coding(k: int, i: int, p: int, q: int, last: bool) -> List[float]:
@@ -653,11 +661,13 @@ def branch_one_frequency_scan(k: int, gammas: Sequence[float],
     if not (_integers(k, burn_in, length)
             and k >= 2 and burn_in >= 0 and length >= 1):
         raise ValueError("need integers k >= 2, burn_in >= 0, length >= 1")
-    T, half = make_linear_map(k), 1 - Fraction(1, 2 * k)
-    nodes, freqs = {}, []
+    T, nodes, freqs = make_linear_map(k), {}, []
     for gamma in gammas:
         g = reduce(gamma)
         i, p, q, _ = _plateau(T, g, nodes)
-        # the midpoint, on branch k - 1 below half, decides only at p = 0
-        freqs.append(_coding(k, i, p, q, p > 0 or g < half)[1])
+        # the midpoint, on branch k - 1 where g < 1 - 1/(2k), decides only
+        # at p = 0
+        n, d = g.as_integer_ratio()
+        last = p > 0 or 2 * k * n < (2 * k - 1) * d
+        freqs.append(_coding(k, i, p, q, last)[1])
     return np.array(freqs)

@@ -147,6 +147,123 @@ def staircase_grid(seed, size=256):
     return [(0.75 + (i + u) / size) % 1.0 for i in range(size)]
 
 
+# The Fraction descent that ``solve._plateau`` and ``solve._cycle`` ran
+# before they took integer pairs, kept as their reference.
+
+
+def reference_compose(m, n):
+    """The affine map u -> A u + B of m after n, each an (A, B) pair."""
+    return m[0] * n[0], m[0] * n[1] + m[1]
+
+
+def reference_fixed_point(A, B):
+    """B / (1 - A), the fixed point of u -> A u + B, A < 1, as (u, v)."""
+    return (B.numerator * A.denominator,
+            B.denominator * (A.denominator - A.numerator))
+
+
+def reference_plateau(T, gamma, nodes):
+    """The Sturmian cycle O of the 1-flower from gamma, as (i, p, q, z), on
+    the exact lifted breaks a and slopes s of ``T.exact``.  The flower
+    [gamma, F^-1(F(gamma) + 1)] meets branches i and i + 1 (mod k), the
+    letters 0 and 1.  The cycle of rotation number p/q is coded by the
+    mechanical word of p/q, and the flower carries it exactly when gamma
+    lies in its plateau: gamma <= min O and F(gamma) + 1 >=
+    F(max O) (Bullett and Sentenac 1994; Lothaire 2002, ch. 2).  min O is
+    coded by the lower Christoffel word and max O by the upper one, so
+    each is the fixed point of the composed inverse branches u -> a_b +
+    (u - a_0) / s_b of its word, an affine map of [a_0, a_0 + 1].  The
+    plateaus are ordered as p/q, so the search descends the Stern-Brocot
+    tree from 0/1 and 1/1, one mediant per step.  The lower word of a
+    mediant is that of its left parent and then that of its right one
+    (the upper words in the other order), so each step composes two
+    cached maps.  A p/q strictly between 0 and 1 is reached in s - 1
+    steps, s the sum of its partial quotients, which is at most q.
+    ``nodes`` keeps for the next call the maps and plateau ends of each
+    node (i, p, q), and under i the (p, q) found last, which is tried
+    first.  z is min O as a point of [a_0, a_0 + 1]."""
+    a, s = T.exact
+    k, a0 = len(a), a[0]
+    g = a0 + (Fraction(gamma) - a0) % 1
+    i = sum(x <= g for x in a[1:])
+    top = i + 1 + s[i] * (g - a[i])  # F(gamma) + 1
+    (gn, gd), (tn, td) = g.as_integer_ratio(), top.as_integer_ratio()
+
+    def side(pq, maps):
+        """-1, 0 or 1 as gamma lies left of, on or right of the plateau of
+        pq = (p, q), whose (lower, upper) word maps ``maps()`` gives."""
+        key = (i,) + pq
+        if key not in nodes:
+            lower, upper = maps()
+            c = int(pq[0] > 0)  # the letter of max O
+            b = (i + c) % k
+            # min O = u / v and max O = x / y, the fixed points of the lower
+            # and upper maps; kept are min O and F(max O) = i + c + s_b (x /
+            # y - a_b) as integer pairs, v > 0, compared by cross-multiplying
+            (u, v), (x, y) = (reference_fixed_point(*lower),
+                              reference_fixed_point(*upper))
+            (sn, sd), (an, ad) = (r.as_integer_ratio() for r in (s[b], a[b]))
+            nodes[key] = (lower, upper, (u, v), (
+                (i + c) * sd * ad * y + sn * (ad * x - an * y), sd * ad * y))
+        _, _, (u, v), (x, y) = nodes[key]
+        if pq == (1, 1) and i == k - 1:
+            u += v  # the fixed point of the word 1 on branch 0, a turn up
+        return (gn * v > u * gd) - (tn * y < x * td)
+
+    def descend():
+        L, R = (0, 1), (1, 1)
+        for pq in (L, R):
+            b = (i + pq[0]) % k
+            m = (1 / s[b], a[b] - a0 / s[b])
+            if side(pq, lambda: (m, m)) == 0:
+                return pq
+        while True:
+            # gamma lies between the plateaus of L and R, so in the subtree
+            # of their mediant
+            (lower_l, upper_l), (lower_r, upper_r) = (nodes[(i,) + L][:2],
+                                                      nodes[(i,) + R][:2])
+            pq = (L[0] + R[0], L[1] + R[1])
+            t = side(pq, lambda: (reference_compose(lower_l, lower_r),
+                                  reference_compose(upper_r, upper_l)))
+            if t == 0:
+                return pq
+            L, R = (pq, R) if t > 0 else (L, pq)
+
+    pq = nodes.get(i)  # the plateau the last call found on branches i, i + 1
+    if pq is None or side(pq, None):
+        pq = nodes[i] = descend()
+    return (i,) + pq + (Fraction(*nodes[(i,) + pq][2]),)
+
+
+def reference_cycle(T, i, p, q, z):
+    """The points of the cycle of ``reference_plateau``, reduced to [0,
+    1), from the smallest, in selector order (each point the preimage of
+    the one before): the T-orbit of min O, whose branches are the letters
+    of the lower mechanical word of p/q, in reverse."""
+    a, s = T.exact
+    k, a0 = len(a), a[0]
+    orbit = []
+    for j in range(q):
+        b = (i + (j + 1) * p // q - j * p // q) % k
+        orbit.append(z % 1)
+        z = a0 + s[b] * (z - a[b])
+    orbit.reverse()
+    j = orbit.index(min(orbit))
+    return orbit[j:] + orbit[:j]
+
+
+def reference_staircase(k, gammas):
+    """``branch_one_frequency_scan`` on ``reference_plateau``, with the
+    midpoint rule as a ``Fraction`` test: g < 1 - 1/(2k)."""
+    T, half = make_linear_map(k), 1 - Fraction(1, 2 * k)
+    nodes, freqs = {}, []
+    for gamma in gammas:
+        g = reduce(gamma)
+        i, p, q, _ = reference_plateau(T, g, nodes)
+        freqs.append(solve_mod._coding(k, i, p, q, p > 0 or g < half)[1])
+    return np.array(freqs)
+
+
 @st.composite
 def _functions(draw):
     """A trig f of one or two terms or a pwl f of two to five points."""
@@ -1215,6 +1332,46 @@ class TestSturmianEstimate:
             sturmian_estimate(F, COS)
 
 
+#: the maps of the reference tests of the exact descent
+DESCENT_MAPS = [T2, T3, T4, S244,
+                map_from_slopes([4.0, 2.0, 4.0], fixed_point=0.3)]
+
+
+def descent_gammas(T, seed):
+    """2000 seeded gammas, each lifted break of ``T.exact`` and the floats
+    either side of it, and 0, 2^-60, 1e-30, 1e-300, 5e-324 and 1 - 2^-53."""
+    rng = random.Random(seed)
+    gammas = [rng.random() for _ in range(2000)]
+    for b in T.exact[0]:
+        b = float(b)
+        gammas += [math.nextafter(b, -1.0), b, math.nextafter(b, 2.0)]
+    return gammas + [0.0, 2.0 ** -60, 1e-30, 1e-300, 5e-324, 1 - 2.0 ** -53]
+
+
+class TestIntegerDescent:
+    """``_plateau`` and ``_cycle`` on integer pairs return the plateau, min O
+    and the cycle of the ``Fraction`` descent they replaced."""
+
+    @staticmethod
+    def assert_same(T, gamma, nodes, reference_nodes):
+        i, p, q, (u, v) = solve_mod._plateau(T, gamma, nodes)
+        want = reference_plateau(T, gamma, reference_nodes)
+        assert v > 0 and (i, p, q, Fraction(u, v)) == want
+        assert solve_mod._cycle(T, i, p, q, (u, v)) == reference_cycle(
+            T, *want)
+
+    @pytest.mark.parametrize("T", DESCENT_MAPS)
+    def test_fresh_caches(self, T):
+        for gamma in descent_gammas(T, 30):
+            self.assert_same(T, gamma, {}, {})
+
+    @pytest.mark.parametrize("T", DESCENT_MAPS)
+    def test_a_cache_shared_across_a_sorted_grid(self, T):
+        nodes, reference_nodes = {}, {}
+        for gamma in sorted(descent_gammas(T, 31)):
+            self.assert_same(T, gamma, nodes, reference_nodes)
+
+
 class TestSignConditions:
     def test_cosine_bracket(self):
         N = default_depth(COS.lipschitz_constant(), 2.0, 1e-12)
@@ -1457,6 +1614,29 @@ class TestBranchOneFrequency:
         gammas = [(0.75 + i / 64) % 1.0 for i in range(64)]
         freqs = branch_one_frequency_scan(2, gammas, 500, 20000)
         assert float(np.min(np.diff(freqs))) >= -2e-3
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_midpoint_rule_on_its_tie(self, k):
+        """On the fixed point's plateau [1 - 1/k, 1) the petal midpoint
+        decides the branch: the integer test 2k n < (2k - 1) d is the
+        ``Fraction`` test g < 1 - 1/(2k), on the float nearest the tie and
+        either side of it, on the plateau's ends and on uniform and seeded
+        grids; for k = 2 also on criterion 9's grid and the staircase grids
+        of seeds 3, 17 and 40.  On T2 the tie 3/4 is a float and reads 0,
+        the float below it 1."""
+        tie, end = 1 - 1 / (2 * k), 1 - 1 / k
+        rng = random.Random(k)
+        gammas = [x for c in (tie, end) for x in (
+            math.nextafter(c, 0.0), c, math.nextafter(c, 1.0))]
+        gammas += [i / 256 for i in range(256)] + [
+            rng.random() for _ in range(256)]
+        if k == 2:
+            gammas += [(0.75 + i / 512) % 1.0 for i in range(512)]
+            gammas += [g for seed in (3, 17, 40) for g in staircase_grid(seed)]
+        got = branch_one_frequency_scan(k, gammas)
+        assert got.tobytes() == reference_staircase(k, gammas).tobytes()
+        if k == 2:  # for k > 2 the tie is between branches k - 1 and 0
+            assert got[:3].tolist() == [1.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("k, burn_in, length", [
         (1, 10, 10), (0, 10, 10), (2.5, 10, 10), (True, 10, 10),
